@@ -218,7 +218,6 @@ def cmd_equidist(p: Problem, args) -> int:
         polarization=p.polarization,
         test_level=opts.get("test_level", 1),
         grid_orders=tuple(opts.get("grid_orders", (8, 16, 32, 64, 128, 256, 512))),
-        seed=args.seed,
     )
     return _report_exit(
         run_equidistribution(cfg), args, "m,discrepancy,exact_zero"

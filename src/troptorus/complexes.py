@@ -95,10 +95,6 @@ def barycentric_coords(s: Simplex, p: Vec) -> tuple[Fraction, ...]:
     return (lam0,) + tuple(lam)
 
 
-def simplex_contains(s: Simplex, p: Vec) -> bool:
-    return all(c >= 0 for c in barycentric_coords(s, p))
-
-
 def canonical_cell(vertices: tuple[Vec, ...], period: Lattice) -> tuple[Simplex, Vec]:
     """Canonical representative and the period shift that was subtracted."""
     vs = sorted(vertices)
@@ -120,6 +116,8 @@ class PeriodicComplex:
     _coords: tuple | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    # the _ContainmentIndex of the cells; see _containment_index
+    _index: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -307,14 +305,6 @@ def dyadic_refine(c: PeriodicComplex, steps: int) -> PeriodicComplex:
     return c
 
 
-def _int_adjugate(m, d) -> tuple[tuple[int, ...], ...]:
-    """Integer adjugate rows of an integer matrix with determinant d."""
-    from .linalg import inverse
-
-    inv = inverse(m)
-    return tuple(tuple(int(x * d) for x in row) for row in inv)
-
-
 def _int_det_adj(cols):
     """Determinant and adjugate of an integer matrix given by columns.
 
@@ -337,102 +327,75 @@ def _int_det_adj(cols):
         return det_i, adj
     m = from_columns(tuple(tuple(Fraction(x) for x in col) for col in cols))
     d = det(m)
-    return int(d), _int_adjugate(m, d)
-
-
-def _int_scale(complexes) -> int:
-    denoms = [1]
-    for c in complexes:
-        for g in c.period.generators:
-            denoms.extend(x.denominator for x in g)
-        for cell in c.cells:
-            for v in cell.vertices:
-                denoms.extend(x.denominator for x in v)
-    return math.lcm(*denoms)
+    if d == 0:
+        return 0, ()
+    return int(d), tuple(tuple(int(x * d) for x in row) for row in inverse(m))
 
 
 class _ContainmentIndex:
-    """Integer-scaled point/simplex containment queries against the cells
-    of a complex, including nearby period translates."""
+    """Which period translate of which cell of a complex holds a point.
 
-    def __init__(self, c: PeriodicComplex, scale: int):
-        self.scale = scale
+    Runs on the integer period coordinates of :func:`_period_coords`,
+    where the period lattice is ``scale * Z^n``: a translate is an
+    integer vector k, and a query is first reduced into the unit cell
+    [0, 1)^n by floor division.  The entries are the translates
+    cells[i] + k whose coordinate box meets [0, 1]^n, the range of k
+    per axis coming from the cell's own box; each is registered in every
+    bucket of a regular grid on the unit cell that its box meets.  Build
+    it through :func:`_containment_index`, which keeps it on the complex.
+    """
+
+    def __init__(self, c: PeriodicComplex):
         n = c.dim
-        self.n = n
+        scale, coords = _period_coords(c)
+        self.period, self.scale = c.period, scale
         entries = []
-        # queries are canonical points (period-basis coordinates in
-        # [0, 1)), so a translate can only contain one if its coordinate
-        # bounding box meets [0, 1]; the admissible integer shifts per
-        # cell come straight from that box
-        gens_i = [
-            tuple(x.numerator * (scale // x.denominator) for x in g)
-            for g in c.period.generators
-        ]
-        q, inv_i = integer_matrix(inverse(c.period.matrix))
-        qs = q * scale
-        shift_cache: dict[tuple, tuple] = {}
-        for idx, cell in enumerate(c.cells):
-            base = [
-                tuple(x.numerator * (scale // x.denominator) for x in v)
-                for v in cell.vertices
-            ]
-            edge = tuple(
-                tuple(b - a for a, b in zip(base[0], v)) for v in base[1:]
+        for i, w in enumerate(coords):
+            base = [w[k : k + n] for k in range(0, len(w), n)]
+            det_i, adj = _int_det_adj(
+                tuple(tuple(map(sub, v, base[0])) for v in base[1:])
             )
-            det_i, adj = _int_det_adj(edge)
-            lo0 = [min(v[k] for v in base) for k in range(n)]
-            hi0 = [max(v[k] for v in base) for k in range(n)]
-            coord_rows = [
-                [sum(r * x for r, x in zip(row, v)) for v in base]
-                for row in inv_i
+            if det_i == 0:
+                continue  # a flat cell holds no point that others miss
+            lo0 = [min(w[m::n]) for m in range(n)]
+            hi0 = [max(w[m::n]) for m in range(n)]
+            # translate k meets [0, 1] on an axis iff
+            # lo + k * scale <= scale and hi + k * scale >= 0
+            ranges = [
+                range(-(hi // scale), (scale - lo) // scale + 1)
+                for lo, hi in zip(lo0, hi0)
             ]
-            ranges = []
-            for row in coord_rows:
-                lo_c, hi_c = min(row), max(row)
-                # translate k overlaps [0, 1] iff
-                # lo_c + k*qs <= qs and hi_c + k*qs >= 0
-                k_min = -(hi_c // qs)
-                k_max = (qs - lo_c) // qs
-                ranges.append(range(k_min, k_max + 1))
             for k in product(*ranges):
-                key = k
-                cached = shift_cache.get(key)
-                if cached is None:
-                    sh = c.period.from_coords(tuple(Fraction(x) for x in k))
-                    sh_i = tuple(
-                        sum(k[j] * gens_i[j][m] for j in range(n))
-                        for m in range(n)
-                    )
-                    cached = (sh, sh_i)
-                    shift_cache[key] = cached
-                sh, sh_i = cached
-                verts = [tuple(a + b for a, b in zip(v, sh_i)) for v in base]
-                lo = [a + b for a, b in zip(lo0, sh_i)]
-                hi = [a + b for a, b in zip(hi0, sh_i)]
-                entries.append((verts[0], adj, det_i, lo, hi, idx, sh))
-        max_extent = max(
-            max(hi[k] - lo[k] for k in range(n)) for _, _, _, lo, hi, _, _ in entries
-        )
-        # entries register in every bucket their bounding box overlaps,
-        # so any size is sound; cell extent balances list length against
+                sh = [scale * x for x in k]
+                entries.append((
+                    tuple(map(add, base[0], sh)),
+                    adj,
+                    det_i,
+                    tuple(map(add, lo0, sh)),
+                    tuple(map(add, hi0, sh)),
+                    i,
+                    k,
+                ))
+        # entries register in every bucket their box meets, so any size
+        # is sound; the cell extent balances list length against
         # registration cost
-        self.bucket_size = max(1, max_extent)
+        self.size = size = max(
+            (max(map(sub, e[4], e[3])) for e in entries), default=1
+        )
+        last = scale // size
         self.buckets: dict[tuple, list] = {}
         for e in entries:
-            lo, hi = e[3], e[4]
             ranges = [
-                range(lo[k] // self.bucket_size, hi[k] // self.bucket_size + 1)
-                for k in range(n)
+                range(max(lo // size, 0), min(hi // size, last) + 1)
+                for lo, hi in zip(e[3], e[4])
             ]
             for key in product(*ranges):
                 self.buckets.setdefault(key, []).append(e)
 
-    def _candidates(self, point_num: tuple[int, ...], denom: int):
-        key = tuple(p // (denom * self.bucket_size) for p in point_num)
-        return self.buckets.get(key, ())
-
     @staticmethod
     def _inside(entry, p_num, denom) -> bool:
+        """Whether the point p_num / denom (scaled period coordinates)
+        lies in the entry's translate."""
         v0, adj, det_i, lo, hi, _, _ = entry
         n = len(p_num)
         for k in range(n):
@@ -460,32 +423,56 @@ class _ContainmentIndex:
             total += y
         return total >= d_scaled
 
-    def find_cell_containing_simplex(self, verts_scaled, denom: int):
-        """Entry whose cell contains all given points, or None.
-        Points are integer tuples equal to denom * scale * point."""
-        m = len(verts_scaled)
-        bary = tuple(sum(v[k] for v in verts_scaled) for k in range(self.n))
+    def find_cell_containing_simplex(
+        self, verts, den: int
+    ) -> tuple[int, tuple[int, ...]] | None:
+        """(i, k) with every point w / den of ``verts`` in cells[i] + k.
+
+        The points are integer tuples w, with w / den the period
+        coordinates of a vertex; a single point is a one-vertex simplex.
+        None if no cell holds them all.
+        """
+        m = len(verts)
+        scale = self.scale
+        md = m * den
+        # md * barycenter, reduced by the integer vector k0
+        bary = verts[0] if m == 1 else [sum(col) for col in zip(*verts)]
+        k0 = [x // md for x in bary]
+        b = [scale * (x - md * k) for x, k in zip(bary, k0)]
+        pts = [
+            [scale * (x - den * k) for x, k in zip(v, k0)]
+            for v in (verts if m > 1 else ())
+        ]
         inside = self._inside
-        for entry in self._candidates(bary, m * denom):
+        step = md * self.size
+        for e in self.buckets.get(tuple(x // step for x in b), ()):
             # the barycenter is interior, so test it before the vertices
-            if not inside(entry, bary, m * denom):
-                continue
-            if all(inside(entry, p, denom) for p in verts_scaled):
-                return entry
+            if inside(e, b, md) and all(inside(e, p, den) for p in pts):
+                return e[5], tuple(map(add, k0, e[6]))
         return None
 
-    def find_point(self, p: Vec):
-        """Entry (.., cell index, shift) containing the rational point p."""
-        denom = math.lcm(*((x * self.scale).denominator for x in p))
-        p_num = tuple(int(x * self.scale * denom) for x in p)
-        return self.find_scaled(p_num, denom)
+    def locate(self, points) -> tuple[int, Vec] | None:
+        """(i, lam), lam a period vector, with every rational point of
+        ``points`` in cells[i] + lam; None if no cell holds them all."""
+        coords = [self.period.coords(p) for p in points]
+        den = math.lcm(*(x.denominator for w in coords for x in w))
+        hit = self.find_cell_containing_simplex(
+            [
+                tuple(x.numerator * (den // x.denominator) for x in w)
+                for w in coords
+            ],
+            den,
+        )
+        if hit is None:
+            return None
+        return hit[0], self.period.from_coords(hit[1])
 
-    def find_scaled(self, p_num: tuple[int, ...], denom: int):
-        """find_point for the point p_num / (denom * scale)."""
-        for entry in self._candidates(p_num, denom):
-            if self._inside(entry, p_num, denom):
-                return entry
-        return None
+
+def _containment_index(c: PeriodicComplex) -> _ContainmentIndex:
+    """The containment index of c, built at most once and kept on c."""
+    if c._index is None:
+        object.__setattr__(c, "_index", _ContainmentIndex(c))
+    return c._index
 
 
 def is_refinement(fine: PeriodicComplex, coarse: PeriodicComplex) -> bool:
@@ -594,78 +581,17 @@ def _is_refinement_j1(fine: PeriodicComplex, j: int) -> bool:
 def _is_refinement_search(
     fine: PeriodicComplex, coarse: PeriodicComplex
 ) -> bool:
-    """is_refinement by bucket search over coarse translates; any complexes."""
-    scale = _int_scale((fine, coarse))
-    index = _ContainmentIndex(coarse, scale)
-    inside = index._inside
-    m = len(fine.cells[0].vertices)
-    n = index.n
-    # the index holds the coarse translates that meet the unit cell of
-    # period coordinates, so each fine cell is first translated to put
-    # its first vertex there (canonical cells already have it there)
-    fine_scale, fine_coords = _period_coords(fine)
-    gens_i = [
-        tuple(x.numerator * (scale // x.denominator) for x in g)
-        for g in fine.period.generators
-    ]
-    scaled = []
-    for cell, w in zip(fine.cells, fine_coords):
-        verts = [
-            tuple(x.numerator * (scale // x.denominator) for x in v)
-            for v in cell.vertices
-        ]
-        ks = [x // fine_scale for x in w[:n]]
-        if any(ks):
-            sh = [sum(map(mul, ks, row)) for row in zip(*gens_i)]
-            verts = [tuple(x - y for x, y in zip(v, sh)) for v in verts]
-        bary = tuple(sum(v[k] for v in verts) for k in range(n))
-        scaled.append((bary, verts))
-    # visit cells in Morton (bit-interleaved) order so neighbouring cells
-    # come consecutively and reuse the last coarse hit
-    mins = [min(bv[0][k] for bv in scaled) for k in range(n)]
-
-    def _morton(bary):
-        code = 0
-        vals = [bary[k] - mins[k] for k in range(n)]
-        for bit in range(max(v.bit_length() for v in vals) if any(vals) else 1):
-            for k in range(n):
-                code |= ((vals[k] >> bit) & 1) << (bit * n + k)
-        return code
-
-    scaled.sort(key=lambda bv: _morton(bv[0]))
-    # recently hit coarse cells, most recent first; Morton order makes
-    # consecutive fine cells share parents, so screen these by barycenter
-    # before falling back to the bucket scan
-    recent: list = []
-    buckets = index.buckets
-    bucket_span = m * index.bucket_size
-    for bary, verts in scaled:
-        hit = None
-        for pos, entry in enumerate(recent):
-            if inside(entry, bary, m) and all(
-                inside(entry, p, 1) for p in verts
-            ):
-                hit = entry
-                if pos:
-                    recent.insert(0, recent.pop(pos))
-                break
-        if hit is None:
-            key = tuple(p // bucket_span for p in bary)
-            bucket = buckets.get(key, ())
-            for pos, entry in enumerate(bucket):
-                if not inside(entry, bary, m):
-                    continue
-                if all(inside(entry, p, 1) for p in verts):
-                    hit = entry
-                    recent.insert(0, entry)
-                    del recent[12:]
-                    # move-to-front: nearby misses want the same parents
-                    if pos:
-                        bucket.insert(0, bucket.pop(pos))
-                    break
-            if hit is None:
-                return False
-    return True
+    """is_refinement by the containment index of coarse; any complexes."""
+    index = _containment_index(coarse)
+    n = fine.dim
+    scale, coords = _period_coords(fine)
+    return all(
+        index.find_cell_containing_simplex(
+            [w[k : k + n] for k in range(0, len(w), n)], scale
+        )
+        is not None
+        for w in coords
+    )
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,7 @@ from .paf import (
     TestFunction,
     hat_test_functions,
     interpolate_test,
+    locate_cell,
     test_sup_abs,
     vertex_orbits,
 )
@@ -57,8 +58,6 @@ class ExperimentConfig:
     polarization: Polarization
     test_level: int = 1
     grid_orders: tuple[int, ...] = (8, 16, 32, 64, 128, 256, 512)
-    samples: int = 100_000
-    seed: int = 0
 
     def __post_init__(self):
         if any(m < 1 for m in self.grid_orders):
@@ -98,21 +97,33 @@ def torsion_grid(lat: Lattice, m: int) -> EmpiricalMeasure:
     return EmpiricalMeasure(lattice=lat, points=tuple(points))
 
 
+def _discrepancy_against(
+    mu: PolytopalMeasure, tests: tuple[TestFunction, ...]
+):
+    """The map e -> discrepancy(e, mu, tests); the exact integrals and
+    normalizers, which do not depend on e, are computed once."""
+    if not tests:
+        raise ExperimentError("test family must be nonempty")
+    exact = [(integrate(t, mu), 1 + test_sup_abs(t)) for t in tests]
+
+    def disc(e: EmpiricalMeasure) -> Fraction:
+        best = Fraction(0)
+        for a, (i, w) in zip(empirical_averages(tests, e), exact):
+            gap = abs(a - i) / w
+            if gap > best:
+                best = gap
+        return best
+
+    return disc
+
+
 def discrepancy(
     e: EmpiricalMeasure,
     mu: PolytopalMeasure,
     tests: tuple[TestFunction, ...],
 ) -> Fraction:
     """max_t |emp(t) - int(t)| / (1 + sup|t|), exact."""
-    if not tests:
-        raise ExperimentError("test family must be nonempty")
-    emp = empirical_averages(tests, e)
-    best = Fraction(0)
-    for t, a in zip(tests, emp):
-        gap = abs(a - integrate(t, mu)) / (1 + test_sup_abs(t))
-        if gap > best:
-            best = gap
-    return best
+    return _discrepancy_against(mu, tests)(e)
 
 
 def standard_test_complex(
@@ -135,11 +146,11 @@ def run_equidistribution(cfg: ExperimentConfig) -> ExperimentReport:
     """
     c = standard_test_complex(cfg.lattice, cfg.polarization, cfg.test_level)
     tests = hat_test_functions(c)
-    mu = haar(cfg.lattice, c)
+    disc = _discrepancy_against(haar(cfg.lattice, c), tests)
     discs: dict[int, Fraction] = {}
     entries = []
     for m in cfg.grid_orders:
-        d = discrepancy(torsion_grid(cfg.lattice, m), mu, tests)
+        d = disc(torsion_grid(cfg.lattice, m))
         discs[m] = d
         entries.append((m, d, d == 0))
     ratios = []
@@ -226,14 +237,10 @@ def fixed_denominator_obstruction(
         candidates = [v for d, v in ranked if d > 0]
         if not candidates:
             continue
-        from .complexes import _ContainmentIndex, _int_scale
-
-        index = _ContainmentIndex(c, _int_scale((c,)))
         locs = []
         for g in grid:
-            u0 = reduce_mod(g, lat)
-            entry = index.find_point(u0)
-            locs.append((entry[5], vsub(u0, entry[6])))
+            i, lam = locate_cell(c, g)
+            locs.append((i, vsub(g, lam)))
         mu = haar(lat, c)
         for v in candidates:
             values = {o: Fraction(1 if o == v else 0) for o in orbits}

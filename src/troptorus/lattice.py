@@ -154,9 +154,6 @@ def orthogonalize(lat: Lattice, b: Polarization) -> tuple[Vec, ...]:
 def superlattice(orth: tuple[Vec, ...], lat: Lattice) -> tuple[int, Lattice]:
     """Least N with lat contained in Z(orth_1/N) + ... + Z(orth_n/N)."""
     span = Lattice(orth)
-    for g in lat.generators:
-        if not span_contains_rational(span, g):
-            raise LatticeError("orthogonal system not inside the lattice span")
     denoms = [c.denominator for g in lat.generators for c in span.coords(g)]
     n_min = math.lcm(*denoms)
     prime = Lattice(tuple(vscale(Fraction(1, n_min), v) for v in orth))
@@ -164,14 +161,6 @@ def superlattice(orth: tuple[Vec, ...], lat: Lattice) -> tuple[int, Lattice]:
         if not prime.contains(g):
             raise LatticeError("superlattice inclusion failed")
     return n_min, prime
-
-
-def span_contains_rational(span: Lattice, v: Vec) -> bool:
-    try:
-        span.coords(v)
-        return True
-    except Exception:
-        return False
 
 
 def covolume(lat: Lattice) -> Fraction:

@@ -13,7 +13,14 @@ from fractions import Fraction
 from itertools import product
 from operator import add, mul
 
-from .complexes import PeriodicComplex, Simplex, canonical_cell, unfold
+from .complexes import (
+    PeriodicComplex,
+    Simplex,
+    _containment_index,
+    _period_coords,
+    canonical_cell,
+    unfold,
+)
 from .lattice import Lattice, covolume, reduce_mod
 from .linalg import (
     Mat,
@@ -21,13 +28,15 @@ from .linalg import (
     det,
     dot,
     from_columns,
+    integer_matrix,
+    inverse,
     mat_vec,
     rank,
     vadd,
     vsub,
     vscale,
 )
-from .paf import TestFunction, _test_piece_at, evaluate_test
+from .paf import TestFunction, evaluate_test
 
 
 class MeasureError(ValueError):
@@ -136,28 +145,14 @@ def haar(lat: Lattice, c: PeriodicComplex) -> PolytopalMeasure:
     )
 
 
-def _atom_at(mu: PolytopalMeasure, p: Vec):
-    from .complexes import barycentric_coords
-
-    n = mu.lattice.dim
-    for k in product((-1, 0, 1), repeat=n):
-        lam = mu.lattice.from_coords(tuple(Fraction(x) for x in k))
-        q = vsub(p, lam)
-        for s, d in mu.atoms:
-            if s.dim != len(q):
-                continue
-            if all(x >= 0 for x in barycentric_coords(s, q)):
-                return s, d, lam
-    return None
-
-
 def integrate(t: TestFunction, mu: PolytopalMeasure) -> Fraction:
     """Exact integral of a piecewise-affine test against a polytopal measure.
 
     One side's decomposition must refine the other's: either every atom
-    is inside a single affine piece of t, or every cell of t is inside a
-    single atom.  An affine integrand over a simplex integrates to
-    volume times the barycenter value.
+    is inside a single cell of t, or every cell of t is inside a single
+    atom, up to the period.  Both are decided by containment indexes.
+    An affine integrand over a simplex integrates to volume times the
+    barycenter value.
     """
     # fast path: the atoms are exactly t's cells (e.g. Haar on t's complex)
     if len(mu.atoms) == len(t.complex.cells) and all(
@@ -168,38 +163,41 @@ def integrate(t: TestFunction, mu: PolytopalMeasure) -> Fraction:
             bc = s.barycenter()
             total += d * simplex_k_volume(s) * (dot(m, bc) + c)
         return total
-    # branch 1: atoms refine t's pieces
+    # branch 1: each atom inside a cell translate cells[i] + lam of t
+    index = _containment_index(t.complex)
     total = Fraction(0)
-    fits = True
     for s, d in mu.atoms:
-        bc = s.barycenter()
-        m, c = _test_piece_at(t, bc)
-        if any(dot(m, v) + c != evaluate_test(t, v) for v in s.vertices):
-            fits = False
+        hit = index.locate(s.vertices)
+        if hit is None:
             break
-        total += d * simplex_k_volume(s) * (dot(m, bc) + c)
-    if fits:
+        i, lam = hit
+        m, c = t.pieces[i]
+        value = dot(m, vsub(s.barycenter(), lam)) + c
+        total += d * simplex_k_volume(s) * value
+    else:
         return total
     # branch 2: t's cells refine the atoms
     if t.complex.period != mu.lattice:
         raise NoCommonRefinementError(
             "test complex period differs from the measure lattice"
         )
+    n = mu.lattice.dim
+    if mu.dim != n:
+        raise NoCommonRefinementError("flat atoms hold no test cell")
+    atoms = PeriodicComplex(
+        period=mu.lattice, cells=tuple(s for s, _ in mu.atoms)
+    )
+    index = _containment_index(atoms)
+    scale, coords = _period_coords(t.complex)
     total = Fraction(0)
-    for cell, (m, c) in zip(t.complex.cells, t.pieces):
-        bc = cell.barycenter()
-        hit = _atom_at(mu, bc)
+    for cell, w, (m, c) in zip(t.complex.cells, coords, t.pieces):
+        hit = index.find_cell_containing_simplex(
+            [w[k : k + n] for k in range(0, len(w), n)], scale
+        )
         if hit is None:
-            raise NoCommonRefinementError("test cell not covered by an atom")
-        s, d, lam = hit
-        from .complexes import barycentric_coords
-
-        if any(
-            any(x < 0 for x in barycentric_coords(s, vsub(v, lam)))
-            for v in cell.vertices
-        ):
-            raise NoCommonRefinementError("test cell straddles atoms")
-        total += d * simplex_k_volume(cell) * (dot(m, bc) + c)
+            raise NoCommonRefinementError("test cell not inside one atom")
+        d = mu.atoms[hit[0]][1]
+        total += d * simplex_k_volume(cell) * (dot(m, cell.barycenter()) + c)
     return total
 
 
@@ -217,49 +215,36 @@ def empirical_averages(
     base = tests[0].complex
     if any(t.complex is not base and t.complex != base for t in tests):
         return tuple(integrate_empirical(t, e) for t in tests)
-    from .complexes import _ContainmentIndex, _int_scale
-    from .linalg import integer_matrix, inverse
-
-    index = _ContainmentIndex(base, _int_scale((base,)))
-    # integer arithmetic: points at the common scale den, period
-    # coordinates at scale q * den, reduced points at scale den * g
+    index = _containment_index(base)
+    # integer arithmetic: points at the common scale den, their period
+    # coordinates at scale q * den
     den = math.lcm(*{x.denominator for p in e.points for x in p})
     q, inv_i = integer_matrix(inverse(base.period.matrix))
-    g, gens_rows = integer_matrix(base.period.matrix)
-    qd, dg = q * den, den * g
-    # aggregate per (cell copy): the per-point work is then independent
-    # of the number of tests
+    qd = q * den
+    # aggregate per cell translate: the per-point work is then
+    # independent of the number of tests
     counts: dict[tuple, int] = {}
     num_sums: dict[tuple, list] = {}
     for p in e.points:
         p_num = [x.numerator * (den // x.denominator) for x in p]
-        floors = [sum(map(mul, row, p_num)) // qd for row in inv_i]
-        # p minus its lattice part sum(floors_j b_j), times dg
-        u0 = [
-            x * g - den * sum(map(mul, floors, row))
-            for x, row in zip(p_num, gens_rows)
-        ]
-        entry = index.find_scaled(tuple(x * index.scale for x in u0), dg)
-        if entry is None:
-            u0 = tuple(Fraction(x, dg) for x in u0)
-            raise MeasureError(f"point {u0} not covered by the test complex")
-        key = (entry[5], entry[6])
+        w = tuple(sum(map(mul, row, p_num)) for row in inv_i)
+        key = index.find_cell_containing_simplex((w,), qd)
+        if key is None:
+            raise MeasureError(f"point {p} not covered by the test complex")
         counts[key] = counts.get(key, 0) + 1
         acc = num_sums.get(key)
-        if acc is None:
-            num_sums[key] = u0
-        else:
-            num_sums[key] = list(map(add, acc, u0))
-    n = len(e.points)
+        num_sums[key] = p_num if acc is None else list(map(add, acc, p_num))
     sums = [Fraction(0)] * len(tests)
-    for (i, sh), cnt in counts.items():
+    for (i, k), cnt in counts.items():
+        lam = base.period.from_coords(k)
+        # the sum of the points, each minus its translation lam
         vsum = tuple(
-            Fraction(x, dg) - cnt * y for x, y in zip(num_sums[(i, sh)], sh)
+            Fraction(x, den) - cnt * y for x, y in zip(num_sums[i, k], lam)
         )
-        for k, t in enumerate(tests):
+        for j, t in enumerate(tests):
             m, c = t.pieces[i]
-            sums[k] += dot(m, vsum) + c * cnt
-    return tuple(s / n for s in sums)
+            sums[j] += dot(m, vsum) + c * cnt
+    return tuple(s / len(e.points) for s in sums)
 
 
 def pushforward(mu, a: IntegralAffineMap):

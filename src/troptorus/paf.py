@@ -17,8 +17,8 @@ from .complexes import (
     AdjacentPair,
     PeriodicComplex,
     Simplex,
+    _containment_index,
     adjacent_pairs,
-    barycentric_coords,
     dyadic_refine_step,
     unfold_with_shifts,
 )
@@ -26,15 +26,16 @@ from .lattice import (
     Lattice,
     Polarization,
     bilinear,
-    lattice_part,
     quadratic,
     reduce_mod,
 )
 from .linalg import (
     Mat,
+    SingularMatrixError,
     Vec,
     dot,
     from_columns,
+    inverse,
     mat_vec,
     solve,
     vadd,
@@ -214,42 +215,20 @@ def check_strongly_convex(f: CocycleFunction) -> ConvexityCertificate:
 
 
 def locate_cell(c: PeriodicComplex, u: Vec) -> tuple[int, Vec]:
-    """(cell index, lam) with u - lam in cells[index]; u must be reduced
-    to the fundamental parallelotope first for a bounded search."""
-    from itertools import product as _product
-
-    for i, cell in enumerate(c.cells):
-        lam0 = zero_vec(c.dim)
-        if all(x >= 0 for x in barycentric_coords(cell, u)):
-            return i, lam0
-    for k in _product((-1, 0, 1), repeat=c.dim):
-        if all(x == 0 for x in k):
-            continue
-        lam = c.period.from_coords(tuple(Fraction(x) for x in k))
-        v = vsub(u, lam)
-        for i, cell in enumerate(c.cells):
-            if all(x >= 0 for x in barycentric_coords(cell, v)):
-                return i, lam
-    raise PafError(f"point {u} not covered by the complex")
+    """(cell index i, period vector lam) with u - lam in cells[i], for
+    any rational u; answered by the complex's containment index."""
+    hit = _containment_index(c).locate((u,))
+    if hit is None:
+        raise PafError(f"point {u} not covered by the complex")
+    return hit
 
 
 def evaluate(f: CocycleFunction, u: Vec) -> Fraction:
-    """Total evaluation on R^n via reduction and the cocycle correction."""
-    period = f.complex.period
-    mu = lattice_part(u, period)
-    u0 = reduce_mod(u, period)
-    i, lam = locate_cell(f.complex, u0)
+    """Value of f at any u in R^n: the cocycle law gives the piece of f
+    on the cell translate that holds u."""
+    i, lam = locate_cell(f.complex, u)
     m, c = piece_on_translate(f, i, lam)
-    base = dot(m, u0) + c
-    if all(x == 0 for x in mu):
-        return base
-    z = f.cocycle
-    corr = (
-        quadratic(z.polarization, mu)
-        + f.linear_scale * dot(z.linear, mu)
-        + bilinear(z.polarization, mu, u0)
-    )
-    return base + corr
+    return dot(m, u) + c
 
 
 def tate_iterate(f0: CocycleFunction, i: int) -> CocycleFunction:
@@ -277,15 +256,11 @@ def tate_iterate(f0: CocycleFunction, i: int) -> CocycleFunction:
 
 
 def _test_piece_at(t: TestFunction, u: Vec) -> Piece:
-    """Affine piece of the periodic extension of t at a reduced point."""
-    period = t.complex.period
-    mu = lattice_part(u, period)
-    u0 = reduce_mod(u, period)
-    i, lam = locate_cell(t.complex, u0)
+    """Affine piece of the periodic extension of t at the point u."""
+    i, lam = locate_cell(t.complex, u)
     m, c = t.pieces[i]
-    shift = vadd(mu, lam)
-    # t(v) = m*(v - shift) + c on cells[i] + shift
-    return m, c - dot(m, shift)
+    # t(v) = m*(v - lam) + c on cells[i] + lam
+    return m, c - dot(m, lam)
 
 
 def evaluate_test(t: TestFunction, u: Vec) -> Fraction:
@@ -311,11 +286,12 @@ def interpolate_test(
 
     Keys are vertices reduced mod the period; values extend periodically.
     """
+    reduced = _reduced_vertices(c)
     pieces = []
     for cell in c.cells:
         vals = []
         for v in cell.vertices:
-            key = reduce_mod(v, c.period)
+            key = reduced[v]
             if key not in vertex_values:
                 raise PafError(f"missing vertex value at {key}")
             vals.append(vertex_values[key])
@@ -323,22 +299,42 @@ def interpolate_test(
     return TestFunction(complex=c, pieces=tuple(pieces))
 
 
-def vertex_orbits(c: PeriodicComplex) -> tuple[Vec, ...]:
-    seen = {}
+def _reduced_vertices(c: PeriodicComplex) -> dict[Vec, Vec]:
+    """Each distinct cell vertex, reduced mod the period once."""
+    out: dict[Vec, Vec] = {}
     for cell in c.cells:
         for v in cell.vertices:
-            seen.setdefault(reduce_mod(v, c.period), None)
-    return tuple(sorted(seen))
+            if v not in out:
+                out[v] = reduce_mod(v, c.period)
+    return out
+
+
+def vertex_orbits(c: PeriodicComplex) -> tuple[Vec, ...]:
+    return tuple(sorted(set(_reduced_vertices(c).values())))
 
 
 def hat_test_functions(c: PeriodicComplex) -> tuple[TestFunction, ...]:
-    """The nodal basis: one test per vertex orbit, 1 there and 0 elsewhere."""
-    orbits = vertex_orbits(c)
-    out = []
-    for o in orbits:
-        values = {v: Fraction(1 if v == o else 0) for v in orbits}
-        out.append(interpolate_test(c, values))
-    return tuple(out)
+    """The nodal basis: one test per vertex orbit, 1 there and 0 elsewhere.
+
+    On a cell, the hat of orbit o is the sum of the barycentric
+    coordinates of the cell's vertices in o: the columns, at those
+    vertices, of the inverse of the matrix with rows [v | 1].
+    """
+    reduced = _reduced_vertices(c)
+    orbits = sorted(set(reduced.values()))
+    pos = {o: k for k, o in enumerate(orbits)}
+    n = c.dim
+    pieces = [[(zero_vec(n), Fraction(0))] * len(c.cells) for _ in orbits]
+    for i, cell in enumerate(c.cells):
+        inv = inverse(tuple(v + (Fraction(1),) for v in cell.vertices))
+        for k, v in enumerate(cell.vertices):
+            hat = pieces[pos[reduced[v]]]
+            m, c0 = hat[i]
+            hat[i] = (
+                tuple(m[j] + inv[j][k] for j in range(n)),
+                c0 + inv[n][k],
+            )
+    return tuple(TestFunction(complex=c, pieces=tuple(p)) for p in pieces)
 
 
 def choose_twist_bound(
@@ -430,7 +426,7 @@ def _max_affine_minus_quadratic(
     m_prime = tuple(dot(grad0, e) for e in edges)
     try:
         t_star = solve(g_prime, m_prime)
-    except Exception:
+    except SingularMatrixError:
         t_star = None
     if t_star is not None and all(x >= 0 for x in t_star) and sum(t_star) <= 1:
         u_star = v0

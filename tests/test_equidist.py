@@ -48,7 +48,7 @@ def test_grid_points_and_averages_match_definitions():
     ]
     b = Polarization(((F(2), F(1)), (F(1), F(2))))
     c = standard_test_complex(lat, b, 0)
-    hats = hat_test_functions(c)[:4]  # integrate_empirical is slow
+    hats = hat_test_functions(c)
     rnd = random.Random(7)
     pts = tuple(
         (F(rnd.randint(-40, 40), rnd.randint(1, 9)), F(rnd.randint(-9, 9), 7))

@@ -1,0 +1,123 @@
+"""Golden CLI output: the sha256 and exit code of each command's output.
+
+The digests were taken from the CLI before the point locator was
+unified; any change to a report's bytes shows here.  To regenerate after
+an intended output change, run ``python tests/test_golden.py`` from the
+repository root with ``src`` on ``PYTHONPATH`` and paste the printed
+table over ``GOLDEN``.
+"""
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from troptorus.cli import main
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+
+SKEW = {
+    "version": 1,
+    "lattice": [["1/1", "0/1"], ["1/2", "3/2"]],
+    "gram": [["2/1", "1/1"], ["1/1", "2/1"]],
+    "equidist": {"test_level": 0, "grid_orders": [8, 16, 32]},
+}
+
+# name -> (problem file or dict, top-level overrides, extra CLI arguments)
+CASES = {
+    "triangulate-n2-level2": ("n2", {}, ["triangulate", "--level", "2"]),
+    "certify-n1-1/8": ("n1", {}, ["certify", "--epsilon", "1/8"]),
+    "certify-n2-auto": ("n2", {}, ["certify", "--epsilon", "auto"]),
+    "tate-n1-csv": (
+        "n1", {}, ["tate", "--iterations", "3", "--format", "csv"]
+    ),
+    "tate-n2": ("n2", {}, ["tate", "--iterations", "1"]),
+    "equidist-n1": ("n1", {}, ["equidist"]),
+    "equidist-n2-8-16": (
+        "n2",
+        {"equidist": {"test_level": 1, "grid_orders": [8, 16]}},
+        ["equidist"],
+    ),
+    "equidist-skew": (SKEW, {}, ["equidist"]),
+    "obstruction-n1": ("n1", {}, ["obstruction"]),
+    "obstruction-n2": ("n2", {}, ["obstruction"]),
+    "collapse-n1": (
+        "n1", {}, ["collapse", "--samples", "2000", "--seed", "3"]
+    ),
+}
+
+# name -> (exit code, sha256 of the output bytes)
+GOLDEN = {
+    "triangulate-n2-level2": (
+        0,
+        "3e5b94c84eadaf3bf6c767b139c2f39188ffa3e9ae68965b481bd7a385899410",
+    ),
+    "certify-n1-1/8": (
+        0,
+        "95d3bfaf84563d1584fb7d8cc6264d81e76c5d677b288ad332251d0aa042dfcb",
+    ),
+    "certify-n2-auto": (
+        0,
+        "89cbb295175ee9a3c3fb93197afd55f1ed1a6a78044c826a2cf9e890058c4c20",
+    ),
+    "tate-n1-csv": (
+        0,
+        "007cfa1837d4b564dfb03d5aa2873afe27c515886b3857c4f8ee1728093d286b",
+    ),
+    "tate-n2": (
+        0,
+        "13eaff48cf019e240331ffc6e93fbe44a033758e5642337c1bcf8b34c90f3244",
+    ),
+    "equidist-n1": (
+        0,
+        "e0f889be7c09d35392c03b9ba4a4dcea7485bddbea9f357a5ee89d5b7a7b1323",
+    ),
+    "equidist-n2-8-16": (
+        0,
+        "41eae8d47d7da41ce26116e2c0579704ef94db947907603319fe27ed6b9151e4",
+    ),
+    "equidist-skew": (
+        0,
+        "b8b536b0b102516f6389574d894950575dfd321dbe980ed8093fd509390a487b",
+    ),
+    "obstruction-n1": (
+        0,
+        "2cdd2bf0afd911807b2a7a3a329709c2665294bfef39251333d8ae3cd86b71f7",
+    ),
+    "obstruction-n2": (
+        0,
+        "6352da266852cb8e64603939627e933200b69dc7eb00d17ad76f6b8b547d4ea8",
+    ),
+    "collapse-n1": (
+        0,
+        "688807f08f132916470fec37fc31966ba488da46158af68c6aeea1256da1f98e",
+    ),
+}
+
+
+def run_case(name, tmp_path):
+    """(exit code, sha256 of the output) of one case."""
+    problem, overrides, args = CASES[name]
+    if isinstance(problem, str):
+        problem = json.loads((PROBLEMS / f"{problem}.json").read_text())
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({**problem, **overrides}))
+    out = tmp_path / "out"
+    code = main(args[:1] + ["--problem", str(path), "--out", str(out)] + args[1:])
+    return code, hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_cli_output(name, tmp_path):
+    assert run_case(name, tmp_path) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    print("GOLDEN = {")
+    for name in CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            code, digest = run_case(name, Path(tmp))
+        print(f'    "{name}": (\n        {code},\n        "{digest}",\n    ),')
+    print("}")

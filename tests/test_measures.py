@@ -6,7 +6,10 @@ from troptorus import (
     EmpiricalMeasure,
     IntegralAffineMap,
     MeasureError,
+    NoCommonRefinementError,
     NonInjectiveAtomError,
+    Polarization,
+    PolytopalMeasure,
     Simplex,
     dyadic_refine,
     empirical,
@@ -20,6 +23,7 @@ from troptorus import (
     pushforward,
     simplex_k_volume,
 )
+from troptorus.equidist import standard_test_complex
 from troptorus.lattice import Lattice
 from troptorus.measures import _wrap_guard
 from troptorus.paf import interpolate_test, vertex_orbits
@@ -64,6 +68,35 @@ def test_integrate_both_refinement_directions(line_setup):
         assert integrate(t, mu1) == integrate(t, mu0)
     fine = hat_test_functions(c1)[0]
     assert integrate(fine, mu0) == integrate(fine, mu1)
+
+
+def test_integrate_both_refinement_directions_skewed_2d():
+    """Both refinement branches against the fast path on a skewed 2-D
+    lattice, also with the atoms moved by lattice vectors; atoms of lower
+    dimension never hold a test cell."""
+    lat = Lattice(((F(1), F(0)), (F(1, 2), F(3, 2))))
+    b = Polarization(((F(2), F(1)), (F(1), F(2))))
+    c0, c1 = (standard_test_complex(lat, b, j) for j in (0, 1))
+    mu0, mu1 = haar(lat, c0), haar(lat, c1)
+    shifts = [
+        lat.from_coords((F(x), F(y))) for x, y in ((2, -1), (0, 3), (-1, 0))
+    ]
+    moved = PolytopalMeasure(
+        lattice=lat,
+        atoms=tuple(
+            (s.translate(shifts[k % 3]), d)
+            for k, (s, d) in enumerate(mu0.atoms)
+        ),
+    )
+    for t in hat_test_functions(c0):  # the atoms refine the pieces
+        assert integrate(t, mu1) == integrate(t, moved) == integrate(t, mu0)
+    hats = hat_test_functions(c1)
+    for t in hats:  # the test's cells refine the atoms
+        assert integrate(t, mu0) == integrate(t, moved) == integrate(t, mu1)
+    segment = Simplex(((F(0), F(0)), (F(1), F(0))))
+    flat = PolytopalMeasure(lattice=lat, atoms=((segment, F(1)),))
+    with pytest.raises(NoCommonRefinementError):
+        integrate(hats[0], flat)
 
 
 def test_integrate_empirical_matches_averages(plane_setup):

@@ -1,7 +1,9 @@
+import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from troptorus import (
     Cocycle,
@@ -21,8 +23,25 @@ from troptorus import (
     twist,
 )
 from troptorus import test_sup_abs as sup_abs
-from troptorus.lattice import Lattice
+from troptorus.complexes import (
+    PeriodicComplex,
+    Simplex,
+    barycentric_coords,
+    barycentric_triangulation,
+    dyadic_refine,
+)
+from troptorus.equidist import standard_test_complex
+from troptorus.lattice import (
+    Lattice,
+    Polarization,
+    covolume,
+    identity_polarization,
+    orthogonalize,
+    superlattice,
+)
+from troptorus.linalg import det, from_columns, vadd, vsub
 from troptorus.paf import (
+    locate_cell,
     verify_continuity,
     verify_periodicity,
     vertex_orbits,
@@ -228,3 +247,115 @@ def test_interpolated_quadratic_distance_shrinks_with_level(line_setup):
         if d_prev is not None:
             assert d <= d_prev
         d_prev = d
+
+
+def _brute_force_hits(c, u):
+    """Every (cell index, period coordinates k) with u - k.B in the cell.
+
+    Translates whose ambient box misses u are skipped before the exact
+    barycentric test.  The range of k is wide enough by construction: if
+    every vertex has period coordinates in [-r, r], a translate k holds u
+    only if k - floor(coords(u)) lies in [-r - 1, r + 1]^n.
+    """
+    n = c.dim
+    r = max(
+        math.ceil(abs(x))
+        for cell in c.cells
+        for v in cell.vertices
+        for x in c.period.coords(v)
+    )
+    base = [math.floor(x) for x in c.period.coords(u)]
+    hits = set()
+    for d in product(range(-r - 1, r + 2), repeat=n):
+        k = tuple(b + x for b, x in zip(base, d))
+        v = vsub(u, c.period.from_coords(k))
+        for i, cell in enumerate(c.cells):
+            if any(
+                x < min(w[m] for w in cell.vertices)
+                or x > max(w[m] for w in cell.vertices)
+                for m, x in enumerate(v)
+            ):
+                continue
+            if all(x >= 0 for x in barycentric_coords(cell, v)):
+                hits.add((i, k))
+    return hits
+
+
+@st.composite
+def located_complexes(draw):
+    """A complex of one of three kinds over a random rational period
+    basis, or the skewed basis ((1,0),(7,1)): J1 at levels 0-2, the
+    unfolded standard test complex, or J1 cells as shuffled non-canonical
+    translates."""
+    n = draw(st.integers(1, 3))
+    entries = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    random_basis = st.tuples(*[st.tuples(*[entries] * n)] * n).filter(
+        lambda g: det(from_columns(g)) != 0
+    )
+    if n == 2:
+        skewed = ((F(1), F(0)), (F(7), F(1)))
+        gens = draw(st.one_of(st.just(skewed), random_basis))
+    else:
+        gens = draw(random_basis)
+    lat = Lattice(gens)
+    kind = draw(st.sampled_from(("j1", "unfolded", "scrambled")))
+    level = draw(st.integers(0, 2 if n < 3 else 0))
+    if kind == "unfolded":
+        b = identity_polarization(n)
+        _, prime = superlattice(orthogonalize(lat, b), lat)
+        # unfolding multiplies the cells by the lattice index
+        assume(covolume(lat) / covolume(prime) * 2 ** (n * level) <= 16)
+        return standard_test_complex(lat, b, level)
+    c = dyadic_refine(barycentric_triangulation(gens, lat), level)
+    if kind == "scrambled":
+        rnd = draw(st.randoms(use_true_random=False))
+        cells = [
+            cell.translate(
+                lat.from_coords(tuple(F(rnd.randint(-2, 2)) for _ in range(n)))
+            )
+            for cell in c.cells
+        ]
+        rnd.shuffle(cells)
+        c = PeriodicComplex(period=lat, cells=tuple(cells), level=level)
+    return c
+
+
+@given(c=located_complexes(), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_locate_cell_matches_brute_force(c, data):
+    """locate_cell against every cell and translate in a provably wide
+    shift range: random and unreduced points, cell vertices moved by
+    lattice vectors, and facet barycenters."""
+    n = c.dim
+    coord = st.fractions(min_value=-4, max_value=4, max_denominator=16)
+    shift = st.tuples(*[st.integers(-3, 3)] * n)
+    cell = st.sampled_from(c.cells)
+    points = [data.draw(st.tuples(*[coord] * n)) for _ in range(3)]
+    for _ in range(2):
+        v = data.draw(cell).vertices
+        points.append(v[data.draw(st.integers(0, n))])
+        facet = v[:1] + v[2:] if n > 1 else v[1:]
+        points.append(Simplex(facet).barycenter())
+    for u in points:
+        u = vadd(u, c.period.from_coords(data.draw(shift)))
+        i, lam = locate_cell(c, u)
+        bary = barycentric_coords(c.cells[i], vsub(u, lam))
+        assert all(x >= 0 for x in bary)
+        k = c.period.coords(lam)
+        assert all(x.denominator == 1 for x in k)
+        assert (i, tuple(int(x) for x in k)) in _brute_force_hits(c, u)
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_hats_match_interpolation(level):
+    """Each hat equals the interpolant of its vertex values, piece by
+    piece, on a skewed lattice."""
+    lat = Lattice(((F(1), F(0)), (F(1, 2), F(3, 2))))
+    b = Polarization(((F(2), F(1)), (F(1), F(2))))
+    c = standard_test_complex(lat, b, level)
+    orbits = vertex_orbits(c)
+    hats = hat_test_functions(c)
+    assert len(hats) == len(orbits)
+    for o, t in zip(orbits, hats):
+        want = interpolate_test(c, {v: F(1 if v == o else 0) for v in orbits})
+        assert t.pieces == want.pieces
