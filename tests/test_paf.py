@@ -252,29 +252,26 @@ def test_interpolated_quadratic_distance_shrinks_with_level(line_setup):
 def _brute_force_hits(c, u):
     """Every (cell index, period coordinates k) with u - k.B in the cell.
 
+    All cells are tried against all k in a range that is wide enough by
+    construction: if every vertex has coordinate m in [lo_m, hi_m], a
+    translate k holds u only if coords(u)_m - k_m lies there too.
     Translates whose ambient box misses u are skipped before the exact
-    barycentric test.  The range of k is wide enough by construction: if
-    every vertex has period coordinates in [-r, r], a translate k holds u
-    only if k - floor(coords(u)) lies in [-r - 1, r + 1]^n.
+    barycentric test.
     """
-    n = c.dim
-    r = max(
-        math.ceil(abs(x))
+    coords = [c.period.coords(v) for cell in c.cells for v in cell.vertices]
+    ranges = [
+        range(math.ceil(x - max(col)), math.floor(x - min(col)) + 1)
+        for x, col in zip(c.period.coords(u), zip(*coords))
+    ]
+    boxes = [
+        [(min(col), max(col)) for col in zip(*cell.vertices)]
         for cell in c.cells
-        for v in cell.vertices
-        for x in c.period.coords(v)
-    )
-    base = [math.floor(x) for x in c.period.coords(u)]
+    ]
     hits = set()
-    for d in product(range(-r - 1, r + 2), repeat=n):
-        k = tuple(b + x for b, x in zip(base, d))
+    for k in product(*ranges):
         v = vsub(u, c.period.from_coords(k))
-        for i, cell in enumerate(c.cells):
-            if any(
-                x < min(w[m] for w in cell.vertices)
-                or x > max(w[m] for w in cell.vertices)
-                for m, x in enumerate(v)
-            ):
+        for i, (cell, box) in enumerate(zip(c.cells, boxes)):
+            if any(not lo <= x <= hi for x, (lo, hi) in zip(v, box)):
                 continue
             if all(x >= 0 for x in barycentric_coords(cell, v)):
                 hits.add((i, k))
