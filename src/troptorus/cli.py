@@ -76,6 +76,9 @@ _INVARIANT_ERRORS = (
 
 @dataclass(frozen=True)
 class Problem:
+    """A validated problem file; each experiment block maps its keys to
+    parsed values, with the defaults filled in."""
+
     lattice: Lattice
     polarization: Polarization
     linear: tuple
@@ -86,7 +89,29 @@ class Problem:
     obstruction: dict
 
 
+def _integer(x, name: str, least: int) -> int:
+    if not isinstance(x, int) or isinstance(x, bool) or x < least:
+        raise SerializationError(f"{name} must be an integer >= {least}, got {x!r}")
+    return x
+
+
+def _block(raw: dict, name: str) -> dict:
+    block = raw.get(name, {})
+    if not isinstance(block, dict):
+        raise SerializationError(f"{name} must be an object, got {block!r}")
+    return block
+
+
+def _list(x, name: str) -> list:
+    if not isinstance(x, list):
+        raise SerializationError(f"{name} must be a list, got {x!r}")
+    return x
+
+
 def load_problem(path: str) -> Problem:
+    """Read and validate a problem file; every defect of the file raises
+    SerializationError.  The experiment blocks come back with their
+    defaults filled in and their values parsed."""
     import json
 
     try:
@@ -101,26 +126,64 @@ def load_problem(path: str) -> Problem:
     try:
         basis = parse_matrix(raw["lattice"])
         gram = parse_matrix(raw["gram"])
-        linear = (
-            parse_vector(raw["linear"])
-            if "linear" in raw
-            else zero_vec(len(basis))
-        )
-        eps = parse_rational(raw["epsilon"]) if "epsilon" in raw else None
-        level = raw.get("level", 0)
-        if not isinstance(level, int) or level < 0:
-            raise SerializationError("level must be a nonnegative integer")
     except KeyError as exc:
         raise SerializationError(f"missing problem field {exc}") from exc
+    n = len(basis)
+    linear = parse_vector(raw["linear"]) if "linear" in raw else zero_vec(n)
+    if len(gram) != n or len(linear) != n:
+        raise SerializationError("lattice, gram and linear differ in dimension")
+    try:
+        lattice = Lattice(basis)
+    except LatticeError as exc:
+        raise SerializationError(f"lattice: {exc}") from exc
+    try:
+        polarization = Polarization(gram)
+    except NotPositiveDefiniteError as exc:
+        raise SerializationError(f"gram: {exc}") from exc
+    equidist = _block(raw, "equidist")
+    collapse = _block(raw, "collapse")
+    obstruction = _block(raw, "obstruction")
+    grid_orders = _list(
+        equidist.get("grid_orders", [8, 16, 32, 64, 128, 256, 512]),
+        "equidist.grid_orders",
+    )
     return Problem(
-        lattice=Lattice(basis),
-        polarization=Polarization(gram),
+        lattice=lattice,
+        polarization=polarization,
         linear=linear,
-        epsilon=eps,
-        level=level,
-        equidist=raw.get("equidist", {}),
-        collapse=raw.get("collapse", {}),
-        obstruction=raw.get("obstruction", {}),
+        epsilon=parse_rational(raw["epsilon"]) if "epsilon" in raw else None,
+        level=_integer(raw.get("level", 0), "level", 0),
+        equidist={
+            "test_level": _integer(
+                equidist.get("test_level", 1), "equidist.test_level", 0
+            ),
+            "grid_orders": tuple(
+                _integer(m, "equidist.grid_orders entry", 1) for m in grid_orders
+            ),
+        },
+        collapse={
+            "copies": _integer(collapse.get("copies", 2), "collapse.copies", 2),
+            "deltas": tuple(
+                parse_rational(d)
+                for d in _list(
+                    collapse.get("deltas", ["1/4", "1/8", "1/16", "1/32"]),
+                    "collapse.deltas",
+                )
+            ),
+            "samples": _integer(
+                collapse.get("samples", 100_000), "collapse.samples", 1
+            ),
+        },
+        obstruction={
+            "denominator": _integer(
+                obstruction.get("denominator", 1), "obstruction.denominator", 1
+            ),
+            "witness_level": _integer(
+                obstruction.get("witness_level", 0),
+                "obstruction.witness_level",
+                0,
+            ),
+        },
     )
 
 
@@ -168,13 +231,14 @@ def cmd_certify(p: Problem, args) -> int:
 
 
 def cmd_tate(p: Problem, args) -> int:
+    iterations = _integer(args.iterations, "--iterations", 0)
     c = _base_complex(p, 0)
     z = Cocycle(polarization=p.polarization, linear=p.linear)
     eps = p.epsilon if p.epsilon is not None else auto_epsilon(c, z)[0]
     f0 = build_model_function(c, z, eps)
     rows = []
     prev = None
-    for i in range(args.iterations + 1):
+    for i in range(iterations + 1):
         fi = tate_iterate(f0, i)
         if not check_strongly_convex(fi).passed:
             raise PafError(f"convexity lost at iteration {i}")
@@ -212,12 +276,8 @@ def _report_exit(report, args, csv_header: str) -> int:
 
 
 def cmd_equidist(p: Problem, args) -> int:
-    opts = p.equidist
     cfg = ExperimentConfig(
-        lattice=p.lattice,
-        polarization=p.polarization,
-        test_level=opts.get("test_level", 1),
-        grid_orders=tuple(opts.get("grid_orders", (8, 16, 32, 64, 128, 256, 512))),
+        lattice=p.lattice, polarization=p.polarization, **p.equidist
     )
     return _report_exit(
         run_equidistribution(cfg), args, "m,discrepancy,exact_zero"
@@ -232,19 +292,15 @@ def _diagonal_face(p: Problem, copies: int) -> Simplex:
 
 def cmd_collapse(p: Problem, args) -> int:
     opts = p.collapse
-    copies = opts.get("copies", 2)
-    deltas = tuple(
-        parse_rational(d)
-        for d in opts.get("deltas", ["1/4", "1/8", "1/16", "1/32"])
-    )
-    samples = args.samples if args.samples is not None else opts.get(
-        "samples", 100_000
-    )
+    copies = opts["copies"]
+    samples = opts["samples"]
+    if args.samples is not None:
+        samples = _integer(args.samples, "--samples", 1)
     report = collapse_experiment(
         p.lattice,
         _diagonal_face(p, copies),
         copies,
-        deltas,
+        opts["deltas"],
         samples=samples,
         seed=args.seed,
     )
@@ -252,9 +308,8 @@ def cmd_collapse(p: Problem, args) -> int:
 
 
 def cmd_obstruction(p: Problem, args) -> int:
-    opts = p.obstruction
-    e = opts.get("denominator", 1)
-    level = opts.get("witness_level", 0)
+    e = p.obstruction["denominator"]
+    level = p.obstruction["witness_level"]
     try:
         bound, witness, integral = fixed_denominator_obstruction(
             p.lattice, e, level, p.polarization

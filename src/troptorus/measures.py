@@ -30,6 +30,7 @@ from .linalg import (
     from_columns,
     integer_matrix,
     inverse,
+    mat_mul,
     mat_vec,
     rank,
     vadd,
@@ -267,21 +268,6 @@ def pushforward(mu, a: IntegralAffineMap):
     return PolytopalMeasure(lattice=a.target, atoms=tuple(atoms))
 
 
-def _sample_in_simplex(s: Simplex, rng: random.Random) -> Vec:
-    k = s.dim
-    cuts = sorted(Fraction(rng.getrandbits(32), 2 ** 32) for _ in range(k))
-    weights = []
-    prev = Fraction(0)
-    for c in cuts:
-        weights.append(c - prev)
-        prev = c
-    weights.append(Fraction(1) - prev)
-    p = vscale(weights[0], s.vertices[0])
-    for w, v in zip(weights[1:], s.vertices[1:]):
-        p = vadd(p, vscale(w, v))
-    return p
-
-
 def monte_carlo_pushforward(
     mu: PolytopalMeasure, a: IntegralAffineMap, samples: int, seed: int
 ) -> EmpiricalMeasure:
@@ -289,7 +275,14 @@ def monte_carlo_pushforward(
 
     Sample counts are allocated deterministically by largest remainder;
     each atom uses its own derived sub-seed so results are reproducible
-    bit for bit regardless of evaluation order.
+    bit for bit regardless of evaluation order.  A sample of a k-simplex
+    takes k sorted 32-bit cuts of [0, 1) as its barycentric weights.
+
+    The work runs on one integer grid: the map followed by the target's
+    period coordinates is affine, so each vertex is mapped once, and a
+    sample is the integer combination of its atom's mapped vertices with
+    the cut gaps as weights, reduced by ``%``.  Each output coordinate is
+    built as one Fraction at the end.
     """
     if samples <= 0:
         raise MeasureError("samples must be positive")
@@ -305,12 +298,44 @@ def monte_carlo_pushforward(
     short = samples - sum(counts)
     for i in remainders[:short]:
         counts[i] += 1
+    lat = a.target
+    # x -> lat.coords(a.apply(x)) as the integer rows g * [L^-1 M | L^-1 b]
+    g, to_coords = integer_matrix(mat_mul(
+        inverse(lat.matrix),
+        tuple(row + (b,) for row, b in zip(a.matrix, a.offset)),
+    ))
+    den, verts = integer_matrix(
+        tuple(v for s, _ in mu.atoms for v in s.vertices)
+    )
+    top = 1 << 32
+    modulus = top * g * den  # period coordinates of a sample times this
+    t, basis = integer_matrix(lat.matrix)
+    out_den = t * modulus
     points = []
+    first = 0
     for idx, ((s, _), cnt) in enumerate(zip(mu.atoms, counts)):
-        rng = random.Random(f"{seed}:{idx}")
+        k = s.dim
+        images = [
+            [sum(map(mul, row, v)) + row[-1] * den for row in to_coords]
+            for v in verts[first : first + k + 1]
+        ]
+        first += k + 1
+        # with cuts c_1 <= ... <= c_k the weights are the gaps c_1 - 0,
+        # c_2 - c_1, ..., top - c_k; summed by parts, coordinate m is
+        # top * images[k][m] + sum_i c_i * (images[i-1][m] - images[i][m])
+        pairs = list(zip(images, images[1:]))
+        axes = [
+            (top * images[k][m], [u[m] - w[m] for u, w in pairs])
+            for m in range(len(to_coords))
+        ]
+        bits = random.Random(f"{seed}:{idx}").getrandbits
         for _ in range(cnt):
-            points.append(a.apply(_sample_in_simplex(s, rng)))
-    return empirical(a.target, points)
+            cuts = sorted([bits(32) for _ in range(k)])
+            r = [(b + sum(map(mul, cuts, col))) % modulus for b, col in axes]
+            points.append(tuple(
+                Fraction(sum(map(mul, row, r)), out_den) for row in basis
+            ))
+    return EmpiricalMeasure(lattice=lat, points=tuple(points))
 
 
 def _clip_simplex(verts: tuple[Vec, ...], a: Vec, beta: Fraction):
@@ -407,30 +432,70 @@ def _wrap_guard(lat: Lattice, delta: Fraction) -> None:
         )
 
 
+def _box_translates(inv, scale, cw, reach, verts):
+    """The integer vectors k for which the period-coordinate bounding box
+    of verts + k meets that of a box.
+
+    The vertices are integer tuples at one scale and ``inv`` is the
+    integer matrix of the inverse period basis with inv * v equal to
+    scale * coords(v).  Along period axis m the box's bounding box is
+    centred at cw[m] / scale with half width reach[m] / scale.
+    """
+    ranges = []
+    for row, cm, e in zip(inv, cw, reach):
+        ys = [cm - sum(map(mul, row, v)) for v in verts]
+        ranges.append(
+            range((min(ys) - e + scale - 1) // scale, (max(ys) + e) // scale + 1)
+        )
+    return product(*ranges)
+
+
 def mass_near(mu, center: Vec, delta: Fraction) -> Fraction:
-    """Measure of the closed sup-norm box of radius delta around center."""
+    """Measure of the closed sup-norm box of radius delta around center.
+
+    The period translates tried for a point or an atom are those whose
+    period-coordinate bounding box meets the box's, so any rational
+    period basis is handled.  Points are tested in integers.
+    """
     delta = Fraction(delta)
     if delta <= 0:
         raise MeasureError("delta must be positive")
     _wrap_guard(mu.lattice, delta)
-    n = mu.lattice.dim
-    shifts = [
-        mu.lattice.from_coords(tuple(Fraction(x) for x in k))
-        for k in product((-1, 0, 1), repeat=n)
-    ]
-    if isinstance(mu, EmpiricalMeasure):
+    lat = mu.lattice
+    n = lat.dim
+    empirical_case = isinstance(mu, EmpiricalMeasure)
+    if not empirical_case and mu.dim != n:
+        raise MeasureError("box masses need full-dimensional atoms")
+    pts = (
+        mu.points if empirical_case
+        else tuple(v for s, _ in mu.atoms for v in s.vertices)
+    )
+    # the points, the center, delta and the period basis on one scale s
+    s, rows = integer_matrix(
+        pts + (tuple(center), (delta,)) + lat.generators
+    )
+    q, inv = integer_matrix(inverse(lat.matrix))
+    c, (d,) = rows[len(pts)], rows[len(pts) + 1]
+    basis_rows = tuple(zip(*rows[len(pts) + 2 :]))  # the rows of s * L
+    reach = [d * sum(map(abs, row)) for row in inv]
+    cw = [sum(map(mul, row, c)) for row in inv]
+    if empirical_case:
         hits = 0
-        for p in mu.points:
-            for lam in shifts:
-                q = vadd(p, lam)
-                if all(abs(a - b) <= delta for a, b in zip(q, center)):
+        for p in rows[: len(pts)]:
+            for k in _box_translates(inv, q * s, cw, reach, (p,)):
+                if all(
+                    abs(x + sum(map(mul, k, col)) - y) <= d
+                    for x, y, col in zip(p, c, basis_rows)
+                ):
                     hits += 1
                     break
-        return Fraction(hits, len(mu.points))
-    if mu.dim != n:
-        raise MeasureError("box masses need full-dimensional atoms")
+        return Fraction(hits, len(pts))
     total = Fraction(0)
-    for s, d in mu.atoms:
-        for lam in shifts:
-            total += d * _box_clip_volume(s.translate(lam), center, delta)
+    first = 0
+    for atom, dens in mu.atoms:
+        verts = rows[first : first + n + 1]
+        first += n + 1
+        for k in _box_translates(inv, q * s, cw, reach, verts):
+            lam = lat.from_coords(k)
+            total += dens * _box_clip_volume(atom.translate(lam), center, delta)
     return total

@@ -255,16 +255,22 @@ def tate_iterate(f0: CocycleFunction, i: int) -> CocycleFunction:
     return f
 
 
-def _test_piece_at(t: TestFunction, u: Vec) -> Piece:
-    """Affine piece of the periodic extension of t at the point u."""
-    i, lam = locate_cell(t.complex, u)
+def _test_piece_at(t: TestFunction, points) -> Piece:
+    """Affine piece of the periodic extension of t on a cell translate
+    of t's complex that holds every one of the points; so t is affine on
+    their convex hull.  PafError if no cell translate holds them all."""
+    hit = _containment_index(t.complex).locate(points)
+    if hit is None:
+        shown = ", ".join(f"({', '.join(map(str, p))})" for p in points)
+        raise PafError(f"no cell of the test complex holds {shown}")
+    i, lam = hit
     m, c = t.pieces[i]
     # t(v) = m*(v - lam) + c on cells[i] + lam
     return m, c - dot(m, lam)
 
 
 def evaluate_test(t: TestFunction, u: Vec) -> Fraction:
-    m, c = _test_piece_at(t, u)
+    m, c = _test_piece_at(t, (u,))
     return dot(m, u) + c
 
 
@@ -344,7 +350,8 @@ def choose_twist_bound(
 
     Any twist coefficient strictly below the bound keeps the twisted
     function strongly convex.  Returns None when t never jumps (the
-    bound is infinite).
+    bound is infinite).  t must be affine on every cell of f0's complex;
+    PafError otherwise.
     """
     cert = check_strongly_convex(f0)
     if not cert.passed:
@@ -354,8 +361,8 @@ def choose_twist_bound(
     for p in adjacent_pairs(f0.complex):
         delta = f0.complex.cells[p.i].translate(p.shift_i)
         sigma = f0.complex.cells[p.j].translate(p.shift_j)
-        m_d, _ = _test_piece_at(t, delta.barycenter())
-        m_s, _ = _test_piece_at(t, sigma.barycenter())
+        m_d, _ = _test_piece_at(t, delta.vertices)
+        m_s, _ = _test_piece_at(t, sigma.vertices)
         jump = abs(dot(p.normal, vsub(m_d, m_s)))
         if jump > max_jump:
             max_jump = jump
@@ -382,17 +389,14 @@ def twist(f: CocycleFunction, t: TestFunction, tau: Fraction) -> CocycleFunction
     """f + tau * t over the period lattice of t.
 
     t must be affine on every cell of f's complex (t's complex is a
-    coarsening from the same dyadic family); verified exactly at the
-    cell vertices.
+    coarsening from the same dyadic family): each cell must lie in one
+    cell translate of t's complex, which is decided exactly.
     """
     tau = Fraction(tau)
     base = change_period(f, t.complex.period)
     pieces = []
     for cell, (m, c) in zip(base.complex.cells, base.pieces):
-        mt, ct = _test_piece_at(t, cell.barycenter())
-        for v in cell.vertices:
-            if dot(mt, v) + ct != evaluate_test(t, v):
-                raise PafError("test function is not affine on a twisted cell")
+        mt, ct = _test_piece_at(t, cell.vertices)
         pieces.append((vadd(m, vscale(tau, mt)), c + tau * ct))
     return CocycleFunction(
         complex=base.complex,

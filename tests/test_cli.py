@@ -59,6 +59,54 @@ def test_bad_version_is_parse_error(tmp_path):
     assert main(["triangulate", "--problem", str(p)]) == 2
 
 
+_SQUARE = '"lattice": [["1/1", "0/1"], ["0/1", "1/1"]]'
+_UNIT = '"lattice": [["1/1"]], "gram": [["1/1"]]'
+
+
+@pytest.mark.parametrize(
+    "command,body,extra",
+    [
+        (
+            "triangulate",
+            '"lattice": [["1/1", "2/1"], ["2/1", "4/1"]],'
+            ' "gram": [["1/1", "0/1"], ["0/1", "1/1"]]',
+            [],
+        ),
+        ("triangulate", _SQUARE + ', "gram": [["1/1", "2/1"], ["2/1", "1/1"]]', []),
+        ("triangulate", _SQUARE + ', "gram": [["1/1", "0/1"], ["0/1"]]', []),
+        ("triangulate", _SQUARE + ', "gram": [["1/1", "0/1"]]', []),
+        ("equidist", _UNIT + ', "equidist": {"grid_orders": 8}', []),
+        ("tate", _UNIT, ["--iterations", "-1"]),
+        ("collapse", _UNIT + ', "collapse": {"copies": "2"}', []),
+        ("collapse", _UNIT + ', "collapse": {"copies": 1}', []),
+        ("collapse", _UNIT + ', "collapse": {"deltas": "1/4"}', []),
+        ("collapse", _UNIT + ', "collapse": {"samples": 0}', []),
+        ("collapse", _UNIT, ["--samples", "-5"]),
+    ],
+    ids=[
+        "singular-lattice",
+        "non-pd-gram",
+        "ragged-gram",
+        "non-square-gram",
+        "grid-orders-not-list",
+        "negative-iterations",
+        "copies-not-integer",
+        "copies-below-two",
+        "deltas-not-list",
+        "samples-zero",
+        "samples-flag-negative",
+    ],
+)
+def test_malformed_problem_is_parse_error(command, body, extra, tmp_path, capsys):
+    p = tmp_path / "p.json"
+    p.write_text('{"version": 1, ' + body + "}")
+    code = main([command, "--problem", str(p), "--out", str(tmp_path / "o")] + extra)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("parse error: ") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_certify_pass_and_fail(tmp_path):
     code, text = run_cli(
         ["certify", "--problem", N1, "--epsilon", "1/8"], tmp_path

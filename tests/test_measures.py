@@ -1,6 +1,11 @@
+import functools
+import math
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from troptorus import (
     EmpiricalMeasure,
@@ -23,8 +28,22 @@ from troptorus import (
     pushforward,
     simplex_k_volume,
 )
-from troptorus.equidist import standard_test_complex
-from troptorus.lattice import Lattice
+from troptorus.complexes import barycentric_triangulation
+from troptorus.equidist import (
+    difference_map,
+    product_lattice,
+    standard_test_complex,
+)
+from troptorus.lattice import Lattice, covolume, reduce_mod
+from troptorus.linalg import (
+    det,
+    from_columns,
+    inverse,
+    mat_mul,
+    mat_vec,
+    vadd,
+    vscale,
+)
 from troptorus.measures import _wrap_guard
 from troptorus.paf import interpolate_test, vertex_orbits
 from tests.conftest import base_complex
@@ -226,3 +245,171 @@ def test_irrational_edge_volume_raises():
 def test_axis_edge_volume():
     s = Simplex(((F(0), F(0)), (F(0), F(3, 4))))
     assert simplex_k_volume(s) == F(3, 4)
+
+
+def test_mass_near_skewed_basis():
+    """On the basis ((1,0),(7,1)) a point near 0 can sit two or more
+    generators away from its reduced representative."""
+    lat = Lattice(((F(1), F(0)), (F(7), F(1))))
+    rng = random.Random(0)
+    pts = [
+        tuple(F(rng.randint(-40, 40), 200) for _ in range(2)) for _ in range(300)
+    ]
+    e = empirical(lat, pts)  # every point within sup-distance 1/5 of 0
+    assert mass_near(e, (F(0), F(0)), F(1, 4)) == 1
+    mu = haar(lat, barycentric_triangulation(lat.generators, lat))
+    for center in ((F(0), F(0)), (F(1, 3), F(-2, 5))):
+        for delta in (F(1, 4), F(1, 8)):
+            assert mass_near(mu, center, delta) == (2 * delta) ** 2 / covolume(lat)
+
+
+# --- the Fraction Monte Carlo path, the oracle of the integer path --------
+
+
+def _sample_in_simplex(s: Simplex, rng: random.Random):
+    k = s.dim
+    cuts = sorted(F(rng.getrandbits(32), 2 ** 32) for _ in range(k))
+    weights = []
+    prev = F(0)
+    for c in cuts:
+        weights.append(c - prev)
+        prev = c
+    weights.append(F(1) - prev)
+    p = vscale(weights[0], s.vertices[0])
+    for w, v in zip(weights[1:], s.vertices[1:]):
+        p = vadd(p, vscale(w, v))
+    return p
+
+
+def _oracle_pushforward(mu, a, samples, seed):
+    masses = [d * simplex_k_volume(s) for s, d in mu.atoms]
+    total = sum(masses, F(0))
+    quotas = [m / total * samples for m in masses]
+    counts = [math.floor(q) for q in quotas]
+    remainders = sorted(
+        range(len(quotas)),
+        key=lambda i: (quotas[i] - counts[i], i),
+        reverse=True,
+    )
+    for i in remainders[: samples - sum(counts)]:
+        counts[i] += 1
+    points = []
+    for idx, ((s, _), cnt) in enumerate(zip(mu.atoms, counts)):
+        rng = random.Random(f"{seed}:{idx}")
+        for _ in range(cnt):
+            points.append(reduce_mod(a.apply(_sample_in_simplex(s, rng)), a.target))
+    return tuple(points)
+
+
+@functools.lru_cache(maxsize=8)
+def _shift_window(lat, delta):
+    """Every lattice vector whose coordinates are at most delta times the
+    row sum of the inverse basis, plus 1, rounded up, on each axis."""
+    reach = [delta * sum(abs(x) for x in row) for row in inverse(lat.matrix)]
+    return [
+        mat_vec(lat.matrix, k)
+        for k in product(*(range(-r - 1, r + 2) for r in map(math.ceil, reach)))
+    ]
+
+
+def _oracle_mass_near(e, center, delta):
+    """Points with some translate in the box, trying every shift in a
+    window wider than any hit needs: a hit p + k has
+    |coords(p) + k - coords(center)| within the reach of
+    :func:`_shift_window` on every axis, so k lies within the window
+    around the rounded coordinate difference."""
+    lat = e.lattice
+    window = _shift_window(lat, delta)
+    cw = lat.coords(center)
+    hits = 0
+    for p in e.points:
+        k0 = tuple(F(round(x - y)) for x, y in zip(cw, lat.coords(p)))
+        q = tuple(x - z for x, z in zip(vadd(p, lat.from_coords(k0)), center))
+        hits += any(
+            all(abs(x + y) <= delta for x, y in zip(q, lam)) for lam in window
+        )
+    return F(hits, len(e.points))
+
+
+@st.composite
+def collapse_setups(draw):
+    """A random rational basis of R^n, copies N in 2-3, random simplex
+    atoms in the product, and the difference map followed by a random
+    integral change of coordinates of the target, with a rational offset."""
+    n = draw(st.integers(1, 2))
+    copies = draw(st.integers(2, 3))
+    entries = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    gens = draw(
+        st.tuples(*[st.tuples(*[entries] * n)] * n).filter(
+            lambda g: det(from_columns(g)) != 0
+        )
+    )
+    lat = Lattice(gens)
+    src = product_lattice(lat, copies)
+    dm = difference_map(lat, copies)
+    target = dm.target
+    m = target.dim
+    u = tuple(
+        tuple(F(draw(st.integers(-2, 2))) for _ in range(m)) for _ in range(m)
+    )
+    assume(u != tuple(tuple(F(int(i == j)) for j in range(m)) for i in range(m)))
+    basis = target.matrix
+    change = mat_mul(mat_mul(basis, u), inverse(basis))
+    offset = tuple(
+        draw(st.fractions(min_value=-2, max_value=2, max_denominator=9))
+        for _ in range(m)
+    )
+    amap = IntegralAffineMap(
+        matrix=mat_mul(change, dm.matrix),
+        offset=offset,
+        source=src,
+        target=target,
+    )
+    coord = st.fractions(min_value=-2, max_value=2, max_denominator=8)
+    dim = src.dim
+    atoms = []
+    for _ in range(draw(st.integers(1, 3))):
+        verts = tuple(
+            draw(st.tuples(*[coord] * dim)) for _ in range(dim + 1)
+        )
+        s = Simplex(verts)
+        assume(det(s.edge_matrix()) != 0)
+        atoms.append((s, draw(st.fractions(min_value=F(1, 4), max_value=3))))
+    mu = PolytopalMeasure(lattice=src, atoms=tuple(atoms))
+    return mu, amap
+
+
+@given(
+    setup=collapse_setups(),
+    samples=st.integers(1, 24),
+    seed=st.integers(0, 2 ** 16),
+    data=st.data(),
+)
+@settings(max_examples=30, deadline=None)
+def test_monte_carlo_and_mass_near_match_fraction_path(setup, samples, seed, data):
+    """The integer sampling and box counting against the Fraction path:
+    equal points, and equal box masses with centers at the origin, at a
+    sample, and at a box corner from a sample, so that a point lies on
+    the boundary."""
+    mu, amap = setup
+    e = monte_carlo_pushforward(mu, amap, samples, seed)
+    assert e.points == _oracle_pushforward(mu, amap, samples, seed)
+    lat = amap.target
+    delta = None
+    for j in range(1, 12):
+        try:
+            _wrap_guard(lat, F(1, 2 ** j))
+        except MeasureError:
+            continue
+        delta = F(1, 2 ** j)
+        break
+    assert delta is not None
+    p = data.draw(st.sampled_from(e.points))
+    signs = data.draw(st.tuples(*[st.sampled_from((-1, 0, 1))] * lat.dim))
+    for center in (
+        tuple(F(0) for _ in range(lat.dim)),
+        p,
+        vadd(p, tuple(delta * x for x in signs)),
+    ):
+        for d in (delta, delta / 3):
+            assert mass_near(e, center, d) == _oracle_mass_near(e, center, d)

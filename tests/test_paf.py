@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from troptorus import (
     Cocycle,
     NotCertifiedError,
+    PafError,
     auto_epsilon,
     build_model_function,
     change_period,
@@ -223,6 +224,28 @@ def test_twisted_tate_iterates_stay_convex(line_model):
             v: evaluate_test(t, v) for v in vertex_orbits(fi.complex)
         }), tau / 4 ** i)
         assert check_strongly_convex(g).passed
+
+
+def test_twist_needs_the_test_affine_on_each_cell():
+    """A test whose cells are finer than the function's is rejected, even
+    where it agrees with one affine piece at a cell's vertices and
+    barycenter; a coarse enough test twists by tau * t."""
+    lat = Lattice(((F(1), F(0)), (F(1, 2), F(3, 2))))
+    b = Polarization(((F(2), F(1)), (F(1), F(2))))
+    _, prime = superlattice(orthogonalize(lat, b), lat)
+    c0 = barycentric_triangulation(prime.generators, prime)
+    z = Cocycle(polarization=b, linear=(F(0), F(0)))
+    f = build_model_function(c0, z, F(1, 8))
+    fine = hat_test_functions(standard_test_complex(lat, b, 1))[10]
+    u = (F(5, 16), F(3, 8))
+    assert evaluate_test(fine, u) == 1
+    with pytest.raises(PafError):
+        twist(f, fine, F(1, 1000))
+    with pytest.raises(PafError):
+        choose_twist_bound(f, fine)
+    for t in hat_test_functions(standard_test_complex(lat, b, 0)):
+        g = twist(f, t, F(1, 1000))
+        assert evaluate(g, u) - evaluate(f, u) == F(1, 1000) * evaluate_test(t, u)
 
 
 def test_change_period_preserves_values(line_model):
