@@ -4,6 +4,7 @@ convexity certificates, dyadic contraction, piecewise Haar measures and
 equidistribution experiments.
 """
 
+from .linalg import TroptorusError
 from .lattice import (
     Lattice,
     LatticeError,

@@ -12,12 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .complexes import (
-    ComplexError,
-    Simplex,
-    barycentric_triangulation,
-    dyadic_refine,
-)
+from .complexes import Simplex, barycentric_triangulation, dyadic_refine
 from .equidist import (
     ExperimentConfig,
     ExperimentError,
@@ -33,7 +28,7 @@ from .lattice import (
     orthogonalize,
     superlattice,
 )
-from .linalg import DimensionMismatchError, SingularMatrixError, zero_vec
+from .linalg import TroptorusError, zero_vec
 from .paf import (
     Cocycle,
     NotCertifiedError,
@@ -61,17 +56,6 @@ EXIT_PARSE = 2
 EXIT_INVARIANT = 3
 EXIT_SEARCH = 4
 EXIT_VERDICT = 5
-
-_INVARIANT_ERRORS = (
-    LatticeError,
-    NotPositiveDefiniteError,
-    ComplexError,
-    PafError,
-    SingularMatrixError,
-    DimensionMismatchError,
-    ExperimentError,
-    ValueError,
-)
 
 
 @dataclass(frozen=True)
@@ -238,8 +222,10 @@ def cmd_tate(p: Problem, args) -> int:
     f0 = build_model_function(c, z, eps)
     rows = []
     prev = None
+    fi = f0
     for i in range(iterations + 1):
-        fi = tate_iterate(f0, i)
+        if i:
+            fi = tate_iterate(fi, 1)
         if not check_strongly_convex(fi).passed:
             raise PafError(f"convexity lost at iteration {i}")
         d = sup_distance_to_quadratic(fi)
@@ -369,7 +355,7 @@ def main(argv=None) -> int:
     except SerializationError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return EXIT_PARSE
-    except _INVARIANT_ERRORS as exc:
+    except TroptorusError as exc:
         sys.stderr.write(f"invariant failure: {exc}\n")
         return EXIT_INVARIANT
 

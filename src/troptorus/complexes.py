@@ -12,9 +12,10 @@ from fractions import Fraction
 from itertools import permutations, product
 from operator import add, mul, sub
 
-from .lattice import Lattice, covolume
+from .lattice import Lattice, box_translates, covolume
 from .linalg import (
     DimensionMismatchError,
+    TroptorusError,
     Vec,
     det,
     dot,
@@ -33,7 +34,7 @@ from .linalg import (
 HALF = Fraction(1, 2)
 
 
-class ComplexError(ValueError):
+class ComplexError(TroptorusError):
     pass
 
 
@@ -153,6 +154,12 @@ def _period_coords(c: PeriodicComplex) -> tuple[int, tuple]:
         )
         object.__setattr__(c, "_coords", (scale, cells))
     return c._coords
+
+
+def _coord_box(w: tuple, n: int) -> tuple[list, list]:
+    """Per-axis minima and maxima of a flat coordinate tuple of
+    :func:`_period_coords`."""
+    return [min(w[m::n]) for m in range(n)], [max(w[m::n]) for m in range(n)]
 
 
 def make_complex(
@@ -299,7 +306,7 @@ def dyadic_refine_step(
 
 def dyadic_refine(c: PeriodicComplex, steps: int) -> PeriodicComplex:
     if steps < 0:
-        raise ValueError("steps must be >= 0")
+        raise ComplexError("steps must be >= 0")
     for _ in range(steps):
         c, _ = dyadic_refine_step(c)
     return c
@@ -357,15 +364,8 @@ class _ContainmentIndex:
             )
             if det_i == 0:
                 continue  # a flat cell holds no point that others miss
-            lo0 = [min(w[m::n]) for m in range(n)]
-            hi0 = [max(w[m::n]) for m in range(n)]
-            # translate k meets [0, 1] on an axis iff
-            # lo + k * scale <= scale and hi + k * scale >= 0
-            ranges = [
-                range(-(hi // scale), (scale - lo) // scale + 1)
-                for lo, hi in zip(lo0, hi0)
-            ]
-            for k in product(*ranges):
+            lo0, hi0 = _coord_box(w, n)
+            for k in box_translates(lo0, hi0, (0,) * n, (scale,) * n, scale):
                 sh = [scale * x for x in k]
                 entries.append((
                     tuple(map(add, base[0], sh)),
@@ -679,23 +679,21 @@ def check_tiling(c: PeriodicComplex) -> None:
 def check_common_faces(c: PeriodicComplex) -> None:
     """Exhaustive pairwise face-intersection check (small complexes only).
 
-    Two cells (including nearby translates) must meet in a common face:
-    the intersection of their vertex sets must be the full geometric
-    intersection, tested at the barycenter of the overlap region.
+    Two cells, or a cell and a translate whose period-coordinate box
+    meets its own, must have disjoint interiors, and their shared
+    vertices must span a face.
     """
     from .measures import _clip_simplex
 
     n = c.dim
-    shifts = [
-        c.period.from_coords(tuple(Fraction(x) for x in k))
-        for k in product((-1, 0, 1), repeat=n)
-    ]
+    scale, coords = _period_coords(c)
+    boxes = [_coord_box(w, n) for w in coords]
     for i, a in enumerate(c.cells):
         for j in range(i, len(c.cells)):
-            for sh in shifts:
-                if j == i and all(x == 0 for x in sh):
+            for k in box_translates(*boxes[j], *boxes[i], scale):
+                if j == i and not any(k):
                     continue
-                b = c.cells[j].translate(sh)
+                b = c.cells[j].translate(c.period.from_coords(k))
                 shared = set(a.vertices) & set(b.vertices)
                 # interiors must be disjoint: clip a by b's facet
                 # half-spaces and demand the leftover volume vanish

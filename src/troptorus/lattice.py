@@ -12,14 +12,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
+from operator import mul
 
 from .linalg import (
     DimensionMismatchError,
     Mat,
+    TroptorusError,
     Vec,
     det,
     dot,
     from_columns,
+    integer_matrix,
     inverse,
     mat_vec,
     vadd,
@@ -34,11 +38,11 @@ def _cached_inverse(m: Mat) -> Mat:
     return inverse(m)
 
 
-class NotPositiveDefiniteError(ValueError):
+class NotPositiveDefiniteError(TroptorusError):
     pass
 
 
-class LatticeError(ValueError):
+class LatticeError(TroptorusError):
     pass
 
 
@@ -178,3 +182,39 @@ def lattice_part(u: Vec, lat: Lattice) -> Vec:
     """The lattice vector u - reduce_mod(u)."""
     coords = lat.coords(u)
     return lat.from_coords(tuple(Fraction(math.floor(c)) for c in coords))
+
+
+def box_translates(lo, hi, a, b, s):
+    """The integer vectors k for which the box [lo + s k, hi + s k] meets
+    the box [a, b]; the bounds are ints or Fractions.
+
+    In period coordinates, where the lattice is s * Z^n, these are the
+    translates of a set with bounding box [lo, hi] that can meet a set
+    with bounding box [a, b], whatever the period basis.
+    """
+    return product(*(
+        range(-((h - x) // s), (y - l) // s + 1)
+        for l, h, x, y in zip(lo, hi, a, b, strict=True)
+    ))
+
+
+def sup_distances(lat: Lattice, v: Vec, r: Fraction):
+    """The sup-norm distances |v - lam| <= r from v to lattice vectors lam.
+
+    Such a lam has period coordinates within r times the row sums of
+    |L^-1| of coords(v), and :func:`box_translates` enumerates that box.
+    The distances are computed in integers, on one scale for v, r and
+    the basis.
+    """
+    s, rows = integer_matrix((tuple(v), (r,)) + lat.generators)
+    w, (t,), basis = rows[0], rows[1], tuple(zip(*rows[2:]))
+    q, inv = integer_matrix(_cached_inverse(lat.matrix))
+    cw = [sum(map(mul, row, w)) for row in inv]  # q * s * coords(v)
+    reach = [t * sum(map(abs, row)) for row in inv]
+    lo = [x - e for x, e in zip(cw, reach)]
+    hi = [x + e for x, e in zip(cw, reach)]
+    zero = (0,) * lat.dim
+    for k in box_translates(zero, zero, lo, hi, q * s):
+        d = max(abs(x - sum(map(mul, k, col))) for x, col in zip(w, basis))
+        if d <= t:
+            yield Fraction(d, s)

@@ -14,11 +14,15 @@ Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
 
 
-class SingularMatrixError(ValueError):
+class TroptorusError(ValueError):
+    """Base class of every error the library raises."""
+
+
+class SingularMatrixError(TroptorusError):
     pass
 
 
-class DimensionMismatchError(ValueError):
+class DimensionMismatchError(TroptorusError):
     pass
 
 
@@ -189,7 +193,7 @@ def primitive_integer_vector(v: Vec) -> Vec:
     from math import gcd, lcm
 
     if all(x == 0 for x in v):
-        raise ValueError("primitive_integer_vector: zero vector")
+        raise TroptorusError("primitive_integer_vector: zero vector")
     scale = lcm(*(x.denominator for x in v)) if len(v) > 1 else v[0].denominator
     ints = [int(x * scale) for x in v]
     g = 0

@@ -10,7 +10,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations
 from operator import add, mul
 
 from .complexes import (
@@ -19,15 +19,22 @@ from .complexes import (
     _containment_index,
     _period_coords,
     canonical_cell,
+    simplex_volume,
     unfold,
 )
-from .lattice import Lattice, covolume, reduce_mod
+from .lattice import (
+    Lattice,
+    box_translates,
+    covolume,
+    reduce_mod,
+    sup_distances,
+)
 from .linalg import (
     Mat,
+    TroptorusError,
     Vec,
     det,
     dot,
-    from_columns,
     integer_matrix,
     inverse,
     mat_mul,
@@ -36,11 +43,12 @@ from .linalg import (
     vadd,
     vsub,
     vscale,
+    zero_vec,
 )
 from .paf import TestFunction, evaluate_test
 
 
-class MeasureError(ValueError):
+class MeasureError(TroptorusError):
     pass
 
 
@@ -341,58 +349,41 @@ def monte_carlo_pushforward(
 def _clip_simplex(verts: tuple[Vec, ...], a: Vec, beta: Fraction):
     """Pieces of conv(verts) inside the half-space a.x <= beta.
 
-    Supports full-dimensional simplices of dimension 1 to 3; degenerate
-    zero-volume pieces are dropped by the caller.
+    With p kept vertices and q cut off, the kept part is the convex hull
+    of the grid points (r, 0) = kept vertex r and (r, c) = the crossing
+    from kept vertex r toward cut-off vertex c.  It is a product of
+    simplices up to a projective map, and its staircase triangulation
+    has one piece per monotone path from (0, 0) to (p - 1, q)
+    (De Loera, Rambau, Santos, *Triangulations*, 2010).  Any dimension;
+    degenerate zero-volume pieces are dropped by the caller.
     """
     g = [dot(a, v) - beta for v in verts]
-    kept = [v for v, x in zip(verts, g) if x <= 0]
-    out = [(v, x) for v, x in zip(verts, g) if x > 0]
-    if not out:
+    if all(x <= 0 for x in g):
         return [verts]
     if not any(x < 0 for x in g):
         return []
-
-    def cross(pi: int, qv: Vec, qg: Fraction) -> Vec:
-        gp = g_kept[pi]
-        if gp == 0:
-            return kept[pi]
-        tpar = gp / (gp - qg)
-        return vadd(kept[pi], vscale(tpar, vsub(qv, kept[pi])))
-
-    g_kept = [x for x in g if x <= 0]
-    d = len(verts) - 1
-    if d == 1:
-        (k,) = kept
-        (qv, qg) = out[0]
-        return [(k, cross(0, qv, qg))]
-    if d == 2:
-        if len(out) == 1:
-            a0, b0 = kept
-            qv, qg = out[0]
-            return [
-                (a0, b0, cross(1, qv, qg)),
-                (a0, cross(1, qv, qg), cross(0, qv, qg)),
-            ]
-        (q1, g1), (q2, g2) = out
-        (a0,) = kept
-        return [(a0, cross(0, q1, g1), cross(0, q2, g2))]
-    if d == 3:
-        if len(out) == 1:
-            a0, b0, c0 = kept
-            qv, qg = out[0]
-            a1, b1, c1 = (cross(i, qv, qg) for i in range(3))
-            return [(a0, b0, c0, c1), (a0, b0, b1, c1), (a0, a1, b1, c1)]
-        if len(out) == 2:
-            a0, b0 = kept
-            (q1, g1), (q2, g2) = out
-            e = cross(0, q1, g1)
-            f = cross(0, q2, g2)
-            gg = cross(1, q1, g1)
-            h = cross(1, q2, g2)
-            return [(a0, e, f, h), (a0, e, gg, h), (a0, b0, gg, h)]
-        (a0,) = kept
-        return [tuple([a0] + [cross(0, qv, qg) for qv, qg in out])]
-    raise MeasureError("box clipping supports dimensions 1 to 3 only")
+    out = [(w, y) for w, y in zip(verts, g) if y > 0]
+    grid = [
+        [v] + [
+            vadd(v, vscale(x / (x - y), vsub(w, v))) if x else v
+            for w, y in out
+        ]
+        for v, x in zip(verts, g)
+        if x <= 0
+    ]
+    steps = len(verts) - 1
+    pieces = []
+    for cols in combinations(range(steps), len(out)):
+        r = c = 0
+        piece = [grid[0][0]]
+        for k in range(steps):
+            if k in cols:
+                c += 1
+            else:
+                r += 1
+            piece.append(grid[r][c])
+        pieces.append(tuple(piece))
+    return pieces
 
 
 def _box_clip_volume(s: Simplex, center: Vec, delta: Fraction) -> Fraction:
@@ -400,54 +391,24 @@ def _box_clip_volume(s: Simplex, center: Vec, delta: Fraction) -> Fraction:
     pieces = [s.vertices]
     for k in range(n):
         e = tuple(Fraction(1 if i == k else 0) for i in range(n))
-        neg = vscale(Fraction(-1), e)
-        new_pieces = []
-        for p in pieces:
-            new_pieces.extend(_clip_simplex(p, e, center[k] + delta))
-        pieces = new_pieces
-        new_pieces = []
-        for p in pieces:
-            new_pieces.extend(_clip_simplex(p, neg, delta - center[k]))
-        pieces = new_pieces
-    total = Fraction(0)
-    for p in pieces:
-        edges = tuple(vsub(v, p[0]) for v in p[1:])
-        total += abs(det(from_columns(edges))) / math.factorial(len(p) - 1)
-    return total
+        for a, beta in (
+            (e, center[k] + delta),
+            (vscale(Fraction(-1), e), delta - center[k]),
+        ):
+            pieces = [q for p in pieces for q in _clip_simplex(p, a, beta)]
+    return sum((simplex_volume(Simplex(p)) for p in pieces), Fraction(0))
 
 
 def _wrap_guard(lat: Lattice, delta: Fraction) -> None:
-    n = lat.dim
-    shortest = None
-    for k in product((-1, 0, 1), repeat=n):
-        if all(x == 0 for x in k):
-            continue
-        lam = lat.from_coords(tuple(Fraction(x) for x in k))
-        norm = max(abs(x) for x in lam)
-        if shortest is None or norm < shortest:
-            shortest = norm
-    if delta > shortest / 4:
+    """Raise unless delta <= shortest / 4, shortest being the sup-norm of
+    a shortest nonzero period vector.  Only vectors within 4 delta
+    decide, and a generator bounds the shortest one."""
+    r = min([4 * delta] + [max(map(abs, g)) for g in lat.generators])
+    short = [d for d in sup_distances(lat, zero_vec(lat.dim), r) if d]
+    if short and min(short) < 4 * delta:
         raise MeasureError(
-            f"delta {delta} wraps around the torus (limit {shortest / 4})"
+            f"delta {delta} wraps around the torus (limit {min(short) / 4})"
         )
-
-
-def _box_translates(inv, scale, cw, reach, verts):
-    """The integer vectors k for which the period-coordinate bounding box
-    of verts + k meets that of a box.
-
-    The vertices are integer tuples at one scale and ``inv`` is the
-    integer matrix of the inverse period basis with inv * v equal to
-    scale * coords(v).  Along period axis m the box's bounding box is
-    centred at cw[m] / scale with half width reach[m] / scale.
-    """
-    ranges = []
-    for row, cm, e in zip(inv, cw, reach):
-        ys = [cm - sum(map(mul, row, v)) for v in verts]
-        ranges.append(
-            range((min(ys) - e + scale - 1) // scale, (max(ys) + e) // scale + 1)
-        )
-    return product(*ranges)
 
 
 def mass_near(mu, center: Vec, delta: Fraction) -> Fraction:
@@ -477,12 +438,17 @@ def mass_near(mu, center: Vec, delta: Fraction) -> Fraction:
     q, inv = integer_matrix(inverse(lat.matrix))
     c, (d,) = rows[len(pts)], rows[len(pts) + 1]
     basis_rows = tuple(zip(*rows[len(pts) + 2 :]))  # the rows of s * L
+    # the period-coordinate bounding box of the box, at scale q * s
     reach = [d * sum(map(abs, row)) for row in inv]
     cw = [sum(map(mul, row, c)) for row in inv]
+    lo = [x - e for x, e in zip(cw, reach)]
+    hi = [x + e for x, e in zip(cw, reach)]
+    qs = q * s
     if empirical_case:
         hits = 0
         for p in rows[: len(pts)]:
-            for k in _box_translates(inv, q * s, cw, reach, (p,)):
+            w = [sum(map(mul, row, p)) for row in inv]
+            for k in box_translates(w, w, lo, hi, qs):
                 if all(
                     abs(x + sum(map(mul, k, col)) - y) <= d
                     for x, y, col in zip(p, c, basis_rows)
@@ -493,9 +459,13 @@ def mass_near(mu, center: Vec, delta: Fraction) -> Fraction:
     total = Fraction(0)
     first = 0
     for atom, dens in mu.atoms:
-        verts = rows[first : first + n + 1]
+        ws = [
+            [sum(map(mul, row, v)) for row in inv]
+            for v in rows[first : first + n + 1]
+        ]
         first += n + 1
-        for k in _box_translates(inv, q * s, cw, reach, verts):
+        box = [min(col) for col in zip(*ws)], [max(col) for col in zip(*ws)]
+        for k in box_translates(*box, lo, hi, qs):
             lam = lat.from_coords(k)
             total += dens * _box_clip_volume(atom.translate(lam), center, delta)
     return total

@@ -32,6 +32,7 @@ from .lattice import (
 from .linalg import (
     Mat,
     SingularMatrixError,
+    TroptorusError,
     Vec,
     dot,
     from_columns,
@@ -47,7 +48,7 @@ from .linalg import (
 Piece = tuple[Vec, Fraction]  # (gradient covector m, constant c)
 
 
-class PafError(ValueError):
+class PafError(TroptorusError):
     pass
 
 
@@ -238,7 +239,7 @@ def tate_iterate(f0: CocycleFunction, i: int) -> CocycleFunction:
     linear coefficient halves, so the cocycle law keeps holding exactly.
     """
     if i < 0:
-        raise ValueError("iteration count must be >= 0")
+        raise PafError("iteration count must be >= 0")
     f = f0
     for _ in range(i):
         refined, parents = dyadic_refine_step(f.complex)

@@ -12,12 +12,12 @@ from fractions import Fraction
 
 from .complexes import PeriodicComplex, Simplex
 from .lattice import Lattice, Polarization
-from .linalg import Mat, Vec
+from .linalg import Mat, TroptorusError, Vec
 
 _RATIONAL = re.compile(r"^(-?\d+)/(\d+)$")
 
 
-class SerializationError(ValueError):
+class SerializationError(TroptorusError):
     pass
 
 

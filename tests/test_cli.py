@@ -1,9 +1,15 @@
+import contextlib
+import copy
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from troptorus.cli import main
 
@@ -224,6 +230,8 @@ def test_collapse_byte_determinism(tmp_path):
 
 
 def test_console_script_runs(tmp_path):
+    # the checkout's package, installed or not
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
     proc = subprocess.run(
         [
             sys.executable,
@@ -235,6 +243,69 @@ def test_console_script_runs(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths))),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["cells"]
+
+
+_FUZZ_VALUES = st.sampled_from([
+    -1, 0, 1, 2, 3, True, None, "1/2", "0/1", "-1/3", "1/0", "2/1", "x",
+    [], ["1/1"], [["1/1"]], [[]], [1, 2], [["1/1", "0/1"], ["0/1", "0/1"]], {},
+]).map(copy.deepcopy)  # later mutations must not reach the pool
+
+
+def _paths(node, prefix=()):
+    """Every key and list position of a JSON tree, as index paths."""
+    items = (
+        node.items() if isinstance(node, dict)
+        else enumerate(node) if isinstance(node, list)
+        else ()
+    )
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_problems(draw):
+    """A shipped problem file with one to three keys or entries replaced
+    by a value from a small pool, or removed."""
+    body = json.loads(Path(draw(st.sampled_from([N1, N2]))).read_text())
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(body))))
+        parent = body
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()) and isinstance(parent, dict):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(_FUZZ_VALUES)
+    return body
+
+
+@given(
+    body=mutated_problems(),
+    args=st.sampled_from([
+        ["triangulate"],
+        ["certify", "--epsilon", "1/8"],
+        ["certify"],
+        ["tate", "--iterations", "1"],
+        ["equidist"],
+        ["collapse", "--samples", "8"],
+        ["obstruction"],
+    ]),
+)
+@settings(max_examples=60, deadline=None)
+def test_mutated_problem_files_keep_the_exit_code_contract(body, args):
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "p.json"
+        p.write_text(json.dumps(body))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(
+                [args[0], "--problem", str(p), "--out", str(Path(tmp) / "o")]
+                + args[1:]
+            )
+    assert code in (0, 2, 3, 4, 5)
+    assert "Traceback" not in err.getvalue()

@@ -102,6 +102,23 @@ def test_overlapping_cells_detected():
         check_common_faces(c)
 
 
+def test_overlap_far_along_a_skewed_basis_detected():
+    """On the basis ((1,0),(7,1)) the second cell overlaps the first
+    only after a shift by -2 times the first generator, outside the
+    {-1,0,1}^2 window; the volumes still add up to the covolume."""
+    lat = Lattice(((F(1), F(0)), (F(7), F(1))))
+    c = make_complex(
+        lat,
+        [
+            Simplex(((F(0), F(0)), (F(1), F(0)), (F(0), F(1)))),
+            Simplex(((F(2), F(1, 4)), (F(3), F(1, 4)), (F(2), F(5, 4)))),
+        ],
+    )
+    check_tiling(c)
+    with pytest.raises(ComplexError):
+        check_common_faces(c)
+
+
 def test_cuboid_vertices():
     verts = fundamental_cuboid(((F(1), F(0)), (F(0), F(1))))
     assert len(verts) == 4

@@ -22,7 +22,7 @@ from troptorus import (
     run_equidistribution,
     torsion_grid,
 )
-from troptorus.equidist import standard_test_complex
+from troptorus.equidist import _torus_distance, standard_test_complex
 from troptorus.lattice import Lattice, Polarization, reduce_mod
 from tests.conftest import base_complex
 
@@ -139,6 +139,15 @@ def test_obstruction_exhausts(line_setup):
     lat, _, _, _ = line_setup
     with pytest.raises(ExperimentError):
         fixed_denominator_obstruction(lat, 128, 1)
+
+
+def test_torus_distance_on_a_skewed_basis():
+    """(7/2, 1/2) is 3 times the first generator of ((1,0),(7,1)) away
+    from (1/2, 1/2)."""
+    lat = Lattice(((F(1), F(0)), (F(7), F(1))))
+    p = reduce_mod((F(0), F(0)), lat)
+    q = reduce_mod((F(7, 2), F(1, 2)), lat)
+    assert _torus_distance(lat, p, q) == F(1, 2)
 
 
 def test_product_and_difference_shapes(plane_setup):

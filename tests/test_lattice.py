@@ -1,4 +1,6 @@
+import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,8 +18,10 @@ from troptorus import (
     standard_lattice,
     superlattice,
 )
-from troptorus.lattice import LatticeError, lattice_part
-from troptorus.linalg import vadd, vsub
+from troptorus.equidist import _torus_distance
+from troptorus.lattice import LatticeError, lattice_part, sup_distances
+from troptorus.linalg import det, vadd, vsub
+from troptorus.measures import MeasureError, _wrap_guard
 
 F = Fraction
 
@@ -125,3 +129,52 @@ def test_quadratic_halves_gram_diagonal():
     # q(e1) = gram[0][0] / 2
     assert quadratic(b, (F(1), F(0))) == 1
     assert quadratic(b, (F(1), F(1))) == 3
+
+
+@st.composite
+def skewed_bases(draw):
+    """Integer bases of R^2 with entries in [-4, 4].  The adjugate has
+    entries of at most 4 and the determinant is at least 1, so every
+    row sum of |L^-1| is at most 8."""
+    entry = st.integers(-4, 4).map(F)
+    gens = draw(
+        st.tuples(st.tuples(entry, entry), st.tuples(entry, entry)).filter(
+            lambda g: det(g) != 0
+        )
+    )
+    return Lattice(gens)
+
+
+def _brute_distances(lat, v):
+    """den and den * |v - L k| over every k in [-80, 80]^2.  A lattice
+    vector within r <= 8 of v has coordinates within 8 r <= 64 of those
+    of v, which are at most 16 for v in [-2, 2]^2; 8 bounds
+    |reduce_mod(v)| and the shortest generator, the radii used below."""
+    (a, b), (c, d) = (tuple(map(int, g)) for g in lat.generators)
+    den = math.lcm(*(x.denominator for x in v))
+    x, y = (int(t * den) for t in v)
+    window = range(-80, 81)
+    return den, [
+        max(abs(x - den * (a * i + c * j)), abs(y - den * (b * i + d * j)))
+        for i, j in product(window, window)
+    ]
+
+
+@given(
+    lat=skewed_bases(),
+    v=st.tuples(*[st.fractions(min_value=-2, max_value=2, max_denominator=4)] * 2),
+)
+@settings(max_examples=40, deadline=None)
+def test_distances_to_the_lattice_match_brute_force(lat, v):
+    den, brute = _brute_distances(lat, v)
+    r = max(map(abs, reduce_mod(v, lat)))
+    assert sorted(sup_distances(lat, v, r)) == sorted(
+        F(x, den) for x in brute if x <= r * den
+    )
+    zero = (F(0), F(0))
+    assert _torus_distance(lat, v, zero) == F(min(brute), den)
+    assert _torus_distance(lat, zero, v) == F(min(brute), den)
+    shortest = min(x for x in _brute_distances(lat, zero)[1] if x)
+    _wrap_guard(lat, F(shortest, 4))
+    with pytest.raises(MeasureError):
+        _wrap_guard(lat, F(shortest, 4) + F(1, 1000))

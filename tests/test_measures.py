@@ -28,7 +28,11 @@ from troptorus import (
     pushforward,
     simplex_k_volume,
 )
-from troptorus.complexes import barycentric_triangulation
+from troptorus.complexes import (
+    barycentric_coords,
+    barycentric_triangulation,
+    simplex_volume,
+)
 from troptorus.equidist import (
     difference_map,
     product_lattice,
@@ -37,14 +41,16 @@ from troptorus.equidist import (
 from troptorus.lattice import Lattice, covolume, reduce_mod
 from troptorus.linalg import (
     det,
+    dot,
     from_columns,
     inverse,
     mat_mul,
     mat_vec,
     vadd,
     vscale,
+    vsub,
 )
-from troptorus.measures import _wrap_guard
+from troptorus.measures import _clip_simplex, _wrap_guard
 from troptorus.paf import interpolate_test, vertex_orbits
 from tests.conftest import base_complex
 
@@ -170,6 +176,82 @@ def test_mass_near_wrap_guard(line_setup):
     with pytest.raises(MeasureError):
         mass_near(mu, (F(0),), F(2, 3))
     _wrap_guard(lat, F(1, 4))
+
+
+def test_wrap_guard_finds_the_shortest_vector_of_a_skewed_basis():
+    """The shortest vector of ((7,1),(3,1)) is g1 - 2 g2 = (1, -1), with
+    sup-norm 1, and no {-1,0,1} combination of the generators."""
+    lat = Lattice(((F(7), F(1)), (F(3), F(1))))
+    with pytest.raises(MeasureError):
+        _wrap_guard(lat, F(3, 4))
+    _wrap_guard(lat, F(1, 4))
+
+
+def test_mass_near_haar_box_4d():
+    lat, _, _, c = base_complex(4)
+    delta = F(1, 8)
+    assert mass_near(haar(lat, c), (F(0),) * 4, delta) == (2 * delta) ** 4
+
+
+def _section_fraction(h):
+    """The share of a d-simplex's volume where an affine function with
+    the vertex values h is <= 0: (-1)^d times the divided difference of
+    phi(x) = max(-x, 0)^d at the h, with repeated values taken by
+    Hermite's rule, phi's k-th derivative over k! at the repeated value."""
+    d = len(h) - 1
+    xs = sorted(h)
+
+    def taylor(k, x):
+        if x > 0:
+            return F(0)
+        return (-1) ** k * math.comb(d, k) * (-x) ** (d - k)
+
+    table = [taylor(0, x) for x in xs]
+    for span in range(1, d + 1):
+        table = [
+            taylor(span, xs[i])
+            if xs[i] == xs[i + span]
+            else (table[i + 1] - table[i]) / (xs[i + span] - xs[i])
+            for i in range(d + 1 - span)
+        ]
+    return (-1) ** d * table[0]
+
+
+@st.composite
+def clip_cases(draw):
+    """A nondegenerate d-simplex with small integer vertices, d in 1..5,
+    and a half-space whose boundary often passes through vertices and
+    whose normal often gives vertices equal values."""
+    d = draw(st.integers(1, 5))
+    point = st.tuples(*[st.integers(-2, 2).map(F)] * d)
+    verts = draw(st.tuples(*[point] * (d + 1)))
+    assume(det(tuple(vsub(v, verts[0]) for v in verts[1:])) != 0)
+    a = draw(st.tuples(*[st.integers(-2, 2).map(F)] * d))
+    assume(any(a))
+    values = [dot(a, v) for v in verts]
+    beta = draw(
+        st.sampled_from(values)
+        | st.fractions(min_value=min(values), max_value=max(values), max_denominator=6)
+    )
+    return verts, a, beta
+
+
+@given(case=clip_cases())
+@settings(max_examples=150, deadline=None)
+def test_clip_simplex_matches_the_closed_form_section_volume(case):
+    verts, a, beta = case
+    d = len(verts) - 1
+    s = Simplex(verts)
+    pieces = _clip_simplex(verts, a, beta)
+    volume = sum(simplex_volume(Simplex(p)) for p in pieces)
+    assert volume == simplex_volume(s) * _section_fraction(
+        [dot(a, v) - beta for v in verts]
+    )
+    for p in pieces:
+        assert len(p) == d + 1
+        for v in p:
+            assert dot(a, v) <= beta
+            assert min(barycentric_coords(s, v)) >= 0
 
 
 def test_pushforward_conserves_mass(plane_setup):
