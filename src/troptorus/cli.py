@@ -218,8 +218,11 @@ def cmd_tate(p: Problem, args) -> int:
     iterations = _integer(args.iterations, "--iterations", 0)
     c = _base_complex(p, 0)
     z = Cocycle(polarization=p.polarization, linear=p.linear)
-    eps = p.epsilon if p.epsilon is not None else auto_epsilon(c, z)[0]
-    f0 = build_model_function(c, z, eps)
+    if p.epsilon is None:
+        eps, f0, _ = auto_epsilon(c, z)
+    else:
+        eps = p.epsilon
+        f0 = build_model_function(c, z, eps)
     rows = []
     prev = None
     fi = f0

@@ -119,6 +119,10 @@ class PeriodicComplex:
     )
     # the _ContainmentIndex of the cells; see _containment_index
     _index: object = field(default=None, init=False, repr=False, compare=False)
+    # the AdjacentPairs of the cells; see adjacent_pairs
+    _pairs: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def dim(self) -> int:
@@ -617,42 +621,68 @@ class AdjacentPair:
         return c.cells[self.j].translate(self.shift_j)
 
 
+def _facet_normal(edges: tuple[Vec, ...], n: int) -> Vec:
+    """A primitive integer normal, of either sign, of the hyperplane
+    spanned by the n - 1 rational edge vectors of a facet in R^n."""
+    if not edges:
+        if n > 1:
+            raise ComplexError("codim-1 face must have n vertices")
+        return (Fraction(1),)
+    return primitive_integer_vector(solve_underdetermined_nullvec(edges, n))
+
+
 def _inner_normal(face: tuple[Vec, ...], opposite: Vec) -> Vec:
     w0 = face[0]
-    rows = tuple(vsub(w, w0) for w in face[1:])
-    n = len(w0)
-    if rows:
-        nu = solve_underdetermined_nullvec(rows, n)
-    else:
-        nu = (Fraction(1),) + zero_vec(n - 1) if n > 1 else (Fraction(1),)
-    if n > 1 and not rows:
-        raise ComplexError("codim-1 face must have n vertices")
+    nu = _facet_normal(tuple(vsub(w, w0) for w in face[1:]), len(w0))
     s = dot(nu, vsub(opposite, w0))
     if s == 0:
         raise ComplexError("degenerate face/opposite configuration")
-    if s < 0:
-        nu = vscale(Fraction(-1), nu)
-    return primitive_integer_vector(nu)
+    return nu if s > 0 else vscale(Fraction(-1), nu)
 
 
 def adjacent_pairs(c: PeriodicComplex) -> tuple[AdjacentPair, ...]:
     """All codim-1 adjacent cell pairs, one per period orbit.
 
-    Facets are hashed by the canonical representative of their vertex
-    set; since translates of the cells tile space, every facet orbit is
-    shared by exactly two cell copies.
+    Facets are hashed by their canonical representative (as
+    :func:`canonical_cell` makes it); since translates of the cells tile
+    space, every facet orbit is shared by exactly two cell copies.  The
+    pairs come in the order of the canonical facets, the first cell copy
+    of a pair being the first in cell and vertex order.
+
+    The work runs on the integer period coordinates of
+    :func:`_period_coords`, ordered by their ambient integer image as in
+    :func:`dyadic_refine_step`; the canonical shift is a floor division
+    and the normal is computed once per facet shape.  Computed at most
+    once per complex and kept on it.
     """
+    if c._pairs is not None:
+        return c._pairs
+    n = c.dim
+    scale, coords = _period_coords(c)
+    g, rows = integer_matrix(c.period.matrix)
+    t = g * scale  # ambient images are t * vertex
+
+    def ambient(w):
+        return tuple(sum(map(mul, w, row)) for row in rows)
+
+    steps: dict[tuple, tuple] = {}  # k -> the ambient image of scale * k
     buckets: dict[tuple, list] = {}
-    for i, cell in enumerate(c.cells):
-        for drop in range(len(cell.vertices)):
-            face = tuple(
-                v for k, v in enumerate(cell.vertices) if k != drop
-            )
-            canon_face, shift = canonical_cell(face, c.period)
-            opp = vsub(cell.vertices[drop], shift)
-            buckets.setdefault(canon_face.vertices, []).append(
-                (i, vscale(Fraction(-1), shift), opp)
-            )
+    for i, cell in enumerate(coords):
+        verts = sorted(
+            (ambient(cell[k : k + n]), cell[k : k + n], k // n)
+            for k in range(0, len(cell), n)
+        )
+        for drop in range(len(verts)):
+            face = [v for v in verts if v[2] != drop]
+            k = tuple(x // scale for x in face[0][1])
+            step = steps.get(k)
+            if step is None:
+                step = steps[k] = ambient(tuple(scale * x for x in k))
+            key = tuple(x for a, _, _ in face for x in map(sub, a, step))
+            buckets.setdefault(key, []).append((i, k, drop, step))
+    normals: dict[tuple, Vec] = {}  # facet edges -> normal of either sign
+    shifts: dict[tuple, Vec] = {}  # k -> the period vector -k
+    points: dict[tuple, Vec] = {}  # ambient image -> vertex
     pairs = []
     for key in sorted(buckets):
         entries = buckets[key]
@@ -660,12 +690,34 @@ def adjacent_pairs(c: PeriodicComplex) -> tuple[AdjacentPair, ...]:
             raise ComplexError(
                 f"facet orbit shared by {len(entries)} cells; tiling broken"
             )
-        (i, si, opp_i), (j, sj, _) = entries
-        normal = _inner_normal(key, opp_i)
-        pairs.append(
-            AdjacentPair(i=i, j=j, shift_i=si, shift_j=sj, face=key, normal=normal)
-        )
-    return tuple(pairs)
+        (i, ki, drop, step), (j, kj, _, _) = entries
+        face = [key[m : m + n] for m in range(0, len(key), n)]
+        edges = tuple(tuple(map(sub, a, face[0])) for a in face[1:])
+        nu = normals.get(edges)
+        if nu is None:
+            nu = normals[edges] = _facet_normal(
+                tuple(tuple(map(Fraction, e)) for e in edges), n
+            )
+        opp = map(sub, ambient(coords[i][drop * n : drop * n + n]), step)
+        side = sum(int(x) * (y - z) for x, y, z in zip(nu, opp, face[0]))
+        if side == 0:
+            raise ComplexError("degenerate face/opposite configuration")
+        for k in (ki, kj):
+            if k not in shifts:
+                shifts[k] = tuple(Fraction(-x, g) for x in ambient(k))
+        for a in face:
+            if a not in points:
+                points[a] = tuple(Fraction(x, t) for x in a)
+        pairs.append(AdjacentPair(
+            i=i,
+            j=j,
+            shift_i=shifts[ki],
+            shift_j=shifts[kj],
+            face=tuple(points[a] for a in face),
+            normal=nu if side > 0 else vscale(Fraction(-1), nu),
+        ))
+    object.__setattr__(c, "_pairs", tuple(pairs))
+    return c._pairs
 
 
 def check_tiling(c: PeriodicComplex) -> None:

@@ -6,7 +6,6 @@ Carlo), and even there the kernel facts are checked exactly.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -187,18 +186,30 @@ def run_equidistribution(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def _grid_points_mod(lat: Lattice, e: int) -> tuple[Vec, ...]:
-    """The finite set (1/e) Z^n reduced modulo the lattice."""
+    """The finite group (1/e) Z^n / (lat meet (1/e) Z^n): one point per
+    class of the grid modulo the lattice, reduced as by reduce_mod.
+
+    In period coordinates times s, the lattice is s Z^n and the grid
+    generators e_i / e are integer vectors; the classes are the closure
+    of 0 under adding each generator, reduced by floor-mod s.
+    """
     n = lat.dim
-    bound = 0
-    for eps in product((0, 1), repeat=n):
-        v = lat.from_coords(tuple(Fraction(x) for x in eps))
-        bound = max(bound, max((abs(x) for x in v), default=Fraction(0)))
-    reach = math.ceil(bound) * e + e
-    seen = {}
-    for k in product(range(-reach, reach + 1), repeat=n):
-        p = tuple(Fraction(x, e) for x in k)
-        seen.setdefault(reduce_mod(p, lat), None)
-    return tuple(sorted(seen))
+    s, gens = integer_matrix(tuple(
+        lat.coords(tuple(Fraction(int(i == j), e) for i in range(n)))
+        for j in range(n)
+    ))
+    seen = {(0,) * n}
+    todo = [(0,) * n]
+    while todo:
+        p = todo.pop()
+        for g in gens:
+            q = tuple((x + y) % s for x, y in zip(p, g))
+            if q not in seen:
+                seen.add(q)
+                todo.append(q)
+    return tuple(sorted(
+        lat.from_coords(tuple(Fraction(x, s) for x in p)) for p in seen
+    ))
 
 
 def _torus_distance(lat: Lattice, p: Vec, q: Vec) -> Fraction:

@@ -9,8 +9,10 @@ are the exact counterparts of the ample-model construction.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul, sub
 from typing import Optional
 
 from .complexes import (
@@ -18,6 +20,8 @@ from .complexes import (
     PeriodicComplex,
     Simplex,
     _containment_index,
+    _int_det_adj,
+    _period_coords,
     adjacent_pairs,
     dyadic_refine_step,
     unfold_with_shifts,
@@ -30,12 +34,10 @@ from .lattice import (
     reduce_mod,
 )
 from .linalg import (
-    Mat,
-    SingularMatrixError,
     TroptorusError,
     Vec,
     dot,
-    from_columns,
+    integer_matrix,
     inverse,
     mat_vec,
     solve,
@@ -118,24 +120,21 @@ def _interpolate_piece(cell: Simplex, values: tuple[Fraction, ...]) -> Piece:
     return sol[:n], sol[n]
 
 
-def _gram_row(gram: Mat, lam: Vec) -> Vec:
-    """The covector u -> b(lam, u)."""
-    return mat_vec(gram, lam)
+def _translate_terms(f: CocycleFunction, lam: Vec) -> tuple[Vec, Fraction]:
+    """(G lam, s*ell(lam) - q(lam)): what the cocycle law adds to the
+    gradient and, less m*lam, to the constant of a piece moved by lam."""
+    z = f.cocycle
+    return (
+        mat_vec(z.polarization.gram, lam),
+        f.linear_scale * dot(z.linear, lam) - quadratic(z.polarization, lam),
+    )
 
 
 def piece_on_translate(f: CocycleFunction, i: int, lam: Vec) -> Piece:
     """Affine piece of f on cells[i] + lam, derived from the cocycle law."""
     m, c = f.pieces[i]
-    gram = f.cocycle.polarization.gram
-    glam = _gram_row(gram, lam)
-    m_new = vadd(m, glam)
-    c_new = (
-        c
-        - dot(m, lam)
-        + f.linear_scale * dot(f.cocycle.linear, lam)
-        - quadratic(f.cocycle.polarization, lam)
-    )
-    return m_new, c_new
+    glam, const = _translate_terms(f, lam)
+    return vadd(m, glam), c - dot(m, lam) + const
 
 
 def _vertex_stage(v: Vec, period: Lattice) -> int:
@@ -154,6 +153,22 @@ def _vertex_stage(v: Vec, period: Lattice) -> int:
     return stage
 
 
+def _model_values(c: PeriodicComplex, z: Cocycle) -> dict[Vec, tuple]:
+    """Per distinct vertex v of c: (q(v) + ell(v), 1 - 2^-k), k the
+    barycentric depth of v."""
+    if c.level != 0:
+        raise NotBarycentricError("model functions live on the level-0 complex")
+    out: dict[Vec, tuple] = {}
+    for cell in c.cells:
+        for v in cell.vertices:
+            if v not in out:
+                out[v] = (
+                    quadratic(z.polarization, v) + dot(z.linear, v),
+                    1 - Fraction(1, 2 ** _vertex_stage(v, c.period)),
+                )
+    return out
+
+
 def build_model_function(
     c: PeriodicComplex, z: Cocycle, eps: Fraction
 ) -> CocycleFunction:
@@ -163,19 +178,13 @@ def build_model_function(
     superlattice) receives q + ell + eps*(1 - 2^-k); depth-0 vertices
     are left exact so the cocycle law holds with linear scale 1.
     """
-    if c.level != 0:
-        raise NotBarycentricError("model functions live on the level-0 complex")
+    values = _model_values(c, z)
     eps = Fraction(eps)
     pieces = []
     for cell in c.cells:
-        values = []
-        for v in cell.vertices:
-            k = _vertex_stage(v, c.period)
-            perturb = eps * (1 - Fraction(1, 2 ** k))
-            values.append(
-                quadratic(z.polarization, v) + dot(z.linear, v) + perturb
-            )
-        pieces.append(_interpolate_piece(cell, tuple(values)))
+        pieces.append(_interpolate_piece(cell, tuple(
+            values[v][0] + eps * values[v][1] for v in cell.vertices
+        )))
     return CocycleFunction(
         complex=c, pieces=tuple(pieces), cocycle=z, linear_scale=Fraction(1)
     )
@@ -188,9 +197,12 @@ def _pair_key(p: AdjacentPair) -> str:
 
 
 def pair_slack(f: CocycleFunction, p: AdjacentPair) -> Fraction:
-    m_i, _ = piece_on_translate(f, p.i, p.shift_i)
-    m_j, _ = piece_on_translate(f, p.j, p.shift_j)
-    return dot(p.normal, vsub(m_i, m_j))
+    """n*(m_delta - m_sigma) at the face of p: the gradients on the two
+    cell copies differ from the stored ones by G shift (cocycle law)."""
+    gram = f.cocycle.polarization.gram
+    return dot(p.normal, vsub(f.pieces[p.i][0], f.pieces[p.j][0])) + dot(
+        p.normal, mat_vec(gram, vsub(p.shift_i, p.shift_j))
+    )
 
 
 def check_strongly_convex(f: CocycleFunction) -> ConvexityCertificate:
@@ -243,10 +255,17 @@ def tate_iterate(f0: CocycleFunction, i: int) -> CocycleFunction:
     f = f0
     for _ in range(i):
         refined, parents = dyadic_refine_step(f.complex)
+        terms: dict[Vec, tuple[Vec, Fraction]] = {}  # per distinct lam
         pieces = []
         for (pi, lam) in parents:
-            m, c = piece_on_translate(f, pi, lam)
-            pieces.append((vscale(Fraction(1, 2), m), c / 4))
+            t = terms.get(lam)
+            if t is None:
+                t = terms[lam] = _translate_terms(f, lam)
+            m, c = f.pieces[pi]
+            pieces.append((
+                tuple((x + y) / 2 for x, y in zip(m, t[0])),
+                (c - dot(m, lam) + t[1]) / 4,
+            ))
         f = CocycleFunction(
             complex=refined,
             pieces=tuple(pieces),
@@ -407,67 +426,150 @@ def twist(f: CocycleFunction, t: TestFunction, tau: Fraction) -> CocycleFunction
     )
 
 
-def _max_affine_minus_quadratic(
-    verts: tuple[Vec, ...], m: Vec, c: Fraction, gram: Mat, lin: Vec
-) -> Fraction:
-    """Exact max over conv(verts) of m*u + c - (u^T G u / 2 + lin*u).
+class _Gap:
+    """h = f - q - s*ell on the cells of f, in integers.
 
-    The target is concave; the unconstrained maximizer is clamped to the
-    simplex by recursing over its faces.
+    A vertex v is its ambient integer image a = t*v, t = g*scale as in
+    :func:`dyadic_refine_step`.  With D the least common denominator of
+    the pieces and of s*ell, and gram = R/r for an integer matrix R,
+    every piece (m, c) is the integer (M, C) = D*(m, c), and
+    H(a) = 2 t^2 D r h(a/t) = 2 t r (M.a + t C) - Q(a) is an integer,
+    where Q(a) = D a.Ra + 2 t r L.a and L = D*s*ell.
     """
-    def h(u: Vec) -> Fraction:
-        return dot(m, u) + c - dot(u, mat_vec(gram, u)) / 2 - dot(lin, u)
 
-    if len(verts) == 1:
-        return h(verts[0])
-    v0 = verts[0]
-    edges = tuple(vsub(v, v0) for v in verts[1:])
-    a_cols = from_columns(edges)
-    # restricted problem in simplex coordinates t: maximize
-    # m'' t + const - t^T G' t / 2 with G' = A^T G A
-    g_rows = tuple(mat_vec(gram, e) for e in edges)
-    g_prime = tuple(tuple(dot(gr, e2) for e2 in edges) for gr in g_rows)
-    grad0 = vsub(vsub(m, lin), mat_vec(gram, v0))
-    m_prime = tuple(dot(grad0, e) for e in edges)
-    try:
-        t_star = solve(g_prime, m_prime)
-    except SingularMatrixError:
-        t_star = None
-    if t_star is not None and all(x >= 0 for x in t_star) and sum(t_star) <= 1:
-        u_star = v0
-        for x, e in zip(t_star, edges):
-            u_star = vadd(u_star, vscale(x, e))
-        return h(u_star)
-    best = None
-    for drop in range(len(verts)):
-        sub = tuple(v for k, v in enumerate(verts) if k != drop)
-        val = _max_affine_minus_quadratic(sub, m, c, gram, lin)
-        if best is None or val > best:
-            best = val
-    return best
+    def __init__(self, f: CocycleFunction):
+        c = f.complex
+        self.n = c.dim
+        scale, self.coords = _period_coords(c)
+        g, self.rows = integer_matrix(c.period.matrix)
+        self.t = t = g * scale
+        self.r, self.gram = integer_matrix(f.cocycle.polarization.gram)
+        lin = vscale(f.linear_scale, f.cocycle.linear)
+        self.d = d = math.lcm(
+            *(x.denominator for m, c0 in f.pieces for x in (*m, c0)),
+            *(x.denominator for x in lin),
+        )
+        self.lin = [x.numerator * (d // x.denominator) for x in lin]
+        self.pieces = [
+            (
+                [x.numerator * (d // x.denominator) for x in m],
+                c0.numerator * (d // c0.denominator),
+            )
+            for m, c0 in f.pieces
+        ]
+        self.den = 2 * t * t * d * self.r  # h = H / den
+        self.quad: dict[tuple, tuple] = {}  # a -> (R a, Q(a))
+        # cell shape, the edges e_k = a_k - a_0 -> (det, adjugate) of
+        # G' = [e_k.R e_l], with det >= 0
+        self.shapes: dict[tuple, tuple] = {}
+
+    def vertices(self, i: int) -> list[tuple[int, ...]]:
+        """The ambient integer images of the vertices of cells[i]."""
+        n, w = self.n, self.coords[i]
+        return [
+            tuple(sum(map(mul, row, w[k : k + n])) for row in self.rows)
+            for k in range(0, len(w), n)
+        ]
+
+    def _quad(self, a: tuple) -> tuple:
+        q = self.quad.get(a)
+        if q is None:
+            ra = [sum(map(mul, row, a)) for row in self.gram]
+            q = self.quad[a] = (
+                ra,
+                self.d * sum(map(mul, a, ra))
+                + 2 * self.t * self.r * sum(map(mul, self.lin, a)),
+            )
+        return q
+
+    def value(self, a: tuple, piece) -> int:
+        """H(a) for the integer piece (M, C)."""
+        m, c = piece
+        t = self.t
+        h = 2 * t * self.r * (sum(map(mul, m, a)) + t * c)
+        return h - self._quad(a)[1]
+
+    def interior_max(self, verts, piece) -> Optional[Fraction]:
+        """max of h over the simplex with ambient images verts, in
+        closed form when the critical point t* of h in simplex
+        coordinates lies in the simplex; None when it does not (or the
+        simplex is flat).
+
+        With edges e_k = a_k - a_0, G' = [e_k.R e_l], the integer
+        gradient g = r t (M - L) - D R a_0 and p_k = e_k.g, the point is
+        t* = y / (det(G') D) with y = adj(G') p, and the max,
+        h(a_0) + (the gradient in t).t*/2, is
+        (H(a_0) D det(G') + p.y) / (den D det(G')).
+        """
+        a0 = verts[0]
+        edges = tuple(tuple(map(sub, a, a0)) for a in verts[1:])
+        shape = self.shapes.get(edges)
+        if shape is None:
+            re = [[sum(map(mul, row, e)) for row in self.gram] for e in edges]
+            det_s, adj = _int_det_adj(tuple(
+                tuple(sum(map(mul, r, e)) for e in edges) for r in re
+            ))
+            if det_s < 0:
+                det_s = -det_s
+                adj = tuple(tuple(-x for x in row) for row in adj)
+            shape = self.shapes[edges] = (det_s, adj)
+        det_s, adj = shape
+        if det_s == 0:
+            return None
+        m, _ = piece
+        ra0, _ = self._quad(a0)
+        rt, d = self.r * self.t, self.d
+        grad = [rt * (x - y) - d * z for x, y, z in zip(m, self.lin, ra0)]
+        p = [sum(map(mul, e, grad)) for e in edges]
+        y = [sum(map(mul, row, p)) for row in adj]
+        if min(y, default=0) < 0 or sum(y) > det_s * d:
+            return None
+        return Fraction(
+            self.value(a0, piece) * d * det_s + sum(map(mul, p, y)),
+            self.den * d * det_s,
+        )
+
+    def cell_max(self, verts, piece) -> Fraction:
+        """Exact max of h over the simplex with ambient images verts.
+
+        h is concave: when its critical point is not in the simplex, the
+        max is on a facet, which is searched the same way.
+        """
+        over = self.interior_max(verts, piece)
+        if over is None:
+            over = max(
+                self.cell_max(verts[:k] + verts[k + 1 :], piece)
+                for k in range(len(verts))
+            )
+        return over
 
 
 def sup_distance_to_quadratic(f: CocycleFunction) -> Fraction:
     """Exact sup over one period of |f - q - s*ell|.
 
     Per cell, q + s*ell - f is convex so its max sits at the vertices;
-    f - q - s*ell is concave and is maximized by exact clamping of the
-    quadratic's critical point to the cell.
+    f being continuous, it is evaluated once per distinct vertex.
+    f - q - s*ell is concave: its max over a cell is closed form when
+    the critical point lies in the cell, with one integer adjugate per
+    cell shape, and otherwise comes from exact clamping to the cell's
+    faces (see :class:`_Gap`).
     """
-    gram = f.cocycle.polarization.gram
-    lin = vscale(f.linear_scale, f.cocycle.linear)
+    gap = _Gap(f)
     best = Fraction(0)
-    for cell, (m, c) in zip(f.complex.cells, f.pieces):
-        over = _max_affine_minus_quadratic(cell.vertices, m, c, gram, lin)
+    least = 0  # the least H over the vertices: -least / den is the max of -h
+    seen = set()
+    for i, piece in enumerate(gap.pieces):
+        verts = gap.vertices(i)
+        over = gap.cell_max(verts, piece)
         if over > best:
             best = over
-        for v in cell.vertices:
-            under = (
-                dot(v, mat_vec(gram, v)) / 2 + dot(lin, v) - dot(m, v) - c
-            )
-            if under > best:
-                best = under
-    return best
+        for a in verts:
+            if a not in seen:
+                seen.add(a)
+                h = gap.value(a, piece)
+                if h < least:
+                    least = h
+    return max(best, Fraction(-least, gap.den))
 
 
 def verify_continuity(f: CocycleFunction) -> None:
@@ -500,14 +602,51 @@ def verify_periodicity(f: CocycleFunction) -> None:
 def auto_epsilon(
     c: PeriodicComplex, z: Cocycle, max_halvings: int = 20
 ) -> tuple[Fraction, CocycleFunction, ConvexityCertificate]:
-    """Halve eps from 1 until the convexity certificate passes."""
+    """The first eps = 2^-k, k < max_halvings, at which the convexity
+    certificate passes, with the model function and its certificate.
+
+    The model pieces are affine in eps, so each face slack is
+    a + b*eps: one pass over the faces gives every (a, b), and the
+    search needs no rebuild.  The certificate is then computed once,
+    exactly, at the eps found.
+    """
+    values = _model_values(c, z)
+    parts = []  # per cell: the pieces of q + ell and of the perturbation
+    for cell in c.cells:
+        parts.append(tuple(
+            _interpolate_piece(cell, tuple(values[v][k] for v in cell.vertices))
+            for k in (0, 1)
+        ))
+    base = CocycleFunction(
+        complex=c, pieces=tuple(p for p, _ in parts), cocycle=z
+    )
+    lines = [
+        (
+            pair_slack(base, p),
+            dot(p.normal, vsub(parts[p.i][1][0], parts[p.j][1][0])),
+        )
+        for p in adjacent_pairs(c)
+    ]
     eps = Fraction(1)
     for _ in range(max_halvings):
-        f = build_model_function(c, z, eps)
-        cert = check_strongly_convex(f)
-        if cert.passed:
-            return eps, f, cert
+        if all(a + b * eps > 0 for a, b in lines):
+            break
         eps /= 2
-    raise NotCertifiedError(
-        f"no certified epsilon within {max_halvings} halvings"
+    else:
+        raise NotCertifiedError(
+            f"no certified epsilon within {max_halvings} halvings"
+        )
+    f = CocycleFunction(
+        complex=c,
+        pieces=tuple(
+            (vadd(m0, vscale(eps, m1)), c0 + eps * c1)
+            for (m0, c0), (m1, c1) in parts
+        ),
+        cocycle=z,
     )
+    cert = check_strongly_convex(f)
+    if not cert.passed:
+        raise PafError(
+            f"certificate failed at eps = {eps}, where each a + b*eps > 0"
+        )
+    return eps, f, cert

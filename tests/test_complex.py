@@ -19,8 +19,10 @@ from troptorus import (
     unfold,
 )
 from troptorus.complexes import (
+    AdjacentPair,
     IncompatiblePeriodsError,
     PeriodicComplex,
+    _inner_normal,
     _is_refinement_j1,
     _is_refinement_search,
     _j1_level,
@@ -313,3 +315,83 @@ def test_j1_path_matches_search(data):
             assert is_refinement(fine, coarse) == want
             if k <= top + 1:  # the chain, then the scrambled top level
                 assert want == (min(k, top) >= j)
+
+
+def fraction_adjacent_pairs(c):
+    """adjacent_pairs by hashing the canonical Fraction vertex tuples of
+    every facet: the reference for the integer path."""
+    buckets = {}
+    for i, cell in enumerate(c.cells):
+        for drop in range(len(cell.vertices)):
+            face = tuple(
+                v for k, v in enumerate(cell.vertices) if k != drop
+            )
+            canon_face, shift = canonical_cell(face, c.period)
+            opp = vsub(cell.vertices[drop], shift)
+            buckets.setdefault(canon_face.vertices, []).append(
+                (i, vscale(F(-1), shift), opp)
+            )
+    pairs = []
+    for key in sorted(buckets):
+        entries = buckets[key]
+        if len(entries) != 2:
+            raise ComplexError(
+                f"facet orbit shared by {len(entries)} cells; tiling broken"
+            )
+        (i, si, opp_i), (j, sj, _) = entries
+        pairs.append(AdjacentPair(
+            i=i, j=j, shift_i=si, shift_j=sj, face=key,
+            normal=_inner_normal(key, opp_i),
+        ))
+    return tuple(pairs)
+
+
+SKEWED = ((F(1), F(0)), (F(1, 2), F(3, 2)))
+
+
+@given(data=j1_chains())
+@settings(max_examples=15, deadline=None)
+def test_integer_adjacency_matches_fraction_hashing(data):
+    """Same pairs in the same order, with the same shifts, faces and
+    normals, on J1 chains over random bases and on scrambled, unfolded
+    and non-J1 complexes; the result is kept on the complex."""
+    lat, chain, rnd = data
+    n = lat.dim
+    cells = [
+        cell.translate(
+            lat.from_coords(tuple(F(rnd.randint(-2, 2)) for _ in range(n)))
+        )
+        for cell in chain[-1].cells
+    ]
+    rnd.shuffle(cells)
+    cells = [Simplex(tuple(rnd.sample(s.vertices, n + 1))) for s in cells]
+    scrambled = PeriodicComplex(period=lat, cells=tuple(cells))
+    sub = Lattice(tuple(vscale(F(2), g) for g in lat.generators))
+    others = [
+        scrambled,
+        make_complex(lat, _kuhn_half_cells(lat)),
+        unfold(chain[0], sub),
+    ]
+    for c in [*chain[:3], *others]:
+        want = fraction_adjacent_pairs(c)
+        assert adjacent_pairs(c) == want
+        assert adjacent_pairs(c) is adjacent_pairs(c)
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_integer_adjacency_on_a_skewed_basis(level):
+    lat = Lattice(SKEWED)
+    c = dyadic_refine(barycentric_triangulation(SKEWED, lat), level)
+    assert adjacent_pairs(c) == fraction_adjacent_pairs(c)
+    assert len(adjacent_pairs(c)) == 3 * len(c.cells) // 2
+
+
+def test_adjacency_names_a_broken_tiling():
+    lat = standard_lattice(1)
+    c = PeriodicComplex(
+        period=lat, cells=(Simplex(((F(0),), (F(1, 2),))),)
+    )
+    with pytest.raises(ComplexError, match="shared by 1 cells"):
+        adjacent_pairs(c)
+    with pytest.raises(ComplexError, match="shared by 1 cells"):
+        fraction_adjacent_pairs(c)

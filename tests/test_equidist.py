@@ -1,6 +1,7 @@
+import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -22,8 +23,13 @@ from troptorus import (
     run_equidistribution,
     torsion_grid,
 )
-from troptorus.equidist import _torus_distance, standard_test_complex
-from troptorus.lattice import Lattice, Polarization, reduce_mod
+from troptorus.equidist import (
+    _grid_points_mod,
+    _torus_distance,
+    standard_test_complex,
+)
+from troptorus.lattice import Lattice, Polarization, covolume, reduce_mod
+from troptorus.linalg import det, from_columns
 from tests.conftest import base_complex
 
 F = Fraction
@@ -139,6 +145,48 @@ def test_obstruction_exhausts(line_setup):
     lat, _, _, _ = line_setup
     with pytest.raises(ExperimentError):
         fixed_denominator_obstruction(lat, 128, 1)
+
+
+def _grid_class_count(lat, e):
+    """|(1/e)Z^n + lat : lat|, the covolume of lat over that of the sum,
+    which is the gcd of the maximal minors of the generators of the sum
+    scaled to integers, over the scale to the n."""
+    n = lat.dim
+    cols = [tuple(F(int(i == j), e) for i in range(n)) for j in range(n)]
+    cols += list(lat.generators)
+    s = math.lcm(*(x.denominator for c in cols for x in c))
+    minors = (
+        abs(det(from_columns([[s * x for x in cols[k]] for k in pick])))
+        for pick in combinations(range(2 * n), n)
+    )
+    return covolume(lat) * s ** n / math.gcd(*(int(m) for m in minors))
+
+
+@pytest.mark.parametrize(
+    "gens,e",
+    [
+        (((F(11, 10),),), 1),
+        (((F(1),),), 1),
+        (((F(1), F(0)), (F(1, 2), F(3, 2))), 2),
+        (((F(7, 3), F(1)), (F(1, 2), F(5, 4))), 1),
+    ],
+)
+def test_grid_points_mod_gives_every_class(gens, e):
+    """One point per class of (1/e)Z^n modulo the lattice: the distinct
+    reduce_mod classes of the grid points in a wide box, as many as the
+    index of the lattice in its sum with the grid."""
+    lat = Lattice(gens)
+    n = lat.dim
+    reach = 50 if n == 1 else 12
+    want = {
+        reduce_mod(tuple(F(x, e) for x in k), lat)
+        for k in product(range(-reach * e, reach * e), repeat=n)
+    }
+    got = _grid_points_mod(lat, e)
+    assert list(got) == sorted(want)
+    assert len(got) == _grid_class_count(lat, e)
+    if gens == ((F(11, 10),),):
+        assert len(got) == 11
 
 
 def test_torus_distance_on_a_skewed_basis():

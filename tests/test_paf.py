@@ -40,8 +40,20 @@ from troptorus.lattice import (
     orthogonalize,
     superlattice,
 )
-from troptorus.linalg import det, from_columns, vadd, vsub
+from troptorus.linalg import (
+    SingularMatrixError,
+    det,
+    dot,
+    from_columns,
+    mat_vec,
+    solve,
+    vadd,
+    vscale,
+    vsub,
+)
 from troptorus.paf import (
+    CocycleFunction,
+    _Gap,
     locate_cell,
     verify_continuity,
     verify_periodicity,
@@ -379,3 +391,214 @@ def test_hats_match_interpolation(level):
     for o, t in zip(orbits, hats):
         want = interpolate_test(c, {v: F(1 if v == o else 0) for v in orbits})
         assert t.pieces == want.pieces
+
+
+# --- the integer certificate and sup-distance paths against their Fraction
+# references -----------------------------------------------------------------
+
+
+def max_affine_minus_quadratic(verts, m, c, gram, lin):
+    """Exact max over conv(verts) of m*u + c - (u^T G u / 2 + lin*u), in
+    Fractions: the unconstrained maximizer, clamped to the simplex by
+    recursing over its faces.  The reference for _Gap.cell_max."""
+    def h(u):
+        return dot(m, u) + c - dot(u, mat_vec(gram, u)) / 2 - dot(lin, u)
+
+    if len(verts) == 1:
+        return h(verts[0])
+    v0 = verts[0]
+    edges = tuple(vsub(v, v0) for v in verts[1:])
+    # restricted problem in simplex coordinates t: maximize
+    # m'' t + const - t^T G' t / 2 with G' = A^T G A
+    g_rows = tuple(mat_vec(gram, e) for e in edges)
+    g_prime = tuple(tuple(dot(gr, e2) for e2 in edges) for gr in g_rows)
+    grad0 = vsub(vsub(m, lin), mat_vec(gram, v0))
+    m_prime = tuple(dot(grad0, e) for e in edges)
+    try:
+        t_star = solve(g_prime, m_prime)
+    except SingularMatrixError:
+        t_star = None
+    if t_star is not None and all(x >= 0 for x in t_star) and sum(t_star) <= 1:
+        u_star = v0
+        for x, e in zip(t_star, edges):
+            u_star = vadd(u_star, vscale(x, e))
+        return h(u_star)
+    return max(
+        max_affine_minus_quadratic(
+            verts[:k] + verts[k + 1 :], m, c, gram, lin
+        )
+        for k in range(len(verts))
+    )
+
+
+def fraction_sup_distance(f):
+    """sup |f - q - s*ell| with every (cell, vertex) term in Fractions."""
+    gram = f.cocycle.polarization.gram
+    lin = vscale(f.linear_scale, f.cocycle.linear)
+    best = F(0)
+    for cell, (m, c) in zip(f.complex.cells, f.pieces):
+        best = max(best, max_affine_minus_quadratic(cell.vertices, m, c, gram, lin))
+        for v in cell.vertices:
+            best = max(
+                best, dot(v, mat_vec(gram, v)) / 2 + dot(lin, v) - dot(m, v) - c
+            )
+    return best
+
+
+def _positive_definite(draw, n):
+    """A^T A + I/2 for a random rational A."""
+    a = draw(st.tuples(*[st.tuples(*[small_rationals] * n)] * n))
+    return tuple(
+        tuple(
+            sum(a[k][i] * a[k][j] for k in range(n)) + (F(1, 2) if i == j else 0)
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
+@st.composite
+def gap_cases(draw):
+    """One or two random full-dimensional cells over a random basis, with
+    random pieces, gram, linear part and linear scale.  A piece is either
+    random or puts the critical point of f - q - s*ell at simplex
+    coordinates t0, so t0 says which branch the cell takes."""
+    n = draw(st.integers(1, 3))
+    point = st.tuples(*[small_rationals] * n)
+    gens = draw(st.tuples(*[point] * n).filter(lambda g: det(from_columns(g)) != 0))
+    gram = _positive_definite(draw, n)
+    lin = draw(point)
+    scale = draw(st.fractions(min_value=F(1, 8), max_value=2, max_denominator=8))
+    lin_eff = vscale(scale, lin)
+    cells, pieces, targets = [], [], []
+    for _ in range(draw(st.integers(1, 2))):
+        verts = draw(
+            st.tuples(*[point] * (n + 1)).filter(
+                lambda vs: det(tuple(vsub(v, vs[0]) for v in vs[1:])) != 0
+            )
+        )
+        t0 = None
+        if draw(st.booleans()):
+            t0 = draw(st.tuples(*[st.fractions(-1, 2, max_denominator=6)] * n))
+            u0 = verts[0]
+            for x, v in zip(t0, verts[1:]):
+                u0 = vadd(u0, vscale(x, vsub(v, verts[0])))
+            m = vadd(lin_eff, mat_vec(gram, u0))
+        else:
+            m = draw(point)
+        cells.append(Simplex(verts))
+        pieces.append((m, draw(small_rationals)))
+        targets.append(t0)
+    assume(len({v for cell in cells for v in cell.vertices}) == len(cells) * (n + 1))
+    f = CocycleFunction(
+        complex=PeriodicComplex(period=Lattice(gens), cells=tuple(cells)),
+        pieces=tuple(pieces),
+        cocycle=Cocycle(polarization=Polarization(gram), linear=lin),
+        linear_scale=scale,
+    )
+    return f, targets
+
+
+def test_sup_distance_per_shape_matches_the_clamping_oracle():
+    """Cell by cell, the integer closed form and its clamping equal the
+    Fraction recursion; the branch taken is the one the critical point
+    calls for; and both branches are reached.  The whole sup-distance
+    equals the Fraction sum over every (cell, vertex)."""
+    branches = set()
+
+    @given(case=gap_cases())
+    @settings(max_examples=100, deadline=None)
+    def check(case):
+        f, targets = case
+        gap = _Gap(f)
+        gram = f.cocycle.polarization.gram
+        lin = vscale(f.linear_scale, f.cocycle.linear)
+        for i, (cell, (m, c), t0) in enumerate(
+            zip(f.complex.cells, f.pieces, targets)
+        ):
+            verts, piece = gap.vertices(i), gap.pieces[i]
+            want = max_affine_minus_quadratic(cell.vertices, m, c, gram, lin)
+            assert gap.cell_max(verts, piece) == want
+            inside = gap.interior_max(verts, piece)
+            if t0 is not None:
+                in_simplex = min(t0) >= 0 and sum(t0) <= 1
+                assert (inside is not None) == in_simplex
+            if inside is not None:
+                assert inside == want
+            branches.add(inside is None)
+        assert sup_distance_to_quadratic(f) == fraction_sup_distance(f)
+
+    check()
+    assert branches == {False, True}
+
+
+@pytest.mark.parametrize(
+    "gram",
+    [
+        ((F(1),),),
+        ((F(2), F(1)), (F(1), F(2))),
+        ((F(3), F(1), F(0)), (F(1), F(2), F(1)), (F(0), F(1), F(2))),
+    ],
+)
+def test_sup_distance_of_model_iterates_matches_fractions(gram):
+    """On model functions and their first iterates, where cells share
+    vertices, the per-vertex integer path equals the Fraction sum over
+    every (cell, vertex)."""
+    n = len(gram)
+    _, b, _, c = base_complex(n, gram)
+    z = Cocycle(polarization=b, linear=tuple(F(k + 1, 3) for k in range(n)))
+    _, f, _ = auto_epsilon(c, z)
+    for i in range(2):
+        fi = tate_iterate(f, i)
+        assert sup_distance_to_quadratic(fi) == fraction_sup_distance(fi)
+
+
+def halving_auto_epsilon(c, z, max_halvings=20):
+    """auto_epsilon as a plain halving loop over full certificates."""
+    eps = F(1)
+    for _ in range(max_halvings):
+        f = build_model_function(c, z, eps)
+        cert = check_strongly_convex(f)
+        if cert.passed:
+            return eps, f, cert
+        eps /= 2
+    raise NotCertifiedError(f"no certified epsilon within {max_halvings} halvings")
+
+
+def test_auto_epsilon_matches_the_halving_loop():
+    """Equal eps, model function and certificate, or the same
+    NotCertifiedError, for random grams and linear parts over the unit
+    basis or a random one; both outcomes are reached."""
+    outcomes = set()
+
+    @given(
+        data=st.data(),
+        n=st.integers(1, 2),
+        halvings=st.one_of(st.just(20), st.integers(0, 3)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def check(data, n, halvings):
+        point = st.tuples(*[small_rationals] * n)
+        unit = tuple(tuple(F(int(i == j)) for i in range(n)) for j in range(n))
+        gens = data.draw(st.one_of(
+            st.just(unit),
+            st.tuples(*[point] * n).filter(lambda g: det(from_columns(g)) != 0),
+        ))
+        lat = Lattice(gens)
+        b = Polarization(_positive_definite(data.draw, n))
+        _, prime = superlattice(orthogonalize(lat, b), lat)
+        c = barycentric_triangulation(prime.generators, prime)
+        z = Cocycle(polarization=b, linear=data.draw(point))
+        try:
+            want = halving_auto_epsilon(c, z, halvings)
+        except NotCertifiedError as exc:
+            with pytest.raises(NotCertifiedError) as got:
+                auto_epsilon(c, z, halvings)
+            assert str(got.value) == str(exc)
+            outcomes.add("raised")
+            return
+        assert auto_epsilon(c, z, halvings) == want
+        outcomes.add("passed")
+
+    check()
+    assert outcomes == {"passed", "raised"}
