@@ -187,27 +187,33 @@ def _base_complex(p: Problem, level: int):
 
 
 def cmd_triangulate(p: Problem, args) -> int:
-    level = args.level if args.level is not None else p.level
+    level = p.level
+    if args.level is not None:
+        level = _integer(args.level, "--level", 0)
     c = _base_complex(p, level)
     _emit(canonical_dumps(complex_to_json(c)), args.out)
     return EXIT_OK
 
 
-def cmd_certify(p: Problem, args) -> int:
+def _model_function(p: Problem, args):
+    """(eps, f0, cert): the model function at the epsilon that --epsilon
+    or else the problem file asks for ('auto' when neither does), with its
+    convexity certificate.  An exhausted 'auto' search raises
+    NotCertifiedError."""
     c = _base_complex(p, 0)
     z = Cocycle(polarization=p.polarization, linear=p.linear)
-    spec = args.epsilon
-    if spec is None:
-        spec = "auto" if p.epsilon is None else format_rational(p.epsilon)
-    if spec == "auto":
-        try:
-            eps, _, cert = auto_epsilon(c, z)
-        except NotCertifiedError as exc:
-            sys.stderr.write(f"{exc}\n")
-            return EXIT_SEARCH
+    if args.epsilon is None and p.epsilon is not None:
+        eps = p.epsilon
+    elif args.epsilon in (None, "auto"):
+        return auto_epsilon(c, z)
     else:
-        eps = parse_rational(spec)
-        cert = check_strongly_convex(build_model_function(c, z, eps))
+        eps = parse_rational(args.epsilon)
+    f0 = build_model_function(c, z, eps)
+    return eps, f0, check_strongly_convex(f0)
+
+
+def cmd_certify(p: Problem, args) -> int:
+    eps, _, cert = _model_function(p, args)
     body = {"epsilon": format_rational(eps)}
     body.update(certificate_to_json(cert))
     _emit(canonical_dumps(body), args.out)
@@ -216,20 +222,14 @@ def cmd_certify(p: Problem, args) -> int:
 
 def cmd_tate(p: Problem, args) -> int:
     iterations = _integer(args.iterations, "--iterations", 0)
-    c = _base_complex(p, 0)
-    z = Cocycle(polarization=p.polarization, linear=p.linear)
-    if p.epsilon is None:
-        eps, f0, _ = auto_epsilon(c, z)
-    else:
-        eps = p.epsilon
-        f0 = build_model_function(c, z, eps)
+    eps, fi, cert = _model_function(p, args)
     rows = []
     prev = None
-    fi = f0
     for i in range(iterations + 1):
         if i:
             fi = tate_iterate(fi, 1)
-        if not check_strongly_convex(fi).passed:
+            cert = check_strongly_convex(fi)
+        if not cert.passed:
             raise PafError(f"convexity lost at iteration {i}")
         d = sup_distance_to_quadratic(fi)
         ratio = None if prev in (None, 0) else d / prev
@@ -358,6 +358,9 @@ def main(argv=None) -> int:
     except SerializationError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return EXIT_PARSE
+    except NotCertifiedError as exc:  # an exhausted epsilon search
+        sys.stderr.write(f"{exc}\n")
+        return EXIT_SEARCH
     except TroptorusError as exc:
         sys.stderr.write(f"invariant failure: {exc}\n")
         return EXIT_INVARIANT

@@ -20,7 +20,6 @@ from .linalg import (
     det,
     dot,
     from_columns,
-    integer_matrix,
     inverse,
     primitive_integer_vector,
     rank,
@@ -83,17 +82,6 @@ def simplex_volume(s: Simplex) -> Fraction:
     if s.dim != s.ambient_dim:
         raise DimensionMismatchError("simplex_volume needs an n-simplex in R^n")
     return abs(det(s.edge_matrix())) / math.factorial(s.dim)
-
-
-def barycentric_coords(s: Simplex, p: Vec) -> tuple[Fraction, ...]:
-    """Barycentric coordinates of p w.r.t. a full-dimensional simplex."""
-    from .linalg import solve
-
-    v0 = s.vertices[0]
-    m = from_columns(s.edge_matrix())
-    lam = solve(m, vsub(p, v0))
-    lam0 = Fraction(1) - sum(lam, Fraction(0))
-    return (lam0,) + tuple(lam)
 
 
 def canonical_cell(vertices: tuple[Vec, ...], period: Lattice) -> tuple[Simplex, Vec]:
@@ -160,6 +148,15 @@ def _period_coords(c: PeriodicComplex) -> tuple[int, tuple]:
     return c._coords
 
 
+def _ambient(rows, w: tuple) -> tuple[int, ...]:
+    """The integer image g L w of integer period coordinates w, for rows
+    ``period.frame.basis`` = g L.  A vertex with coordinates w / scale in
+    :func:`_period_coords` is the point a / t with a = g L w, t = g scale;
+    a lattice vector with coordinates k is the point g L k / g.
+    """
+    return tuple(sum(map(mul, w, row)) for row in rows)
+
+
 def _coord_box(w: tuple, n: int) -> tuple[list, list]:
     """Per-axis minima and maxima of a flat coordinate tuple of
     :func:`_period_coords`."""
@@ -177,21 +174,6 @@ def make_complex(
     if expected is not None and len(cells) != expected:
         raise ComplexError(f"expected {expected} cells, got {len(cells)}")
     return PeriodicComplex(period=period, cells=cells, level=level)
-
-
-def fundamental_cuboid(orth_prime: tuple[Vec, ...]) -> tuple[Vec, ...]:
-    """The 2^n vertices sum(eps_j b_j') with eps in {0,1}."""
-    if rank(orth_prime) != len(orth_prime):
-        raise ComplexError("cuboid generators must be linearly independent")
-    n = len(orth_prime)
-    out = []
-    for eps in product((0, 1), repeat=n):
-        v = zero_vec(len(orth_prime[0]))
-        for e, b in zip(eps, orth_prime):
-            if e:
-                v = vadd(v, b)
-        out.append(v)
-    return tuple(sorted(set(out)))
 
 
 def barycentric_triangulation(
@@ -236,12 +218,7 @@ def dyadic_refine_step(
     """
     n = c.dim
     scale, coords = _period_coords(c)
-    g, rows = integer_matrix(c.period.matrix)
-
-    def ambient(w):
-        # g * (scale of w) * (the point with period coordinates w)
-        return tuple(sum(map(mul, w, row)) for row in rows)
-
+    g, rows = c.period.frame.g, c.period.frame.basis
     two_s = 2 * scale
     # (vertex count m, d) -> (the ambient image and the period coordinates
     # of the step scale * d, each repeated m times; the parent translation
@@ -252,7 +229,7 @@ def dyadic_refine_step(
     for i, cell in enumerate(coords):
         m = len(cell) // n
         verts = sorted(
-            (ambient(w), w)
+            (_ambient(rows, w), w)
             for w in (cell[k : k + n] for k in range(0, m * n, n))
         )
         amb = tuple(x for a, _ in verts for x in a)
@@ -269,9 +246,9 @@ def dyadic_refine_step(
             if step is None:
                 sd = tuple(scale * x for x in d)
                 step = steps[m, d] = (
-                    ambient(sd) * m,
+                    _ambient(rows, sd) * m,
                     sd * m,
-                    tuple(Fraction(x, g) for x in ambient(d)),
+                    tuple(Fraction(x, g) for x in _ambient(rows, d)),
                 )
             records.setdefault(tuple(map(add, amb, step[0])), (i, d))
     if len(records) != len(c.cells) * 2 ** n:
@@ -458,15 +435,8 @@ class _ContainmentIndex:
     def locate(self, points) -> tuple[int, Vec] | None:
         """(i, lam), lam a period vector, with every rational point of
         ``points`` in cells[i] + lam; None if no cell holds them all."""
-        coords = [self.period.coords(p) for p in points]
-        den = math.lcm(*(x.denominator for w in coords for x in w))
-        hit = self.find_cell_containing_simplex(
-            [
-                tuple(x.numerator * (den // x.denominator) for x in w)
-                for w in coords
-            ],
-            den,
-        )
+        den, ws = self.period.integer_coords(points)
+        hit = self.find_cell_containing_simplex(list(ws), den)
         if hit is None:
             return None
         return hit[0], self.period.from_coords(hit[1])
@@ -659,17 +629,13 @@ def adjacent_pairs(c: PeriodicComplex) -> tuple[AdjacentPair, ...]:
         return c._pairs
     n = c.dim
     scale, coords = _period_coords(c)
-    g, rows = integer_matrix(c.period.matrix)
+    g, rows = c.period.frame.g, c.period.frame.basis
     t = g * scale  # ambient images are t * vertex
-
-    def ambient(w):
-        return tuple(sum(map(mul, w, row)) for row in rows)
-
     steps: dict[tuple, tuple] = {}  # k -> the ambient image of scale * k
     buckets: dict[tuple, list] = {}
     for i, cell in enumerate(coords):
         verts = sorted(
-            (ambient(cell[k : k + n]), cell[k : k + n], k // n)
+            (_ambient(rows, cell[k : k + n]), cell[k : k + n], k // n)
             for k in range(0, len(cell), n)
         )
         for drop in range(len(verts)):
@@ -677,7 +643,7 @@ def adjacent_pairs(c: PeriodicComplex) -> tuple[AdjacentPair, ...]:
             k = tuple(x // scale for x in face[0][1])
             step = steps.get(k)
             if step is None:
-                step = steps[k] = ambient(tuple(scale * x for x in k))
+                step = steps[k] = _ambient(rows, tuple(scale * x for x in k))
             key = tuple(x for a, _, _ in face for x in map(sub, a, step))
             buckets.setdefault(key, []).append((i, k, drop, step))
     normals: dict[tuple, Vec] = {}  # facet edges -> normal of either sign
@@ -698,13 +664,14 @@ def adjacent_pairs(c: PeriodicComplex) -> tuple[AdjacentPair, ...]:
             nu = normals[edges] = _facet_normal(
                 tuple(tuple(map(Fraction, e)) for e in edges), n
             )
-        opp = map(sub, ambient(coords[i][drop * n : drop * n + n]), step)
+        w = coords[i][drop * n : drop * n + n]
+        opp = map(sub, _ambient(rows, w), step)
         side = sum(int(x) * (y - z) for x, y, z in zip(nu, opp, face[0]))
         if side == 0:
             raise ComplexError("degenerate face/opposite configuration")
         for k in (ki, kj):
             if k not in shifts:
-                shifts[k] = tuple(Fraction(-x, g) for x in ambient(k))
+                shifts[k] = tuple(Fraction(-x, g) for x in _ambient(rows, k))
         for a in face:
             if a not in points:
                 points[a] = tuple(Fraction(x, t) for x in a)

@@ -31,7 +31,6 @@ from .linalg import (
     TroptorusError,
     Vec,
     dot,
-    integer_matrix,
     mat_vec,
     vsub,
     zero_vec,
@@ -88,7 +87,7 @@ def torsion_grid(lat: Lattice, m: int) -> EmpiricalMeasure:
     if m < 1:
         raise ExperimentError("grid order must be >= 1")
     n = lat.dim
-    g, rows = integer_matrix(lat.matrix)
+    g, rows = lat.frame.g, lat.frame.basis
     # the point with coordinates k/m is m * g * point = sum_j k_j g b_j in
     # integers; coordinates in [0, 1) mean it is already reduced
     fracs: dict[int, Fraction] = {}
@@ -189,15 +188,15 @@ def _grid_points_mod(lat: Lattice, e: int) -> tuple[Vec, ...]:
     """The finite group (1/e) Z^n / (lat meet (1/e) Z^n): one point per
     class of the grid modulo the lattice, reduced as by reduce_mod.
 
-    In period coordinates times s, the lattice is s Z^n and the grid
-    generators e_i / e are integer vectors; the classes are the closure
-    of 0 under adding each generator, reduced by floor-mod s.
+    In period coordinates times s = q e, the lattice is s Z^n and the
+    grid generators e_j / e are the columns of the integer matrix q L^-1
+    of the lattice frame; the classes are the closure of 0 under adding
+    each generator, reduced by floor-mod s.
     """
     n = lat.dim
-    s, gens = integer_matrix(tuple(
-        lat.coords(tuple(Fraction(int(i == j), e) for i in range(n)))
-        for j in range(n)
-    ))
+    q, inv = lat.frame.q, lat.frame.inv
+    s = q * e
+    gens = tuple(zip(*inv))
     seen = {(0,) * n}
     todo = [(0,) * n]
     while todo:

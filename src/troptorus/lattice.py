@@ -9,11 +9,11 @@ parallelotope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from operator import mul
+from typing import Iterator, NamedTuple
 
 from .linalg import (
     DimensionMismatchError,
@@ -33,11 +33,6 @@ from .linalg import (
 )
 
 
-@lru_cache(maxsize=256)
-def _cached_inverse(m: Mat) -> Mat:
-    return inverse(m)
-
-
 class NotPositiveDefiniteError(TroptorusError):
     pass
 
@@ -46,11 +41,27 @@ class LatticeError(TroptorusError):
     pass
 
 
+class Frame(NamedTuple):
+    """A lattice basis L and its inverse on integer scales: ``basis`` is
+    g L and ``inv`` is q L^-1, as integer rows, for the least such g and
+    q; ``inverse`` is L^-1 in Fractions."""
+
+    inverse: Mat
+    g: int
+    basis: tuple[tuple[int, ...], ...]
+    q: int
+    inv: tuple[tuple[int, ...], ...]
+
+
 @dataclass(frozen=True)
 class Lattice:
     """Full-rank lattice in R^n; ``generators`` are the basis columns."""
 
     generators: tuple[Vec, ...]
+    # the Frame of the basis; see frame
+    _frame: Frame | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         n = len(self.generators)
@@ -67,6 +78,16 @@ class Lattice:
     def matrix(self) -> Mat:
         return from_columns(self.generators)
 
+    @property
+    def frame(self) -> Frame:
+        """The integer forms of the basis, built at most once per lattice."""
+        if self._frame is None:
+            inv = inverse(self.matrix)
+            object.__setattr__(self, "_frame", Frame(
+                inv, *integer_matrix(self.matrix), *integer_matrix(inv)
+            ))
+        return self._frame
+
     def from_coords(self, coords: Vec) -> Vec:
         """Point with the given coordinates w.r.t. the basis."""
         v = zero_vec(self.dim)
@@ -77,7 +98,21 @@ class Lattice:
     def coords(self, v: Vec) -> Vec:
         if len(v) != self.dim:
             raise DimensionMismatchError("coords: wrong vector length")
-        return mat_vec(_cached_inverse(self.matrix), v)
+        return mat_vec(self.frame.inverse, v)
+
+    def integer_coords(self, points) -> tuple[int, Iterator[tuple[int, ...]]]:
+        """(d, ws): the period coordinates of a sequence of rational points
+        on one integer scale, ws yielding d * coords(p) for each point p in
+        turn.  d is q times the least common denominator of the points."""
+        den = math.lcm(*{x.denominator for p in points for x in p})
+        inv = self.frame.inv
+
+        def scaled():
+            for p in points:
+                num = [x.numerator * (den // x.denominator) for x in p]
+                yield tuple(sum(map(mul, row, num)) for row in inv)
+
+        return self.frame.q * den, scaled()
 
     def contains(self, v: Vec) -> bool:
         return all(c.denominator == 1 for c in self.coords(v))
@@ -178,12 +213,6 @@ def reduce_mod(u: Vec, lat: Lattice) -> Vec:
     return lat.from_coords(frac_part)
 
 
-def lattice_part(u: Vec, lat: Lattice) -> Vec:
-    """The lattice vector u - reduce_mod(u)."""
-    coords = lat.coords(u)
-    return lat.from_coords(tuple(Fraction(math.floor(c)) for c in coords))
-
-
 def box_translates(lo, hi, a, b, s):
     """The integer vectors k for which the box [lo + s k, hi + s k] meets
     the box [a, b]; the bounds are ints or Fractions.
@@ -208,7 +237,7 @@ def sup_distances(lat: Lattice, v: Vec, r: Fraction):
     """
     s, rows = integer_matrix((tuple(v), (r,)) + lat.generators)
     w, (t,), basis = rows[0], rows[1], tuple(zip(*rows[2:]))
-    q, inv = integer_matrix(_cached_inverse(lat.matrix))
+    q, inv = lat.frame.q, lat.frame.inv
     cw = [sum(map(mul, row, w)) for row in inv]  # q * s * coords(v)
     reach = [t * sum(map(abs, row)) for row in inv]
     lo = [x - e for x, e in zip(cw, reach)]

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
@@ -24,18 +24,6 @@ class SingularMatrixError(TroptorusError):
 
 class DimensionMismatchError(TroptorusError):
     pass
-
-
-def frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def vec(xs: Iterable) -> Vec:
-    return tuple(frac(x) for x in xs)
-
-
-def mat(rows: Iterable[Iterable]) -> Mat:
-    return tuple(vec(r) for r in rows)
 
 
 def zero_vec(n: int) -> Vec:
@@ -77,10 +65,6 @@ def identity(n: int) -> Mat:
     return tuple(
         tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
     )
-
-
-def columns(m: Mat) -> Mat:
-    return transpose(m)
 
 
 def from_columns(cols: Sequence[Vec]) -> Mat:

@@ -36,7 +36,6 @@ from .linalg import (
     det,
     dot,
     integer_matrix,
-    inverse,
     mat_mul,
     mat_vec,
     rank,
@@ -100,11 +99,6 @@ class PolytopalMeasure:
     @property
     def dim(self) -> int:
         return self.atoms[0][0].dim
-
-    def total_mass(self) -> Fraction:
-        return sum(
-            (d * simplex_k_volume(s) for s, d in self.atoms), Fraction(0)
-        )
 
 
 @dataclass(frozen=True)
@@ -225,31 +219,24 @@ def empirical_averages(
     if any(t.complex is not base and t.complex != base for t in tests):
         return tuple(integrate_empirical(t, e) for t in tests)
     index = _containment_index(base)
-    # integer arithmetic: points at the common scale den, their period
-    # coordinates at scale q * den
-    den = math.lcm(*{x.denominator for p in e.points for x in p})
-    q, inv_i = integer_matrix(inverse(base.period.matrix))
-    qd = q * den
     # aggregate per cell translate: the per-point work is then
     # independent of the number of tests
     counts: dict[tuple, int] = {}
-    num_sums: dict[tuple, list] = {}
-    for p in e.points:
-        p_num = [x.numerator * (den // x.denominator) for x in p]
-        w = tuple(sum(map(mul, row, p_num)) for row in inv_i)
-        key = index.find_cell_containing_simplex((w,), qd)
+    coord_sums: dict[tuple, list] = {}
+    d, ws = base.period.integer_coords(e.points)
+    for p, w in zip(e.points, ws):
+        key = index.find_cell_containing_simplex((w,), d)
         if key is None:
             raise MeasureError(f"point {p} not covered by the test complex")
         counts[key] = counts.get(key, 0) + 1
-        acc = num_sums.get(key)
-        num_sums[key] = p_num if acc is None else list(map(add, acc, p_num))
+        acc = coord_sums.get(key)
+        coord_sums[key] = w if acc is None else list(map(add, acc, w))
     sums = [Fraction(0)] * len(tests)
     for (i, k), cnt in counts.items():
-        lam = base.period.from_coords(k)
-        # the sum of the points, each minus its translation lam
-        vsum = tuple(
-            Fraction(x, den) - cnt * y for x, y in zip(num_sums[i, k], lam)
-        )
+        # the sum of the points, each minus its translation by k periods
+        vsum = base.period.from_coords(tuple(
+            Fraction(x, d) - cnt * y for x, y in zip(coord_sums[i, k], k)
+        ))
         for j, t in enumerate(tests):
             m, c = t.pieces[i]
             sums[j] += dot(m, vsum) + c * cnt
@@ -309,7 +296,7 @@ def monte_carlo_pushforward(
     lat = a.target
     # x -> lat.coords(a.apply(x)) as the integer rows g * [L^-1 M | L^-1 b]
     g, to_coords = integer_matrix(mat_mul(
-        inverse(lat.matrix),
+        lat.frame.inverse,
         tuple(row + (b,) for row, b in zip(a.matrix, a.offset)),
     ))
     den, verts = integer_matrix(
@@ -317,7 +304,7 @@ def monte_carlo_pushforward(
     )
     top = 1 << 32
     modulus = top * g * den  # period coordinates of a sample times this
-    t, basis = integer_matrix(lat.matrix)
+    t, basis = lat.frame.g, lat.frame.basis
     out_den = t * modulus
     points = []
     first = 0
@@ -435,7 +422,7 @@ def mass_near(mu, center: Vec, delta: Fraction) -> Fraction:
     s, rows = integer_matrix(
         pts + (tuple(center), (delta,)) + lat.generators
     )
-    q, inv = integer_matrix(inverse(lat.matrix))
+    q, inv = lat.frame.q, lat.frame.inv
     c, (d,) = rows[len(pts)], rows[len(pts) + 1]
     basis_rows = tuple(zip(*rows[len(pts) + 2 :]))  # the rows of s * L
     # the period-coordinate bounding box of the box, at scale q * s

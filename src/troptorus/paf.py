@@ -19,6 +19,7 @@ from .complexes import (
     AdjacentPair,
     PeriodicComplex,
     Simplex,
+    _ambient,
     _containment_index,
     _int_det_adj,
     _period_coords,
@@ -70,13 +71,6 @@ class Cocycle:
     def __post_init__(self):
         if len(self.linear) != self.polarization.dim:
             raise PafError("linear part has wrong length")
-
-
-def cocycle_eval(z: Cocycle, lam: Vec, u: Vec) -> Fraction:
-    """z_lam(u) = q(lam) + ell(lam) + b(lam, u)."""
-    return quadratic(z.polarization, lam) + dot(z.linear, lam) + bilinear(
-        z.polarization, lam, u
-    )
 
 
 @dataclass(frozen=True)
@@ -429,10 +423,10 @@ def twist(f: CocycleFunction, t: TestFunction, tau: Fraction) -> CocycleFunction
 class _Gap:
     """h = f - q - s*ell on the cells of f, in integers.
 
-    A vertex v is its ambient integer image a = t*v, t = g*scale as in
-    :func:`dyadic_refine_step`.  With D the least common denominator of
-    the pieces and of s*ell, and gram = R/r for an integer matrix R,
-    every piece (m, c) is the integer (M, C) = D*(m, c), and
+    A vertex v is its ambient integer image a = t*v, t = g*scale, of
+    :func:`~troptorus.complexes._ambient`.  With D the least common
+    denominator of the pieces and of s*ell, and gram = R/r for an integer
+    matrix R, every piece (m, c) is the integer (M, C) = D*(m, c), and
     H(a) = 2 t^2 D r h(a/t) = 2 t r (M.a + t C) - Q(a) is an integer,
     where Q(a) = D a.Ra + 2 t r L.a and L = D*s*ell.
     """
@@ -441,7 +435,7 @@ class _Gap:
         c = f.complex
         self.n = c.dim
         scale, self.coords = _period_coords(c)
-        g, self.rows = integer_matrix(c.period.matrix)
+        g, self.rows = c.period.frame.g, c.period.frame.basis
         self.t = t = g * scale
         self.r, self.gram = integer_matrix(f.cocycle.polarization.gram)
         lin = vscale(f.linear_scale, f.cocycle.linear)
@@ -462,14 +456,6 @@ class _Gap:
         # cell shape, the edges e_k = a_k - a_0 -> (det, adjugate) of
         # G' = [e_k.R e_l], with det >= 0
         self.shapes: dict[tuple, tuple] = {}
-
-    def vertices(self, i: int) -> list[tuple[int, ...]]:
-        """The ambient integer images of the vertices of cells[i]."""
-        n, w = self.n, self.coords[i]
-        return [
-            tuple(sum(map(mul, row, w[k : k + n])) for row in self.rows)
-            for k in range(0, len(w), n)
-        ]
 
     def _quad(self, a: tuple) -> tuple:
         q = self.quad.get(a)
@@ -558,8 +544,9 @@ def sup_distance_to_quadratic(f: CocycleFunction) -> Fraction:
     best = Fraction(0)
     least = 0  # the least H over the vertices: -least / den is the max of -h
     seen = set()
-    for i, piece in enumerate(gap.pieces):
-        verts = gap.vertices(i)
+    n = gap.n
+    for w, piece in zip(gap.coords, gap.pieces):
+        verts = [_ambient(gap.rows, w[k : k + n]) for k in range(0, len(w), n)]
         over = gap.cell_max(verts, piece)
         if over > best:
             best = over

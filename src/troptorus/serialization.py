@@ -11,7 +11,7 @@ import re
 from fractions import Fraction
 
 from .complexes import PeriodicComplex, Simplex
-from .lattice import Lattice, Polarization
+from .lattice import Lattice
 from .linalg import Mat, TroptorusError, Vec
 
 _RATIONAL = re.compile(r"^(-?\d+)/(\d+)$")
@@ -84,10 +84,6 @@ def lattice_to_json(lat: Lattice) -> dict:
     return {"generators": format_matrix(lat.generators)}
 
 
-def polarization_to_json(b: Polarization) -> dict:
-    return {"gram": format_matrix(b.gram)}
-
-
 def simplex_to_json(s: Simplex) -> dict:
     return {"vertices": format_matrix(s.vertices)}
 
@@ -111,23 +107,6 @@ def certificate_to_json(cert) -> dict:
             None if cert.witness_slack is None else format_rational(cert.witness_slack)
         ),
         "slacks": {k: format_rational(v) for k, v in sorted(cert.slacks.items())},
-    }
-
-
-def measure_to_json(mu) -> dict:
-    return {
-        "lattice": lattice_to_json(mu.lattice),
-        "atoms": [
-            {"simplex": simplex_to_json(s), "density": format_rational(d)}
-            for s, d in mu.atoms
-        ],
-    }
-
-
-def empirical_to_json(e) -> dict:
-    return {
-        "lattice": lattice_to_json(e.lattice),
-        "points": format_matrix(e.points),
     }
 
 

@@ -12,10 +12,21 @@ from troptorus import (
     standard_lattice,
     superlattice,
 )
+from troptorus.linalg import from_columns, solve, vsub
 
 
 def frac(p, q=1):
     return Fraction(p, q)
+
+
+def barycentric_coords(s, p):
+    """Barycentric coordinates of p w.r.t. a full-dimensional simplex: the
+    exact oracle of the integer containment tests."""
+    v0 = s.vertices[0]
+    m = from_columns(s.edge_matrix())
+    lam = solve(m, vsub(p, v0))
+    lam0 = Fraction(1) - sum(lam, Fraction(0))
+    return (lam0,) + tuple(lam)
 
 
 def base_complex(n, gram=None):

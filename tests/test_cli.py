@@ -83,6 +83,7 @@ _UNIT = '"lattice": [["1/1"]], "gram": [["1/1"]]'
         ("triangulate", _SQUARE + ', "gram": [["1/1", "0/1"]]', []),
         ("equidist", _UNIT + ', "equidist": {"grid_orders": 8}', []),
         ("tate", _UNIT, ["--iterations", "-1"]),
+        ("triangulate", _UNIT, ["--level", "-1"]),
         ("collapse", _UNIT + ', "collapse": {"copies": "2"}', []),
         ("collapse", _UNIT + ', "collapse": {"copies": 1}', []),
         ("collapse", _UNIT + ', "collapse": {"deltas": "1/4"}', []),
@@ -96,6 +97,7 @@ _UNIT = '"lattice": [["1/1"]], "gram": [["1/1"]]'
         "non-square-gram",
         "grid-orders-not-list",
         "negative-iterations",
+        "negative-level",
         "copies-not-integer",
         "copies-below-two",
         "deltas-not-list",
@@ -139,6 +141,31 @@ def test_certify_auto(tmp_path):
     body = json.loads(text)
     assert body["passed"] is True
     assert body["epsilon"] == "1/16"
+
+
+def test_tate_reads_the_epsilon_flag(tmp_path, capsys):
+    """--epsilon overrides the file in tate as in certify: eps = 0 loses
+    convexity at once, and the eps auto finds gives the auto output."""
+    args = ["tate", "--problem", N2, "--iterations", "1"]
+    code, _ = run_cli(args + ["--epsilon", "0/1"], tmp_path, "zero.json")
+    assert code == 3
+    assert "convexity lost at iteration 0" in capsys.readouterr().err
+    code, auto = run_cli(args, tmp_path, "auto.json")
+    assert code == 0 and json.loads(auto)["epsilon"] == "1/16"
+    assert run_cli(args + ["--epsilon", "1/16"], tmp_path) == (0, auto)
+
+
+@pytest.mark.parametrize("command", ["certify", "tate"])
+def test_exhausted_epsilon_search_is_search_failure(command, tmp_path, capsys):
+    """A gram scaled by 2^-30 scales every face slack a but not the
+    perturbation slopes b, so no eps = 2^-k, k < 20, certifies."""
+    p = tmp_path / "tiny.json"
+    tiny = [["2/1073741824", "1/1073741824"], ["1/1073741824", "2/1073741824"]]
+    p.write_text(json.dumps({
+        "version": 1, "lattice": [["1/1", "0/1"], ["0/1", "1/1"]], "gram": tiny
+    }))
+    assert main([command, "--problem", str(p), "--iterations", "0"]) == 4
+    assert "no certified epsilon" in capsys.readouterr().err
 
 
 def test_tate_table_csv(tmp_path):

@@ -29,7 +29,6 @@ from troptorus.complexes import (
     barycentric_triangulation,
     canonical_cell,
     dyadic_refine_step,
-    fundamental_cuboid,
     make_complex,
 )
 from troptorus.lattice import Lattice
@@ -119,11 +118,6 @@ def test_overlap_far_along_a_skewed_basis_detected():
     check_tiling(c)
     with pytest.raises(ComplexError):
         check_common_faces(c)
-
-
-def test_cuboid_vertices():
-    verts = fundamental_cuboid(((F(1), F(0)), (F(0), F(1))))
-    assert len(verts) == 4
 
 
 def test_canonical_cell_reduces_first_vertex():

@@ -19,8 +19,8 @@ from troptorus import (
     superlattice,
 )
 from troptorus.equidist import _torus_distance
-from troptorus.lattice import LatticeError, lattice_part, sup_distances
-from troptorus.linalg import det, vadd, vsub
+from troptorus.lattice import LatticeError, sup_distances
+from troptorus.linalg import det, from_columns, inverse, vsub
 from troptorus.measures import MeasureError, _wrap_guard
 
 F = Fraction
@@ -117,13 +117,6 @@ def test_reduce_mod_idempotent_and_congruent(u):
     assert all(0 <= c < 1 for c in coords)
 
 
-@given(u=st.tuples(rationals, rationals))
-@settings(max_examples=40, deadline=None)
-def test_lattice_part_complements_reduction(u):
-    lat = standard_lattice(2)
-    assert vadd(lattice_part(u, lat), reduce_mod(u, lat)) == u
-
-
 def test_quadratic_halves_gram_diagonal():
     b = Polarization(((F(2), F(1)), (F(1), F(2))))
     # q(e1) = gram[0][0] / 2
@@ -178,3 +171,42 @@ def test_distances_to_the_lattice_match_brute_force(lat, v):
     _wrap_guard(lat, F(shortest, 4))
     with pytest.raises(MeasureError):
         _wrap_guard(lat, F(shortest, 4) + F(1, 1000))
+
+
+@st.composite
+def rational_lattices(draw):
+    """Random rational bases of R^n, n = 1, 2, 3, or the skewed basis
+    ((1, 0), (1/2, 3/2))."""
+    n = draw(st.integers(1, 3))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    basis = st.tuples(*[st.tuples(*[entry] * n)] * n).filter(
+        lambda g: det(from_columns(g)) != 0
+    )
+    if n == 2:
+        basis = st.one_of(st.just(((F(1), F(0)), (F(1, 2), F(3, 2)))), basis)
+    return Lattice(draw(basis))
+
+
+@given(lat=rational_lattices(), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_lattice_frame_is_the_basis_on_least_integer_scales(lat, data):
+    """g L / g == L and q L^-1 / q == L^-1 with g and q least, the frame
+    is built once, and integer_coords gives coords on its scale."""
+    frame = lat.frame
+    assert lat.frame is frame
+    assert frame.inverse == inverse(lat.matrix)
+    for scale, rows, want in (
+        (frame.g, frame.basis, lat.matrix),
+        (frame.q, frame.inv, frame.inverse),
+    ):
+        assert all(type(x) is int for row in rows for x in row)
+        assert tuple(tuple(F(x, scale) for x in row) for row in rows) == want
+        assert math.gcd(scale, *(x for row in rows for x in row)) == 1
+    coord = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+    points = data.draw(
+        st.lists(st.tuples(*[coord] * lat.dim), min_size=1, max_size=4)
+    )
+    d, ws = lat.integer_coords(points)
+    assert [tuple(F(x, d) for x in w) for w in ws] == [
+        lat.coords(p) for p in points
+    ]

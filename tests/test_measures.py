@@ -28,11 +28,7 @@ from troptorus import (
     pushforward,
     simplex_k_volume,
 )
-from troptorus.complexes import (
-    barycentric_coords,
-    barycentric_triangulation,
-    simplex_volume,
-)
+from troptorus.complexes import barycentric_triangulation, simplex_volume
 from troptorus.equidist import (
     difference_map,
     product_lattice,
@@ -52,7 +48,7 @@ from troptorus.linalg import (
 )
 from troptorus.measures import _clip_simplex, _wrap_guard
 from troptorus.paf import interpolate_test, vertex_orbits
-from tests.conftest import base_complex
+from tests.conftest import barycentric_coords, base_complex
 
 F = Fraction
 

@@ -27,7 +27,7 @@ from troptorus import test_sup_abs as sup_abs
 from troptorus.complexes import (
     PeriodicComplex,
     Simplex,
-    barycentric_coords,
+    _ambient,
     barycentric_triangulation,
     dyadic_refine,
 )
@@ -59,7 +59,7 @@ from troptorus.paf import (
     verify_periodicity,
     vertex_orbits,
 )
-from tests.conftest import base_complex
+from tests.conftest import barycentric_coords, base_complex
 
 F = Fraction
 
@@ -316,17 +316,20 @@ def _brute_force_hits(c, u):
 @st.composite
 def located_complexes(draw):
     """A complex of one of three kinds over a random rational period
-    basis, or the skewed basis ((1,0),(7,1)): J1 at levels 0-2, the
-    unfolded standard test complex, or J1 cells as shuffled non-canonical
-    translates."""
+    basis, or one of the skewed bases ((1,0),(7,1)) and ((1,0),(1/2,3/2)):
+    J1 at levels 0-2, the unfolded standard test complex, or J1 cells as
+    shuffled non-canonical translates."""
     n = draw(st.integers(1, 3))
     entries = st.fractions(min_value=-3, max_value=3, max_denominator=4)
     random_basis = st.tuples(*[st.tuples(*[entries] * n)] * n).filter(
         lambda g: det(from_columns(g)) != 0
     )
     if n == 2:
-        skewed = ((F(1), F(0)), (F(7), F(1)))
-        gens = draw(st.one_of(st.just(skewed), random_basis))
+        skewed = st.sampled_from((
+            ((F(1), F(0)), (F(7), F(1))),
+            ((F(1), F(0)), (F(1, 2), F(3, 2))),
+        ))
+        gens = draw(st.one_of(skewed, random_basis))
     else:
         gens = draw(random_basis)
     lat = Lattice(gens)
@@ -513,10 +516,11 @@ def test_sup_distance_per_shape_matches_the_clamping_oracle():
         gap = _Gap(f)
         gram = f.cocycle.polarization.gram
         lin = vscale(f.linear_scale, f.cocycle.linear)
-        for i, (cell, (m, c), t0) in enumerate(
-            zip(f.complex.cells, f.pieces, targets)
+        n = f.complex.dim
+        for cell, w, piece, (m, c), t0 in zip(
+            f.complex.cells, gap.coords, gap.pieces, f.pieces, targets
         ):
-            verts, piece = gap.vertices(i), gap.pieces[i]
+            verts = [_ambient(gap.rows, w[k : k + n]) for k in range(0, len(w), n)]
             want = max_affine_minus_quadratic(cell.vertices, m, c, gram, lin)
             assert gap.cell_max(verts, piece) == want
             inside = gap.interior_max(verts, piece)
