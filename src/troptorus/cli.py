@@ -14,6 +14,7 @@ from typing import Optional
 
 from .complexes import Simplex, barycentric_triangulation, dyadic_refine
 from .equidist import (
+    MAX_LEVEL,
     ExperimentConfig,
     ExperimentError,
     collapse_experiment,
@@ -73,9 +74,15 @@ class Problem:
     obstruction: dict
 
 
-def _integer(x, name: str, least: int) -> int:
-    if not isinstance(x, int) or isinstance(x, bool) or x < least:
-        raise SerializationError(f"{name} must be an integer >= {least}, got {x!r}")
+def _integer(x, name: str, least: int, most: Optional[int] = None) -> int:
+    if (
+        not isinstance(x, int)
+        or isinstance(x, bool)
+        or x < least
+        or (most is not None and x > most)
+    ):
+        bounds = f">= {least}" if most is None else f"in {least}..{most}"
+        raise SerializationError(f"{name} must be an integer {bounds}, got {x!r}")
     return x
 
 
@@ -87,8 +94,8 @@ def _block(raw: dict, name: str) -> dict:
 
 
 def _list(x, name: str) -> list:
-    if not isinstance(x, list):
-        raise SerializationError(f"{name} must be a list, got {x!r}")
+    if not isinstance(x, list) or not x:
+        raise SerializationError(f"{name} must be a nonempty list, got {x!r}")
     return x
 
 
@@ -139,7 +146,10 @@ def load_problem(path: str) -> Problem:
         level=_integer(raw.get("level", 0), "level", 0),
         equidist={
             "test_level": _integer(
-                equidist.get("test_level", 1), "equidist.test_level", 0
+                equidist.get("test_level", 1),
+                "equidist.test_level",
+                0,
+                MAX_LEVEL,
             ),
             "grid_orders": tuple(
                 _integer(m, "equidist.grid_orders entry", 1) for m in grid_orders
@@ -166,6 +176,7 @@ def load_problem(path: str) -> Problem:
                 obstruction.get("witness_level", 0),
                 "obstruction.witness_level",
                 0,
+                MAX_LEVEL,
             ),
         },
     )

@@ -59,6 +59,9 @@ class ExperimentError(TroptorusError):
     pass
 
 
+MAX_LEVEL = 6  # the finest test and witness complex level
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     lattice: Lattice
@@ -67,10 +70,12 @@ class ExperimentConfig:
     grid_orders: tuple[int, ...] = (8, 16, 32, 64, 128, 256, 512)
 
     def __post_init__(self):
+        if not self.grid_orders:
+            raise ExperimentError("grid orders must be nonempty")
         if any(m < 1 for m in self.grid_orders):
             raise ExperimentError("grid orders must be >= 1")
-        if self.test_level > 6:
-            raise ExperimentError("test level capped at 6")
+        if not 0 <= self.test_level <= MAX_LEVEL:
+            raise ExperimentError(f"test level must be in 0..{MAX_LEVEL}")
 
 
 @dataclass(frozen=True)
@@ -235,7 +240,7 @@ def fixed_denominator_obstruction(
 
         b = identity_polarization(lat.dim)
     grid = _grid_points_mod(lat, e_denominator)
-    for level in range(witness_level, 7):
+    for level in range(witness_level, MAX_LEVEL + 1):
         c = standard_test_complex(lat, b, level)
         orbits = vertex_orbits(c)
         ranked = sorted(
@@ -269,7 +274,8 @@ def fixed_denominator_obstruction(
             bound = integral / (1 + test_sup_abs(witness))
             return bound, witness, integral
     raise ExperimentError(
-        f"no witness separating the 1/{e_denominator}-grid up to level 6"
+        f"no witness separating the 1/{e_denominator}-grid"
+        f" up to level {MAX_LEVEL}"
     )
 
 

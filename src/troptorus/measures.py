@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from operator import add, mul
@@ -70,15 +70,23 @@ def _exact_sqrt(x: Fraction) -> Fraction | None:
 
 
 def simplex_k_volume(s: Simplex) -> Fraction:
-    """k-volume of a k-simplex in R^n, exact; raises if irrational."""
-    edges = s.edge_matrix()
-    if not edges:
+    """k-volume of a k-simplex in R^n, exact; raises if irrational.
+
+    For k = n it is |det E| / n!, the square root of the Gram determinant
+    det(E E^T) = det(E)^2 taken in closed form.
+    """
+    if s.dim == 0:
         return Fraction(1)  # a point atom carries its density as mass
+    if s.dim == s.ambient_dim:
+        return simplex_volume(s)
+    edges = s.edge_matrix()
     gram = tuple(tuple(dot(a, b) for b in edges) for a in edges)
-    g = det(gram)
-    root = _exact_sqrt(g)
+    root = _exact_sqrt(det(gram))
     if root is None:
-        raise MeasureError("simplex k-volume is irrational")
+        shown = ", ".join(f"({', '.join(map(str, v))})" for v in s.vertices)
+        raise MeasureError(
+            f"simplex {s.dim}-volume is irrational for vertices {shown}"
+        )
     return root / math.factorial(s.dim)
 
 
@@ -86,6 +94,10 @@ def simplex_k_volume(s: Simplex) -> Fraction:
 class PolytopalMeasure:
     lattice: Lattice
     atoms: tuple[tuple[Simplex, Fraction], ...]
+    # (mass, barycenter) per atom; see _atom_masses
+    _masses: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if not self.atoms:
@@ -99,6 +111,16 @@ class PolytopalMeasure:
     @property
     def dim(self) -> int:
         return self.atoms[0][0].dim
+
+
+def _atom_masses(mu: PolytopalMeasure) -> tuple[tuple[Fraction, Vec], ...]:
+    """(d * vol(s), barycenter of s) per atom (s, d), computed at most once
+    per measure and kept on it."""
+    if mu._masses is None:
+        object.__setattr__(mu, "_masses", tuple(
+            (d * simplex_k_volume(s), s.barycenter()) for s, d in mu.atoms
+        ))
+    return mu._masses
 
 
 @dataclass(frozen=True)
@@ -155,29 +177,32 @@ def integrate(t: TestFunction, mu: PolytopalMeasure) -> Fraction:
     is inside a single cell of t, or every cell of t is inside a single
     atom, up to the period.  Both are decided by containment indexes.
     An affine integrand over a simplex integrates to volume times the
-    barycenter value.
+    barycenter value; the atom masses and barycenters are kept on the
+    measure, and pieces with m = 0 and c = 0 add nothing.
     """
     # fast path: the atoms are exactly t's cells (e.g. Haar on t's complex)
     if len(mu.atoms) == len(t.complex.cells) and all(
         s == cell for (s, _), cell in zip(mu.atoms, t.complex.cells)
     ):
         total = Fraction(0)
-        for (s, d), (m, c) in zip(mu.atoms, t.pieces):
-            bc = s.barycenter()
-            total += d * simplex_k_volume(s) * (dot(m, bc) + c)
+        for (w, bc), (m, c) in zip(_atom_masses(mu), t.pieces):
+            if c or any(m):
+                total += w * (dot(m, bc) + c)
         return total
     # branch 1: each atom inside a cell translate cells[i] + lam of t
     index = _containment_index(t.complex)
-    total = Fraction(0)
-    for s, d in mu.atoms:
+    hits = []
+    for s, _ in mu.atoms:
         hit = index.locate(s.vertices)
         if hit is None:
             break
-        i, lam = hit
-        m, c = t.pieces[i]
-        value = dot(m, vsub(s.barycenter(), lam)) + c
-        total += d * simplex_k_volume(s) * value
+        hits.append(hit)
     else:
+        total = Fraction(0)
+        for (w, bc), (i, lam) in zip(_atom_masses(mu), hits):
+            m, c = t.pieces[i]
+            if c or any(m):
+                total += w * (dot(m, vsub(bc, lam)) + c)
         return total
     # branch 2: t's cells refine the atoms
     if t.complex.period != mu.lattice:
@@ -199,8 +224,9 @@ def integrate(t: TestFunction, mu: PolytopalMeasure) -> Fraction:
         )
         if hit is None:
             raise NoCommonRefinementError("test cell not inside one atom")
-        d = mu.atoms[hit[0]][1]
-        total += d * simplex_k_volume(cell) * (dot(m, cell.barycenter()) + c)
+        if c or any(m):
+            d = mu.atoms[hit[0]][1]
+            total += d * simplex_k_volume(cell) * (dot(m, cell.barycenter()) + c)
     return total
 
 
@@ -232,13 +258,22 @@ def empirical_averages(
         acc = coord_sums.get(key)
         coord_sums[key] = w if acc is None else list(map(add, acc, w))
     sums = [Fraction(0)] * len(tests)
+    live: dict[int, list] = {}  # cell -> the tests nonzero on it
     for (i, k), cnt in counts.items():
+        pieces = live.get(i)
+        if pieces is None:
+            pieces = live[i] = [
+                (j, m, c)
+                for j, (m, c) in enumerate(t.pieces[i] for t in tests)
+                if c or any(m)
+            ]
+        if not pieces:
+            continue
         # the sum of the points, each minus its translation by k periods
         vsum = base.period.from_coords(tuple(
             Fraction(x, d) - cnt * y for x, y in zip(coord_sums[i, k], k)
         ))
-        for j, t in enumerate(tests):
-            m, c = t.pieces[i]
+        for j, m, c in pieces:
             sums[j] += dot(m, vsum) + c * cnt
     return tuple(s / len(e.points) for s in sums)
 
@@ -248,7 +283,7 @@ def pushforward(mu, a: IntegralAffineMap):
     if isinstance(mu, EmpiricalMeasure):
         return empirical(a.target, tuple(a.apply(p) for p in mu.points))
     atoms = []
-    for s, d in mu.atoms:
+    for (s, _), (w, _) in zip(mu.atoms, _atom_masses(mu)):
         edges = s.edge_matrix()
         image_edges = tuple(mat_vec(a.matrix, e) for e in edges)
         if rank(image_edges) != s.dim:
@@ -256,10 +291,9 @@ def pushforward(mu, a: IntegralAffineMap):
                 "map collapses an atom; use monte_carlo_pushforward"
             )
         img = Simplex(tuple(a.apply(v) for v in s.vertices))
-        vol_src = simplex_k_volume(s)
         vol_img = simplex_k_volume(img)  # raises if irrational
         canon, _ = canonical_cell(img.vertices, a.target)
-        atoms.append((canon, d * vol_src / vol_img))
+        atoms.append((canon, w / vol_img))
     return PolytopalMeasure(lattice=a.target, atoms=tuple(atoms))
 
 
@@ -281,7 +315,7 @@ def monte_carlo_pushforward(
     """
     if samples <= 0:
         raise MeasureError("samples must be positive")
-    masses = [d * simplex_k_volume(s) for s, d in mu.atoms]
+    masses = [w for w, _ in _atom_masses(mu)]
     total = sum(masses, Fraction(0))
     quotas = [m / total * samples for m in masses]
     counts = [math.floor(q) for q in quotas]

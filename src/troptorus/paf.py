@@ -289,9 +289,12 @@ def evaluate_test(t: TestFunction, u: Vec) -> Fraction:
 
 
 def test_sup_abs(t: TestFunction) -> Fraction:
-    """sup |t|; attained at cell vertices since t is affine per cell."""
+    """sup |t|; attained at cell vertices since t is affine per cell.
+    Pieces with m = 0 and c = 0 are 0 and skipped."""
     best = Fraction(0)
     for cell, (m, c) in zip(t.complex.cells, t.pieces):
+        if not (c or any(m)):
+            continue
         for v in cell.vertices:
             val = abs(dot(m, v) + c)
             if val > best:

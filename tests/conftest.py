@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,9 @@ from troptorus import (
     standard_lattice,
     superlattice,
 )
-from troptorus.linalg import from_columns, solve, vsub
+from troptorus import NoCommonRefinementError, PeriodicComplex, integrate_empirical
+from troptorus.complexes import _containment_index, _period_coords
+from troptorus.linalg import det, dot, from_columns, solve, vsub
 
 
 def frac(p, q=1):
@@ -27,6 +30,75 @@ def barycentric_coords(s, p):
     lam = solve(m, vsub(p, v0))
     lam0 = Fraction(1) - sum(lam, Fraction(0))
     return (lam0,) + tuple(lam)
+
+
+def gram_k_volume(s):
+    """sqrt(det(E E^T)) / k! for a k-simplex with edge matrix E, by the
+    Gram determinant on every call: the oracle of simplex_k_volume and of
+    the atom masses kept on a measure."""
+    edges = s.edge_matrix()
+    if not edges:
+        return Fraction(1)
+    g = det(tuple(tuple(dot(a, b) for b in edges) for a in edges))
+    rn, rd = math.isqrt(g.numerator), math.isqrt(g.denominator)
+    assert rn * rn == g.numerator and rd * rd == g.denominator
+    return Fraction(rn, rd) / math.factorial(len(edges))
+
+
+def dense_integrate(t, mu):
+    """integrate over every atom or cell, zero pieces included, with each
+    volume and barycenter recomputed: the oracle of measures.integrate."""
+    if len(mu.atoms) == len(t.complex.cells) and all(
+        s == cell for (s, _), cell in zip(mu.atoms, t.complex.cells)
+    ):
+        return sum(
+            (
+                d * gram_k_volume(s) * (dot(m, s.barycenter()) + c)
+                for (s, d), (m, c) in zip(mu.atoms, t.pieces)
+            ),
+            Fraction(0),
+        )
+    index = _containment_index(t.complex)
+    total = Fraction(0)
+    for s, d in mu.atoms:
+        hit = index.locate(s.vertices)
+        if hit is None:
+            break
+        i, lam = hit
+        m, c = t.pieces[i]
+        total += d * gram_k_volume(s) * (dot(m, vsub(s.barycenter(), lam)) + c)
+    else:
+        return total
+    n = mu.lattice.dim
+    atoms = PeriodicComplex(period=mu.lattice, cells=tuple(s for s, _ in mu.atoms))
+    index = _containment_index(atoms)
+    scale, coords = _period_coords(t.complex)
+    total = Fraction(0)
+    for cell, w, (m, c) in zip(t.complex.cells, coords, t.pieces):
+        hit = index.find_cell_containing_simplex(
+            [w[k : k + n] for k in range(0, len(w), n)], scale
+        )
+        if hit is None:
+            raise NoCommonRefinementError("test cell not inside one atom")
+        d = mu.atoms[hit[0]][1]
+        total += d * gram_k_volume(cell) * (dot(m, cell.barycenter()) + c)
+    return total
+
+
+def dense_sup_abs(t):
+    """max |t| over every vertex of every cell: the oracle of
+    paf.test_sup_abs."""
+    return max(
+        abs(dot(m, v) + c)
+        for cell, (m, c) in zip(t.complex.cells, t.pieces)
+        for v in cell.vertices
+    )
+
+
+def dense_averages(tests, e):
+    """One integrate_empirical per test, each point located per test: the
+    oracle of measures.empirical_averages."""
+    return tuple(integrate_empirical(t, e) for t in tests)
 
 
 def base_complex(n, gram=None):

@@ -89,6 +89,10 @@ _UNIT = '"lattice": [["1/1"]], "gram": [["1/1"]]'
         ("collapse", _UNIT + ', "collapse": {"deltas": "1/4"}', []),
         ("collapse", _UNIT + ', "collapse": {"samples": 0}', []),
         ("collapse", _UNIT, ["--samples", "-5"]),
+        ("equidist", _UNIT + ', "equidist": {"grid_orders": []}', []),
+        ("collapse", _UNIT + ', "collapse": {"deltas": []}', []),
+        ("equidist", _UNIT + ', "equidist": {"test_level": 7}', []),
+        ("obstruction", _UNIT + ', "obstruction": {"witness_level": 7}', []),
     ],
     ids=[
         "singular-lattice",
@@ -103,6 +107,10 @@ _UNIT = '"lattice": [["1/1"]], "gram": [["1/1"]]'
         "deltas-not-list",
         "samples-zero",
         "samples-flag-negative",
+        "empty-grid-orders",
+        "empty-deltas",
+        "test-level-7",
+        "witness-level-7",
     ],
 )
 def test_malformed_problem_is_parse_error(command, body, extra, tmp_path, capsys):

@@ -91,6 +91,17 @@ def test_discrepancy_needs_tests(line_setup):
         discrepancy(torsion_grid(lat, 2), haar(lat, c), ())
 
 
+@pytest.mark.parametrize(
+    "options",
+    [{"grid_orders": ()}, {"test_level": -1}, {"test_level": 7}],
+    ids=["empty-grid-orders", "negative-level", "level-7"],
+)
+def test_experiment_config_rejects_bad_options(line_setup, options):
+    lat, b, _, _ = line_setup
+    with pytest.raises(ExperimentError):
+        ExperimentConfig(lattice=lat, polarization=b, **options)
+
+
 def test_equidistribution_small_run(line_setup):
     lat, b, _, _ = line_setup
     cfg = ExperimentConfig(

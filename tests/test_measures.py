@@ -46,9 +46,19 @@ from troptorus.linalg import (
     vscale,
     vsub,
 )
+from troptorus import measures
+from troptorus import test_sup_abs as sup_abs
 from troptorus.measures import _clip_simplex, _wrap_guard
+from troptorus.paf import TestFunction as PiecewiseTest
 from troptorus.paf import interpolate_test, vertex_orbits
-from tests.conftest import barycentric_coords, base_complex
+from tests.conftest import (
+    barycentric_coords,
+    base_complex,
+    dense_averages,
+    dense_integrate,
+    dense_sup_abs,
+    gram_k_volume,
+)
 
 F = Fraction
 
@@ -316,7 +326,9 @@ def test_monte_carlo_rejects_bad_sample_count(line_setup):
 
 def test_irrational_edge_volume_raises():
     s = Simplex(((F(0), F(0)), (F(1), F(1))))
-    with pytest.raises(MeasureError):
+    with pytest.raises(
+        MeasureError, match=r"simplex 1-volume is irrational .*\(0, 0\), \(1, 1\)"
+    ):
         simplex_k_volume(s)
 
 
@@ -360,7 +372,7 @@ def _sample_in_simplex(s: Simplex, rng: random.Random):
 
 
 def _oracle_pushforward(mu, a, samples, seed):
-    masses = [d * simplex_k_volume(s) for s, d in mu.atoms]
+    masses = [d * gram_k_volume(s) for s, d in mu.atoms]
     total = sum(masses, F(0))
     quotas = [m / total * samples for m in masses]
     counts = [math.floor(q) for q in quotas]
@@ -491,3 +503,136 @@ def test_monte_carlo_and_mass_near_match_fraction_path(setup, samples, seed, dat
     ):
         for d in (delta, delta / 3):
             assert mass_near(e, center, d) == _oracle_mass_near(e, center, d)
+
+
+_SKEWED = ((F(1), F(0)), (F(1, 2), F(3, 2)))
+
+
+@functools.lru_cache(maxsize=None)
+def _sparse_case(case, level):
+    """(lattice, J1 test complex at the level, its Haar measure); the
+    measure is shared, as one is across the tests of an experiment."""
+    if case == "skewed":
+        lat = Lattice(_SKEWED)
+        b = Polarization(((F(2), F(1)), (F(1), F(2))))
+    else:
+        lat, b, _, _ = base_complex(int(case[1]))
+    c = standard_test_complex(lat, b, level)
+    return lat, c, haar(lat, c)
+
+
+_ENTRY = st.builds(  # a nonzero entry, with no filter to slow shrinking
+    lambda sign, p, q: sign * F(p, q),
+    st.sampled_from((1, -1)),
+    st.integers(1, 15),
+    st.integers(1, 5),
+)
+
+
+def _draw_sparse_test(data, c):
+    """Random pieces, most of them zero, the others with m = 0 or c = 0 or
+    neither; the pieces need not agree across facets."""
+    n = c.dim
+    pieces = []
+    for _ in c.cells:
+        kind = data.draw(st.sampled_from(("zero", "zero", "m", "c", "mc")))
+        m = (
+            data.draw(st.tuples(*[_ENTRY] * n)) if "m" in kind
+            else (F(0),) * n
+        )
+        pieces.append((m, data.draw(_ENTRY) if "c" in kind else F(0)))
+    return PiecewiseTest(complex=c, pieces=tuple(pieces))
+
+
+@given(case=st.sampled_from(("n1", "n2", "skewed", "n3")), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_sparse_pieces_match_the_dense_oracles(case, data):
+    """integrate on the test's own cells, sup |t| and the empirical
+    averages, with zero pieces skipped and the masses kept on the measure,
+    against the dense Fraction paths of tests/conftest.py."""
+    lat, c, mu = _sparse_case(case, 0)
+    assert tuple(s for s, _ in mu.atoms) == c.cells  # the fast path
+    t, u = _draw_sparse_test(data, c), _draw_sparse_test(data, c)
+    assert integrate(t, mu) == dense_integrate(t, mu)
+    assert sup_abs(t) == dense_sup_abs(t)
+    coord = st.fractions(min_value=-2, max_value=2, max_denominator=7)
+    pts = data.draw(
+        st.lists(st.tuples(*[coord] * lat.dim), min_size=1, max_size=12)
+    )
+    e = empirical(lat, pts)
+    assert empirical_averages((t, u), e) == dense_averages((t, u), e)
+
+
+@given(case=st.sampled_from(("n1", "n2", "skewed")), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_sparse_pieces_in_both_refinement_branches(case, data):
+    """integrate where the atoms strictly refine the test's cells (branch
+    1) and where the test's cells strictly refine the atoms (branch 2),
+    against the dense oracle."""
+    lat, c0, mu0 = _sparse_case(case, 0)
+    _, c1, mu1 = _sparse_case(case, 1)
+    t0, t1 = _draw_sparse_test(data, c0), _draw_sparse_test(data, c1)
+    assert integrate(t0, mu1) == dense_integrate(t0, mu1)
+    assert integrate(t1, mu0) == dense_integrate(t1, mu0)
+    assert sup_abs(t1) == dense_sup_abs(t1)
+
+
+@pytest.mark.parametrize("kind", ["m-only", "c-only"])
+def test_a_lone_nonzero_piece_is_not_skipped(kind):
+    """Every piece zero but one, which has m = 0 or c = 0: the value comes
+    from that piece alone, so a zero test that drops it is caught.  The
+    level-0 test meets the fast path and branch 1, the level-1 test
+    branch 2."""
+    lat, c0, mu0 = _sparse_case("skewed", 0)
+    _, c1, mu1 = _sparse_case("skewed", 1)
+    piece = (
+        ((F(3), F(-1)), F(0)) if kind == "m-only" else ((F(0), F(0)), F(-5, 3))
+    )
+    for c, mus in ((c0, (mu0, mu1)), (c1, (mu0,))):
+        i = len(c.cells) - 1
+        pieces = [((F(0), F(0)), F(0))] * len(c.cells)
+        pieces[i] = piece
+        t = PiecewiseTest(complex=c, pieces=tuple(pieces))
+        for mu in mus:
+            assert integrate(t, mu) == dense_integrate(t, mu) != 0
+        assert sup_abs(t) == dense_sup_abs(t) != 0
+        e = empirical(lat, [c.cells[i].barycenter()])
+        (avg,) = empirical_averages((t,), e)
+        assert avg == dense_averages((t,), e)[0] != 0
+
+
+@given(n=st.integers(1, 4), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_n_volume_matches_the_gram_path(n, data):
+    """For k = n, |det E| / n! equals sqrt(det(E E^T)) / n!, whichever the
+    orientation of the simplex."""
+    coord = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    verts = tuple(data.draw(st.tuples(*[coord] * n)) for _ in range(n + 1))
+    s = Simplex(verts)
+    flipped = Simplex((verts[1], verts[0]) + verts[2:])
+    assume(det(s.edge_matrix()) != 0)
+    assert det(s.edge_matrix()) * det(flipped.edge_matrix()) < 0
+    assert simplex_k_volume(s) == simplex_k_volume(flipped) == gram_k_volume(s)
+
+
+def test_atom_masses_are_built_once_per_measure(plane_setup, monkeypatch):
+    lat, _, _, c = plane_setup
+    calls = []
+    real = measures.simplex_k_volume
+    monkeypatch.setattr(
+        measures, "simplex_k_volume", lambda s: calls.append(s) or real(s)
+    )
+    mu = haar(lat, c)
+    hats = hat_test_functions(c)
+    for t in hats:
+        integrate(t, mu)
+    ident = IntegralAffineMap(
+        matrix=((F(1), F(0)), (F(0), F(1))),
+        offset=(F(0), F(0)),
+        source=lat,
+        target=lat,
+    )
+    monte_carlo_pushforward(mu, ident, samples=8, seed=0)
+    assert len(calls) == len(mu.atoms)
+    integrate(hats[0], haar(lat, c))  # a new measure builds its own
+    assert len(calls) == 2 * len(mu.atoms)
