@@ -12,11 +12,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .complexes import Simplex, barycentric_triangulation, dyadic_refine
+from .complexes import Simplex
 from .equidist import (
     MAX_LEVEL,
     ExperimentConfig,
     ExperimentError,
+    barycentric_complex,
     collapse_experiment,
     fixed_denominator_obstruction,
     run_equidistribution,
@@ -26,8 +27,6 @@ from .lattice import (
     LatticeError,
     NotPositiveDefiniteError,
     Polarization,
-    orthogonalize,
-    superlattice,
 )
 from .linalg import TroptorusError, zero_vec
 from .paf import (
@@ -83,6 +82,12 @@ def _integer(x, name: str, least: int, most: Optional[int] = None) -> int:
     ):
         bounds = f">= {least}" if most is None else f"in {least}..{most}"
         raise SerializationError(f"{name} must be an integer {bounds}, got {x!r}")
+    return x
+
+
+def _positive(x: Fraction, name: str) -> Fraction:
+    if x <= 0:
+        raise SerializationError(f"{name} must be positive, got {x}")
     return x
 
 
@@ -158,7 +163,7 @@ def load_problem(path: str) -> Problem:
         collapse={
             "copies": _integer(collapse.get("copies", 2), "collapse.copies", 2),
             "deltas": tuple(
-                parse_rational(d)
+                _positive(parse_rational(d), "collapse.deltas entry")
                 for d in _list(
                     collapse.get("deltas", ["1/4", "1/8", "1/16", "1/32"]),
                     "collapse.deltas",
@@ -190,18 +195,11 @@ def _emit(text: str, out: Optional[str]) -> None:
             fh.write(text)
 
 
-def _base_complex(p: Problem, level: int):
-    orth = orthogonalize(p.lattice, p.polarization)
-    _, prime = superlattice(orth, p.lattice)
-    c = barycentric_triangulation(prime.generators, prime)
-    return dyadic_refine(c, level)
-
-
 def cmd_triangulate(p: Problem, args) -> int:
     level = p.level
     if args.level is not None:
         level = _integer(args.level, "--level", 0)
-    c = _base_complex(p, level)
+    c = barycentric_complex(p.lattice, p.polarization, level)
     _emit(canonical_dumps(complex_to_json(c)), args.out)
     return EXIT_OK
 
@@ -211,7 +209,7 @@ def _model_function(p: Problem, args):
     or else the problem file asks for ('auto' when neither does), with its
     convexity certificate.  An exhausted 'auto' search raises
     NotCertifiedError."""
-    c = _base_complex(p, 0)
+    c = barycentric_complex(p.lattice, p.polarization, 0)
     z = Cocycle(polarization=p.polarization, linear=p.linear)
     if args.epsilon is None and p.epsilon is not None:
         eps = p.epsilon
@@ -285,7 +283,7 @@ def cmd_equidist(p: Problem, args) -> int:
 
 
 def _diagonal_face(p: Problem, copies: int) -> Simplex:
-    base = _base_complex(p, 0)
+    base = barycentric_complex(p.lattice, p.polarization, 0)
     cell = base.cells[0]
     return Simplex(tuple(v * copies for v in cell.vertices))
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from operator import add, mul, sub
 
-from .lattice import Lattice, box_translates, covolume
+from .lattice import Lattice, box_translates, covolume, reduce_mod
 from .linalg import (
     DimensionMismatchError,
     TroptorusError,
@@ -744,14 +744,14 @@ def unfold(c: PeriodicComplex, lat: Lattice) -> PeriodicComplex:
     """Re-periodize a complex over a sublattice of its period.
 
     ``lat`` must be contained in ``c.period``; the result has period
-    ``lat`` and one cell per (cell, coset) pair.
+    ``lat``, one cell per (cell, coset) pair, and is c if lat = c.period.
     """
-    from .lattice import covolume as _covol, reduce_mod
-
+    if lat == c.period:
+        return c
     for g in lat.generators:
         if not c.period.contains(g):
             raise IncompatiblePeriodsError("unfold target must be a sublattice")
-    index = _covol(lat) / _covol(c.period)
+    index = covolume(lat) / covolume(c.period)
     if index.denominator != 1:
         raise IncompatiblePeriodsError("non-integer lattice index")
     index = int(index)

@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from operator import mul
 from typing import Optional
 
 from .complexes import (
@@ -22,6 +21,7 @@ from .complexes import (
 from .lattice import (
     Lattice,
     Polarization,
+    identity_polarization,
     orthogonalize,
     reduce_mod,
     sup_distances,
@@ -88,25 +88,12 @@ class ExperimentReport:
 
 
 def torsion_grid(lat: Lattice, m: int) -> EmpiricalMeasure:
-    """The m^n points of (1/m) * lattice modulo the lattice."""
+    """The m^n points k / m of (1/m) * lattice modulo the lattice."""
     if m < 1:
         raise ExperimentError("grid order must be >= 1")
-    n = lat.dim
-    g, rows = lat.frame.g, lat.frame.basis
-    # the point with coordinates k/m is m * g * point = sum_j k_j g b_j in
-    # integers; coordinates in [0, 1) mean it is already reduced
-    fracs: dict[int, Fraction] = {}
-    points = []
-    for k in product(range(m), repeat=n):
-        point = []
-        for row in rows:
-            x = sum(map(mul, k, row))
-            f = fracs.get(x)
-            if f is None:
-                f = fracs[x] = Fraction(x, m * g)
-            point.append(f)
-        points.append(tuple(point))
-    return EmpiricalMeasure(lattice=lat, points=tuple(points))
+    return EmpiricalMeasure(
+        lattice=lat, scale=m, coords=tuple(product(range(m), repeat=lat.dim))
+    )
 
 
 def _discrepancy_against(
@@ -138,15 +125,21 @@ def discrepancy(
     return _discrepancy_against(mu, tests)(e)
 
 
+def barycentric_complex(
+    lat: Lattice, b: Polarization, level: int
+) -> PeriodicComplex:
+    """The level-j barycentric complex over the b-orthogonal superlattice."""
+    orth = orthogonalize(lat, b)
+    _, prime = superlattice(orth, lat)
+    c = barycentric_triangulation(prime.generators, prime)
+    return dyadic_refine(c, level)
+
+
 def standard_test_complex(
     lat: Lattice, b: Polarization, level: int
 ) -> PeriodicComplex:
     """The level-j barycentric complex re-periodized over the lattice."""
-    orth = orthogonalize(lat, b)
-    _, prime = superlattice(orth, lat)
-    c = barycentric_triangulation(prime.generators, prime)
-    c = dyadic_refine(c, level)
-    return unfold(c, lat)
+    return unfold(barycentric_complex(lat, b, level), lat)
 
 
 def run_equidistribution(cfg: ExperimentConfig) -> ExperimentReport:
@@ -236,8 +229,6 @@ def fixed_denominator_obstruction(
     if e_denominator < 1:
         raise ExperimentError("denominator must be >= 1")
     if b is None:
-        from .lattice import identity_polarization
-
         b = identity_polarization(lat.dim)
     grid = _grid_points_mod(lat, e_denominator)
     for level in range(witness_level, MAX_LEVEL + 1):

@@ -16,19 +16,14 @@ from operator import add, mul
 from .complexes import (
     PeriodicComplex,
     Simplex,
+    _ambient,
     _containment_index,
     _period_coords,
     canonical_cell,
     simplex_volume,
     unfold,
 )
-from .lattice import (
-    Lattice,
-    box_translates,
-    covolume,
-    reduce_mod,
-    sup_distances,
-)
+from .lattice import Lattice, box_translates, covolume, sup_distances
 from .linalg import (
     Mat,
     TroptorusError,
@@ -44,7 +39,7 @@ from .linalg import (
     vscale,
     zero_vec,
 )
-from .paf import TestFunction, evaluate_test
+from .paf import TestFunction
 
 
 class MeasureError(TroptorusError):
@@ -125,17 +120,32 @@ def _atom_masses(mu: PolytopalMeasure) -> tuple[tuple[Fraction, Vec], ...]:
 
 @dataclass(frozen=True)
 class EmpiricalMeasure:
+    """Equal weights on points of R^n / lattice: point i is L w / scale
+    for the integer period coordinates w = coords[i], 0 <= w_j < scale."""
+
     lattice: Lattice
-    points: tuple[Vec, ...]
+    scale: int
+    coords: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if not self.points:
+        if not self.coords:
             raise MeasureError("empirical measure needs at least one point")
+
+    @property
+    def points(self) -> tuple[Vec, ...]:
+        """The points as rational vectors, built on each access."""
+        g, rows = self.lattice.frame.g, self.lattice.frame.basis
+        return tuple(
+            tuple(Fraction(a, g * self.scale) for a in _ambient(rows, w))
+            for w in self.coords
+        )
 
 
 def empirical(lat: Lattice, points) -> EmpiricalMeasure:
+    """The empirical measure of rational points, each reduced modulo lat."""
+    d, ws = lat.integer_coords(tuple(points))
     return EmpiricalMeasure(
-        lattice=lat, points=tuple(reduce_mod(p, lat) for p in points)
+        lattice=lat, scale=d, coords=tuple(tuple(x % d for x in w) for w in ws)
     )
 
 
@@ -231,28 +241,31 @@ def integrate(t: TestFunction, mu: PolytopalMeasure) -> Fraction:
 
 
 def integrate_empirical(t: TestFunction, e: EmpiricalMeasure) -> Fraction:
-    total = sum((evaluate_test(t, p) for p in e.points), Fraction(0))
-    return total / len(e.points)
+    return empirical_averages((t,), e)[0]
 
 
 def empirical_averages(
     tests: tuple[TestFunction, ...], e: EmpiricalMeasure
 ) -> tuple[Fraction, ...]:
-    """Averages of several tests on one complex, locating each point once."""
+    """Averages of several tests on one complex, locating each point once
+    by its integer period coordinates in the complex's period."""
     if not tests:
         return ()
     base = tests[0].complex
     if any(t.complex is not base and t.complex != base for t in tests):
-        return tuple(integrate_empirical(t, e) for t in tests)
+        return tuple(empirical_averages((t,), e)[0] for t in tests)
     index = _containment_index(base)
     # aggregate per cell translate: the per-point work is then
     # independent of the number of tests
     counts: dict[tuple, int] = {}
     coord_sums: dict[tuple, list] = {}
-    d, ws = base.period.integer_coords(e.points)
-    for p, w in zip(e.points, ws):
+    if e.lattice != base.period:
+        e = empirical(base.period, e.points)
+    d = e.scale
+    for w in e.coords:
         key = index.find_cell_containing_simplex((w,), d)
         if key is None:
+            p = base.period.from_coords(tuple(Fraction(x, d) for x in w))
             raise MeasureError(f"point {p} not covered by the test complex")
         counts[key] = counts.get(key, 0) + 1
         acc = coord_sums.get(key)
@@ -275,7 +288,7 @@ def empirical_averages(
         ))
         for j, m, c in pieces:
             sums[j] += dot(m, vsum) + c * cnt
-    return tuple(s / len(e.points) for s in sums)
+    return tuple(s / len(e.coords) for s in sums)
 
 
 def pushforward(mu, a: IntegralAffineMap):
@@ -310,8 +323,8 @@ def monte_carlo_pushforward(
     The work runs on one integer grid: the map followed by the target's
     period coordinates is affine, so each vertex is mapped once, and a
     sample is the integer combination of its atom's mapped vertices with
-    the cut gaps as weights, reduced by ``%``.  Each output coordinate is
-    built as one Fraction at the end.
+    the cut gaps as weights, reduced by ``%``; these reduced integers are
+    the output's period coordinates.
     """
     if samples <= 0:
         raise MeasureError("samples must be positive")
@@ -338,9 +351,7 @@ def monte_carlo_pushforward(
     )
     top = 1 << 32
     modulus = top * g * den  # period coordinates of a sample times this
-    t, basis = lat.frame.g, lat.frame.basis
-    out_den = t * modulus
-    points = []
+    coords = []
     first = 0
     for idx, ((s, _), cnt) in enumerate(zip(mu.atoms, counts)):
         k = s.dim
@@ -360,11 +371,10 @@ def monte_carlo_pushforward(
         bits = random.Random(f"{seed}:{idx}").getrandbits
         for _ in range(cnt):
             cuts = sorted([bits(32) for _ in range(k)])
-            r = [(b + sum(map(mul, cuts, col))) % modulus for b, col in axes]
-            points.append(tuple(
-                Fraction(sum(map(mul, row, r)), out_den) for row in basis
+            coords.append(tuple(
+                (b + sum(map(mul, cuts, col))) % modulus for b, col in axes
             ))
-    return EmpiricalMeasure(lattice=lat, points=tuple(points))
+    return EmpiricalMeasure(lattice=lat, scale=modulus, coords=tuple(coords))
 
 
 def _clip_simplex(verts: tuple[Vec, ...], a: Vec, beta: Fraction):
@@ -442,51 +452,52 @@ def mass_near(mu, center: Vec, delta: Fraction) -> Fraction:
     delta = Fraction(delta)
     if delta <= 0:
         raise MeasureError("delta must be positive")
-    _wrap_guard(mu.lattice, delta)
     lat = mu.lattice
+    _wrap_guard(lat, delta)
     n = lat.dim
+    _, g, rows, q, inv = lat.frame
     empirical_case = isinstance(mu, EmpiricalMeasure)
-    if not empirical_case and mu.dim != n:
+    if empirical_case:
+        unit = g * mu.scale
+    elif mu.dim != n:
         raise MeasureError("box masses need full-dimensional atoms")
-    pts = (
-        mu.points if empirical_case
-        else tuple(v for s, _ in mu.atoms for v in s.vertices)
-    )
-    # the points, the center, delta and the period basis on one scale s
-    s, rows = integer_matrix(
-        pts + (tuple(center), (delta,)) + lat.generators
-    )
-    q, inv = lat.frame.q, lat.frame.inv
-    c, (d,) = rows[len(pts)], rows[len(pts) + 1]
-    basis_rows = tuple(zip(*rows[len(pts) + 2 :]))  # the rows of s * L
-    # the period-coordinate bounding box of the box, at scale q * s
+    else:
+        unit, verts = integer_matrix(
+            tuple(v for s, _ in mu.atoms for v in s.vertices)
+        )
+    # the center and delta as c / t and d / t, t a multiple of unit, and
+    # the period-coordinate bounding box of the box, at scale q * t
+    t = math.lcm(unit, delta.denominator, *(x.denominator for x in center))
+    c = [x.numerator * (t // x.denominator) for x in center]
+    d = delta.numerator * (t // delta.denominator)
     reach = [d * sum(map(abs, row)) for row in inv]
     cw = [sum(map(mul, row, c)) for row in inv]
     lo = [x - e for x, e in zip(cw, reach)]
     hi = [x + e for x, e in zip(cw, reach)]
-    qs = q * s
+    qt = q * t
     if empirical_case:
+        # at scale t the point L w / scale plus the period vector L k is
+        # g L (a w + b k)
+        a, b = t // unit, t // g
+        f = qt // mu.scale  # w / scale as period coordinates at scale q t
         hits = 0
-        for p in rows[: len(pts)]:
-            w = [sum(map(mul, row, p)) for row in inv]
-            for k in box_translates(w, w, lo, hi, qs):
-                if all(
-                    abs(x + sum(map(mul, k, col)) - y) <= d
-                    for x, y, col in zip(p, c, basis_rows)
-                ):
+        for w in mu.coords:
+            wq = [f * x for x in w]
+            for k in box_translates(wq, wq, lo, hi, qt):
+                p = _ambient(rows, [a * x + b * y for x, y in zip(w, k)])
+                if all(abs(x - y) <= d for x, y in zip(p, c)):
                     hits += 1
                     break
-        return Fraction(hits, len(pts))
+        return Fraction(hits, len(mu.coords))
     total = Fraction(0)
-    first = 0
-    for atom, dens in mu.atoms:
+    r = t // unit
+    for i, (atom, dens) in enumerate(mu.atoms):
         ws = [
-            [sum(map(mul, row, v)) for row in inv]
-            for v in rows[first : first + n + 1]
+            [r * sum(map(mul, row, v)) for row in inv]
+            for v in verts[i * (n + 1) : (i + 1) * (n + 1)]
         ]
-        first += n + 1
         box = [min(col) for col in zip(*ws)], [max(col) for col in zip(*ws)]
-        for k in box_translates(*box, lo, hi, qs):
+        for k in box_translates(*box, lo, hi, qt):
             lam = lat.from_coords(k)
             total += dens * _box_clip_volume(atom.translate(lam), center, delta)
     return total

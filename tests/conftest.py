@@ -13,7 +13,7 @@ from troptorus import (
     standard_lattice,
     superlattice,
 )
-from troptorus import NoCommonRefinementError, PeriodicComplex, integrate_empirical
+from troptorus import NoCommonRefinementError, PeriodicComplex, evaluate_test
 from troptorus.complexes import _containment_index, _period_coords
 from troptorus.linalg import det, dot, from_columns, solve, vsub
 
@@ -96,9 +96,14 @@ def dense_sup_abs(t):
 
 
 def dense_averages(tests, e):
-    """One integrate_empirical per test, each point located per test: the
-    oracle of measures.empirical_averages."""
-    return tuple(integrate_empirical(t, e) for t in tests)
+    """Each test evaluated at each rational point of e, the point located
+    anew per test by evaluate_test: the oracle of
+    measures.empirical_averages."""
+    pts = e.points
+    return tuple(
+        sum((evaluate_test(t, p) for p in pts), Fraction(0)) / len(pts)
+        for t in tests
+    )
 
 
 def base_complex(n, gram=None):

@@ -91,6 +91,8 @@ _UNIT = '"lattice": [["1/1"]], "gram": [["1/1"]]'
         ("collapse", _UNIT, ["--samples", "-5"]),
         ("equidist", _UNIT + ', "equidist": {"grid_orders": []}', []),
         ("collapse", _UNIT + ', "collapse": {"deltas": []}', []),
+        ("collapse", _UNIT + ', "collapse": {"deltas": ["-1/4"]}', []),
+        ("collapse", _UNIT + ', "collapse": {"deltas": ["0/1"]}', []),
         ("equidist", _UNIT + ', "equidist": {"test_level": 7}', []),
         ("obstruction", _UNIT + ', "obstruction": {"witness_level": 7}', []),
     ],
@@ -109,6 +111,8 @@ _UNIT = '"lattice": [["1/1"]], "gram": [["1/1"]]'
         "samples-flag-negative",
         "empty-grid-orders",
         "empty-deltas",
+        "nonpositive-delta",
+        "zero-delta",
         "test-level-7",
         "witness-level-7",
     ],

@@ -6,7 +6,6 @@ from itertools import combinations, product
 import pytest
 
 from troptorus import (
-    EmpiricalMeasure,
     ExperimentConfig,
     ExperimentError,
     Simplex,
@@ -18,7 +17,6 @@ from troptorus import (
     fixed_denominator_obstruction,
     haar,
     hat_test_functions,
-    integrate_empirical,
     product_lattice,
     run_equidistribution,
     torsion_grid,
@@ -30,7 +28,7 @@ from troptorus.equidist import (
 )
 from troptorus.lattice import Lattice, Polarization, covolume, reduce_mod
 from troptorus.linalg import det, from_columns
-from tests.conftest import base_complex
+from tests.conftest import base_complex, dense_averages
 
 F = Fraction
 
@@ -43,8 +41,8 @@ def test_torsion_grid_size(n, m):
 
 def test_grid_points_and_averages_match_definitions():
     """torsion_grid against reduce_mod of the points k/m, and the grouped
-    empirical_averages against one integrate_empirical per test, on a
-    skewed lattice, also with points far outside the fundamental cell."""
+    empirical_averages against the per-point oracle, on a skewed lattice,
+    also with points given far outside the fundamental cell."""
     lat = Lattice(((F(1), F(0)), (F(1, 2), F(3, 2))))
     m = 6
     grid = torsion_grid(lat, m).points
@@ -60,10 +58,8 @@ def test_grid_points_and_averages_match_definitions():
         (F(rnd.randint(-40, 40), rnd.randint(1, 9)), F(rnd.randint(-9, 9), 7))
         for _ in range(8)
     )
-    # the measure as given, unreduced: averages reduce each point
-    for e in (torsion_grid(lat, 4), EmpiricalMeasure(lattice=lat, points=pts)):
-        singles = tuple(integrate_empirical(t, e) for t in hats)
-        assert empirical_averages(hats, e) == singles
+    for e in (torsion_grid(lat, 4), empirical(lat, pts)):
+        assert empirical_averages(hats, e) == dense_averages(hats, e)
 
 
 def test_torsion_grid_rejects_zero(line_setup):

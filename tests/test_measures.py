@@ -8,7 +8,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from troptorus import (
-    EmpiricalMeasure,
     IntegralAffineMap,
     MeasureError,
     NoCommonRefinementError,
@@ -28,11 +27,12 @@ from troptorus import (
     pushforward,
     simplex_k_volume,
 )
-from troptorus.complexes import barycentric_triangulation, simplex_volume
+from troptorus.complexes import barycentric_triangulation, simplex_volume, unfold
 from troptorus.equidist import (
     difference_map,
     product_lattice,
     standard_test_complex,
+    torsion_grid,
 )
 from troptorus.lattice import Lattice, covolume, reduce_mod
 from troptorus.linalg import (
@@ -154,7 +154,7 @@ def test_empirical_reduces_points(line_setup):
 def test_empirical_needs_points(line_setup):
     lat, _, _, _ = line_setup
     with pytest.raises(MeasureError):
-        EmpiricalMeasure(lattice=lat, points=())
+        empirical(lat, ())
 
 
 def test_mass_near_haar_box(line_setup):
@@ -421,6 +421,17 @@ def _oracle_mass_near(e, center, delta):
     return F(hits, len(e.points))
 
 
+def _dyadic_delta(lat):
+    """The largest 2^-j, j = 1..11, that the wrap guard of lat allows."""
+    for j in range(1, 12):
+        try:
+            _wrap_guard(lat, F(1, 2 ** j))
+        except MeasureError:
+            continue
+        return F(1, 2 ** j)
+    raise AssertionError("no delta passes the wrap guard")
+
+
 @st.composite
 def collapse_setups(draw):
     """A random rational basis of R^n, copies N in 2-3, random simplex
@@ -484,16 +495,9 @@ def test_monte_carlo_and_mass_near_match_fraction_path(setup, samples, seed, dat
     mu, amap = setup
     e = monte_carlo_pushforward(mu, amap, samples, seed)
     assert e.points == _oracle_pushforward(mu, amap, samples, seed)
+    assert all(0 <= x < e.scale for w in e.coords for x in w)
     lat = amap.target
-    delta = None
-    for j in range(1, 12):
-        try:
-            _wrap_guard(lat, F(1, 2 ** j))
-        except MeasureError:
-            continue
-        delta = F(1, 2 ** j)
-        break
-    assert delta is not None
+    delta = _dyadic_delta(lat)
     p = data.draw(st.sampled_from(e.points))
     signs = data.draw(st.tuples(*[st.sampled_from((-1, 0, 1))] * lat.dim))
     for center in (
@@ -599,6 +603,73 @@ def test_a_lone_nonzero_piece_is_not_skipped(kind):
         e = empirical(lat, [c.cells[i].barycenter()])
         (avg,) = empirical_averages((t,), e)
         assert avg == dense_averages((t,), e)[0] != 0
+
+
+def test_haar_on_the_period_keeps_the_cells():
+    """unfold to a complex's own period returns the complex, so the atoms
+    of haar(lat, c) are the cells of c themselves."""
+    lat, c, mu = _sparse_case("skewed", 0)
+    assert c.period == lat and unfold(c, lat) is c
+    assert len(mu.atoms) == len(c.cells)
+    assert all(s is cell for (s, _), cell in zip(mu.atoms, c.cells))
+
+
+_POINT_BASES = (_SKEWED, ((F(1), F(0)), (F(7), F(1))))
+
+
+@st.composite
+def rational_lattices(draw):
+    """A skewed basis of R^2 from _POINT_BASES or a random rational basis
+    of R^n, n <= 3."""
+    if draw(st.booleans()):
+        return Lattice(draw(st.sampled_from(_POINT_BASES)))
+    n = draw(st.integers(1, 3))
+    entries = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    return Lattice(draw(
+        st.tuples(*[st.tuples(*[entries] * n)] * n).filter(
+            lambda g: det(from_columns(g)) != 0
+        )
+    ))
+
+
+@given(lat=rational_lattices(), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_point_form_matches_the_fraction_definitions(lat, data):
+    """Empirical measures kept as integer period coordinates against the
+    Fraction definitions, from unreduced rational points: the points of
+    empirical and torsion_grid against reduce_mod, mass_near against the
+    every-shift count, and empirical_averages against the per-point
+    oracle, for tests on one complex and on two, and for a measure on a
+    sublattice of the tests' period."""
+    n = lat.dim
+    coord = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    pts = data.draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=10))
+    e = empirical(lat, pts)
+    assert e.points == tuple(reduce_mod(p, lat) for p in pts)
+    assert all(0 <= x < e.scale for w in e.coords for x in w)
+    m = data.draw(st.integers(1, 4))
+    assert torsion_grid(lat, m).points == tuple(
+        reduce_mod(lat.from_coords(tuple(F(x, m) for x in k)), lat)
+        for k in product(range(m), repeat=n)
+    )
+    delta = _dyadic_delta(lat)
+    signs = data.draw(st.tuples(*[st.sampled_from((-1, 0, 1))] * n))
+    p = e.points[0]
+    for center in (
+        (F(0),) * n,
+        p,
+        pts[0],
+        vadd(p, tuple(delta * x for x in signs)),
+    ):
+        for d in (delta, delta / 3):
+            assert mass_near(e, center, d) == _oracle_mass_near(e, center, d)
+    c = barycentric_triangulation(lat.generators, lat)
+    t, u = _draw_sparse_test(data, c), _draw_sparse_test(data, c)
+    fine = _draw_sparse_test(data, dyadic_refine(c, 1))
+    sub = Lattice(tuple(vscale(F(2), g) for g in lat.generators))
+    for tests in ((t, u), (t, fine)):
+        for e2 in (e, empirical(sub, pts)):
+            assert empirical_averages(tests, e2) == dense_averages(tests, e2)
 
 
 @given(n=st.integers(1, 4), data=st.data())
