@@ -23,11 +23,23 @@ SKEW = {
     "equidist": {"test_level": 0, "grid_orders": [8, 16, 32]},
 }
 
+# the identity n = 3 problem of the benchmark's certify workload
+IDENTITY_N3 = {
+    "version": 1,
+    "lattice": [["1/1" if i == j else "0/1" for i in range(3)] for j in range(3)],
+    "gram": [["1/1" if i == j else "0/1" for i in range(3)] for j in range(3)],
+    "linear": ["0/1", "0/1", "0/1"],
+    "level": 0,
+}
+
 # name -> (problem file or dict, top-level overrides, extra CLI arguments)
 CASES = {
     "triangulate-n2-level2": ("n2", {}, ["triangulate", "--level", "2"]),
+    "triangulate-n2-level4": ("n2", {}, ["triangulate", "--level", "4"]),
     "certify-n1-1/8": ("n1", {}, ["certify", "--epsilon", "1/8"]),
     "certify-n2-auto": ("n2", {}, ["certify", "--epsilon", "auto"]),
+    "certify-n2-zero": ("n2", {}, ["certify", "--epsilon", "0/1"]),
+    "certify-n3-auto": (IDENTITY_N3, {}, ["certify", "--epsilon", "auto"]),
     "tate-n1-csv": (
         "n1", {}, ["tate", "--iterations", "3", "--format", "csv"]
     ),
@@ -52,6 +64,10 @@ GOLDEN = {
         0,
         "3e5b94c84eadaf3bf6c767b139c2f39188ffa3e9ae68965b481bd7a385899410",
     ),
+    "triangulate-n2-level4": (
+        0,
+        "04041b26b934887d11d9ead9a5d705dd5f5600d6e34dc81f558377bde125ef75",
+    ),
     "certify-n1-1/8": (
         0,
         "95d3bfaf84563d1584fb7d8cc6264d81e76c5d677b288ad332251d0aa042dfcb",
@@ -59,6 +75,14 @@ GOLDEN = {
     "certify-n2-auto": (
         0,
         "89cbb295175ee9a3c3fb93197afd55f1ed1a6a78044c826a2cf9e890058c4c20",
+    ),
+    "certify-n2-zero": (
+        5,
+        "b4b1d1f9d15d7396b01f3b8364d83412a904c7b6b2333d2427850d971c6487b4",
+    ),
+    "certify-n3-auto": (
+        0,
+        "6fdf495e07d4d2f007e1570fa142320965417f879b6596eae05f29b525a531b4",
     ),
     "tate-n1-csv": (
         0,
