@@ -223,7 +223,7 @@ def _model_function(p: Problem, args):
 
 def cmd_certify(p: Problem, args) -> int:
     eps, _, cert = _model_function(p, args)
-    body = {"epsilon": format_rational(eps)}
+    body = {"epsilon": eps}
     body.update(certificate_to_json(cert))
     _emit(canonical_dumps(body), args.out)
     return EXIT_OK if cert.passed else EXIT_VERDICT

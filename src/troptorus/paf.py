@@ -10,7 +10,7 @@ are the exact counterparts of the ample-model construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul, sub
 from typing import Optional
@@ -18,7 +18,6 @@ from typing import Optional
 from .complexes import (
     AdjacentPair,
     PeriodicComplex,
-    Simplex,
     _ambient,
     _containment_index,
     _int_det_adj,
@@ -35,13 +34,12 @@ from .lattice import (
     reduce_mod,
 )
 from .linalg import (
+    SingularMatrixError,
     TroptorusError,
     Vec,
     dot,
     integer_matrix,
-    inverse,
     mat_vec,
-    solve,
     vadd,
     vsub,
     vscale,
@@ -79,6 +77,10 @@ class CocycleFunction:
     pieces: tuple[Piece, ...]  # parallel to complex.cells
     cocycle: Cocycle
     linear_scale: Fraction = Fraction(1)
+    # the one-step Tate successor; see tate_iterate
+    _next: CocycleFunction | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if len(self.pieces) != len(self.complex.cells):
@@ -106,12 +108,48 @@ class ConvexityCertificate:
     witness_slack: Optional[Fraction]
 
 
-def _interpolate_piece(cell: Simplex, values: tuple[Fraction, ...]) -> Piece:
-    """The unique affine (m, c) with m*v + c = value at each vertex."""
-    n = cell.ambient_dim
-    rows = tuple(v + (Fraction(1),) for v in cell.vertices)
-    sol = solve(rows, values)
-    return sol[:n], sol[n]
+def _cell_frames(c: PeriodicComplex) -> tuple[int, list]:
+    """(t, frames): per cell of c, (a_0, det, adj) for the integer images
+    a_k = t*v_k of its vertices (see complexes._ambient), where det and
+    adj are the determinant and adjugate of the matrix whose columns are
+    the edges a_k - a_0, computed once per cell shape."""
+    n = c.dim
+    scale, coords = _period_coords(c)
+    rows = c.period.frame.basis
+    shapes: dict[tuple, tuple] = {}
+    frames = []
+    for w in coords:
+        a0, *rest = (_ambient(rows, w[k : k + n]) for k in range(0, len(w), n))
+        edges = tuple(tuple(map(sub, a, a0)) for a in rest)
+        shape = shapes.get(edges)
+        if shape is None:
+            shape = shapes[edges] = _int_det_adj(edges)
+            if shape[0] == 0:
+                raise SingularMatrixError("flat cell")
+        frames.append((a0, *shape))
+    return c.period.frame.g * scale, frames
+
+
+def _interpolate_piece(t: int, frame, values) -> Piece:
+    """The unique affine (m, c) with m*v + c = values[k] at the vertices
+    v_k of a cell with frame (a_0, det, adj) of :func:`_cell_frames`.
+
+    With the values y_k = Y_k / d over one denominator d, the gradient is
+    m = t N / (det d), N = sum_k (Y_k - Y_0) adj[k-1], and
+    c = y_0 - m.v_0 = (Y_0 det - N.a_0) / (det d).
+    """
+    a0, det, adj = frame
+    d = math.lcm(*(y.denominator for y in values))
+    y0, *ys = (y.numerator * (d // y.denominator) for y in values)
+    nums = [0] * len(a0)
+    for y, row in zip(ys, adj):
+        if y != y0:
+            nums = [x + (y - y0) * z for x, z in zip(nums, row)]
+    den = det * d
+    return (
+        tuple(Fraction(t * x, den) for x in nums),
+        Fraction(y0 * det - sum(map(mul, nums, a0)), den),
+    )
 
 
 def _translate_terms(f: CocycleFunction, lam: Vec) -> tuple[Vec, Fraction]:
@@ -174,11 +212,13 @@ def build_model_function(
     """
     values = _model_values(c, z)
     eps = Fraction(eps)
-    pieces = []
-    for cell in c.cells:
-        pieces.append(_interpolate_piece(cell, tuple(
+    t, frames = _cell_frames(c)
+    pieces = [
+        _interpolate_piece(t, frame, [
             values[v][0] + eps * values[v][1] for v in cell.vertices
-        )))
+        ])
+        for cell, frame in zip(c.cells, frames)
+    ]
     return CocycleFunction(
         complex=c, pieces=tuple(pieces), cocycle=z, linear_scale=Fraction(1)
     )
@@ -190,34 +230,55 @@ def _pair_key(p: AdjacentPair) -> str:
     return f"cell{p.i}[{si}]|cell{p.j}[{sj}]"
 
 
-def pair_slack(f: CocycleFunction, p: AdjacentPair) -> Fraction:
-    """n*(m_delta - m_sigma) at the face of p: the gradients on the two
-    cell copies differ from the stored ones by G shift (cocycle law)."""
-    gram = f.cocycle.polarization.gram
-    return dot(p.normal, vsub(f.pieces[p.i][0], f.pieces[p.j][0])) + dot(
-        p.normal, mat_vec(gram, vsub(p.shift_i, p.shift_j))
-    )
+def face_slacks(
+    c: PeriodicComplex, pieces, gram=None
+) -> tuple[int, list[int]]:
+    """(den, nums): under the pieces, one per cell of c, the slack
+    n*(m_delta - m_sigma) at the face of the k-th pair of
+    adjacent_pairs(c) is nums[k] / den, with den > 0.
+
+    With a gram G the gradients on the two cell copies differ from the
+    stored ones by G shift (cocycle law), which adds n*G(shift_i -
+    shift_j); without one, the pieces are periodic.  In integers: the
+    gradients are M = D m over their least common denominator D, G = R/r,
+    and g*shift is integer for the g of the period's frame, so
+    den = D r g and the cocycle term, once per distinct shift pair, is
+    D n.R(g shift_i - g shift_j).
+    """
+    d = math.lcm(*(x.denominator for m, _ in pieces for x in m))
+    grads = [[x.numerator * (d // x.denominator) for x in m] for m, _ in pieces]
+    e = 1
+    if gram is not None:
+        g = c.period.frame.g
+        r, rows = integer_matrix(gram)
+        e = r * g
+    terms: dict[tuple, list] = {}  # (shift_i, shift_j) -> D R g(shift_i - shift_j)
+    nums = []
+    for p in adjacent_pairs(c):
+        nu = [x.numerator for x in p.normal]
+        s = e * sum(map(mul, nu, map(sub, grads[p.i], grads[p.j])))
+        if gram is not None and p.shift_i != p.shift_j:
+            key = (p.shift_i, p.shift_j)
+            w = terms.get(key)
+            if w is None:
+                gs = [int((x - y) * g) for x, y in zip(*key)]
+                w = terms[key] = [d * sum(map(mul, row, gs)) for row in rows]
+            s += sum(map(mul, nu, w))
+        nums.append(s)
+    return d * e, nums
 
 
 def check_strongly_convex(f: CocycleFunction) -> ConvexityCertificate:
     """Exact slack n*(m_delta - m_sigma) per face orbit; pass iff all > 0."""
-    slacks: dict[str, Fraction] = {}
-    witness = None
-    witness_slack = None
-    min_slack = None
-    for p in adjacent_pairs(f.complex):
-        s = pair_slack(f, p)
-        slacks[_pair_key(p)] = s
-        if min_slack is None or s < min_slack:
-            min_slack = s
-        if s <= 0 and witness is None:
-            witness, witness_slack = p, s
+    pairs = adjacent_pairs(f.complex)
+    den, nums = face_slacks(f.complex, f.pieces, f.cocycle.polarization.gram)
+    bad = next((k for k, s in enumerate(nums) if s <= 0), None)
     return ConvexityCertificate(
-        passed=witness is None,
-        slacks=slacks,
-        min_slack=min_slack,
-        witness=witness,
-        witness_slack=witness_slack,
+        passed=bad is None,
+        slacks={_pair_key(p): Fraction(s, den) for p, s in zip(pairs, nums)},
+        min_slack=Fraction(min(nums), den) if nums else None,
+        witness=None if bad is None else pairs[bad],
+        witness_slack=None if bad is None else Fraction(nums[bad], den),
     )
 
 
@@ -243,30 +304,39 @@ def tate_iterate(f0: CocycleFunction, i: int) -> CocycleFunction:
 
     Gradients scale by 1/2 and constants by 1/4 per step; the effective
     linear coefficient halves, so the cocycle law keeps holding exactly.
+    Each function keeps its one-step successor, so iterating the same f0
+    again reuses the steps already taken.
     """
     if i < 0:
         raise PafError("iteration count must be >= 0")
     f = f0
     for _ in range(i):
-        refined, parents = dyadic_refine_step(f.complex)
-        terms: dict[Vec, tuple[Vec, Fraction]] = {}  # per distinct lam
-        pieces = []
-        for (pi, lam) in parents:
-            t = terms.get(lam)
-            if t is None:
-                t = terms[lam] = _translate_terms(f, lam)
-            m, c = f.pieces[pi]
-            pieces.append((
-                tuple((x + y) / 2 for x, y in zip(m, t[0])),
-                (c - dot(m, lam) + t[1]) / 4,
-            ))
-        f = CocycleFunction(
-            complex=refined,
-            pieces=tuple(pieces),
-            cocycle=f.cocycle,
-            linear_scale=f.linear_scale / 2,
-        )
+        if f._next is None:
+            object.__setattr__(f, "_next", _tate_step(f))
+        f = f._next
     return f
+
+
+def _tate_step(f: CocycleFunction) -> CocycleFunction:
+    """f_1 of :func:`tate_iterate`: one step, on the dyadic refinement."""
+    refined, parents = dyadic_refine_step(f.complex)
+    terms: dict[Vec, tuple[Vec, Fraction]] = {}  # per distinct lam
+    pieces = []
+    for (pi, lam) in parents:
+        t = terms.get(lam)
+        if t is None:
+            t = terms[lam] = _translate_terms(f, lam)
+        m, c = f.pieces[pi]
+        pieces.append((
+            tuple((x + y) / 2 for x, y in zip(m, t[0])),
+            (c - dot(m, lam) + t[1]) / 4,
+        ))
+    return CocycleFunction(
+        complex=refined,
+        pieces=tuple(pieces),
+        cocycle=f.cocycle,
+        linear_scale=f.linear_scale / 2,
+    )
 
 
 def _test_piece_at(t: TestFunction, points) -> Piece:
@@ -310,15 +380,16 @@ def interpolate_test(
     Keys are vertices reduced mod the period; values extend periodically.
     """
     reduced = _reduced_vertices(c)
+    t, frames = _cell_frames(c)
     pieces = []
-    for cell in c.cells:
+    for cell, frame in zip(c.cells, frames):
         vals = []
         for v in cell.vertices:
             key = reduced[v]
             if key not in vertex_values:
                 raise PafError(f"missing vertex value at {key}")
             vals.append(vertex_values[key])
-        pieces.append(_interpolate_piece(cell, tuple(vals)))
+        pieces.append(_interpolate_piece(t, frame, vals))
     return TestFunction(complex=c, pieces=tuple(pieces))
 
 
@@ -339,23 +410,20 @@ def vertex_orbits(c: PeriodicComplex) -> tuple[Vec, ...]:
 def hat_test_functions(c: PeriodicComplex) -> tuple[TestFunction, ...]:
     """The nodal basis: one test per vertex orbit, 1 there and 0 elsewhere.
 
-    On a cell, the hat of orbit o is the sum of the barycentric
-    coordinates of the cell's vertices in o: the columns, at those
-    vertices, of the inverse of the matrix with rows [v | 1].
+    On a cell, the hat of orbit o interpolates 1 at the cell's vertices
+    in o and 0 at the others; cells the orbit misses get the zero piece.
     """
     reduced = _reduced_vertices(c)
     orbits = sorted(set(reduced.values()))
     pos = {o: k for k, o in enumerate(orbits)}
-    n = c.dim
-    pieces = [[(zero_vec(n), Fraction(0))] * len(c.cells) for _ in orbits]
-    for i, cell in enumerate(c.cells):
-        inv = inverse(tuple(v + (Fraction(1),) for v in cell.vertices))
-        for k, v in enumerate(cell.vertices):
-            hat = pieces[pos[reduced[v]]]
-            m, c0 = hat[i]
-            hat[i] = (
-                tuple(m[j] + inv[j][k] for j in range(n)),
-                c0 + inv[n][k],
+    zero = (zero_vec(c.dim), Fraction(0))
+    pieces = [[zero] * len(c.cells) for _ in orbits]
+    t, frames = _cell_frames(c)
+    for i, (cell, frame) in enumerate(zip(c.cells, frames)):
+        keys = [reduced[v] for v in cell.vertices]
+        for o in set(keys):
+            pieces[pos[o]][i] = _interpolate_piece(
+                t, frame, [int(k == o) for k in keys]
             )
     return tuple(TestFunction(complex=c, pieces=tuple(p)) for p in pieces)
 
@@ -589,6 +657,25 @@ def verify_periodicity(f: CocycleFunction) -> None:
                     raise PafError("cocycle periodicity violated")
 
 
+def _epsilon_lines(c: PeriodicComplex, z: Cocycle) -> tuple[list, int, list]:
+    """(parts, den, lines): per cell, the pieces of q + ell and of the
+    vertex perturbation, so the model piece at eps is the first plus
+    eps times the second; and per pair of adjacent_pairs(c) the integers
+    (a, b) with face slack (a + b*eps) / den at every eps."""
+    values = _model_values(c, z)
+    t, frames = _cell_frames(c)
+    parts = [
+        tuple(
+            _interpolate_piece(t, frame, [values[v][k] for v in cell.vertices])
+            for k in (0, 1)
+        )
+        for cell, frame in zip(c.cells, frames)
+    ]
+    da, a = face_slacks(c, [p for p, _ in parts], z.polarization.gram)
+    db, b = face_slacks(c, [q for _, q in parts])
+    return parts, da * db, [(x * db, y * da) for x, y in zip(a, b)]
+
+
 def auto_epsilon(
     c: PeriodicComplex, z: Cocycle, max_halvings: int = 20
 ) -> tuple[Fraction, CocycleFunction, ConvexityCertificate]:
@@ -596,36 +683,19 @@ def auto_epsilon(
     certificate passes, with the model function and its certificate.
 
     The model pieces are affine in eps, so each face slack is
-    a + b*eps: one pass over the faces gives every (a, b), and the
-    search needs no rebuild.  The certificate is then computed once,
-    exactly, at the eps found.
+    (a + b*eps) / den: one pass over the faces gives every (a, b), and
+    the search, on the integers 2^k a + b, needs no rebuild.  The
+    certificate is then computed once, exactly, at the eps found.
     """
-    values = _model_values(c, z)
-    parts = []  # per cell: the pieces of q + ell and of the perturbation
-    for cell in c.cells:
-        parts.append(tuple(
-            _interpolate_piece(cell, tuple(values[v][k] for v in cell.vertices))
-            for k in (0, 1)
-        ))
-    base = CocycleFunction(
-        complex=c, pieces=tuple(p for p, _ in parts), cocycle=z
-    )
-    lines = [
-        (
-            pair_slack(base, p),
-            dot(p.normal, vsub(parts[p.i][1][0], parts[p.j][1][0])),
-        )
-        for p in adjacent_pairs(c)
-    ]
-    eps = Fraction(1)
-    for _ in range(max_halvings):
-        if all(a + b * eps > 0 for a, b in lines):
+    parts, _, lines = _epsilon_lines(c, z)
+    for k in range(max_halvings):
+        if all((a << k) + b > 0 for a, b in lines):
             break
-        eps /= 2
     else:
         raise NotCertifiedError(
             f"no certified epsilon within {max_halvings} halvings"
         )
+    eps = Fraction(1, 2 ** k)
     f = CocycleFunction(
         complex=c,
         pieces=tuple(

@@ -6,12 +6,11 @@ with a newline, so equal objects serialize to identical bytes.
 """
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
-from .complexes import PeriodicComplex, Simplex
-from .lattice import Lattice
+from .complexes import PeriodicComplex
 from .linalg import Mat, TroptorusError, Vec
 
 _RATIONAL = re.compile(r"^(-?\d+)/(\d+)$")
@@ -53,46 +52,45 @@ def parse_matrix(rows) -> Mat:
     return out
 
 
-def format_vector(v: Vec) -> list:
-    return [format_rational(x) for x in v]
-
-
-def format_matrix(m: Mat) -> list:
-    return [format_vector(r) for r in m]
-
-
-def to_jsonable(obj):
-    """Recursively rewrite Fractions as "p/q" strings for json.dumps."""
+def _text(obj, nl: str) -> str:
+    """The canonical text of obj; nl is the line break and indent of the
+    line obj starts on."""
     if isinstance(obj, Fraction):
-        return format_rational(obj)
-    if isinstance(obj, bool) or obj is None:
-        return obj
-    if isinstance(obj, (int, str)):
-        return obj
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
+        return f'"{obj.numerator}/{obj.denominator}"'
     if isinstance(obj, (list, tuple)):
-        return [to_jsonable(x) for x in obj]
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        parts = [_text(x, inner) for x in obj]
+        return f"[{inner}" + f",{inner}".join(parts) + nl + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        items = sorted({str(k): v for k, v in obj.items()}.items())
+        parts = [f"{_quote(k)}: {_text(v, inner)}" for k, v in items]
+        return "{" + inner + f",{inner}".join(parts) + nl + "}"
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None or isinstance(obj, bool):
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
     raise SerializationError(f"cannot serialize {type(obj).__name__}")
 
 
 def canonical_dumps(obj) -> str:
-    return json.dumps(to_jsonable(obj), sort_keys=True, indent=2) + "\n"
-
-
-def lattice_to_json(lat: Lattice) -> dict:
-    return {"generators": format_matrix(lat.generators)}
-
-
-def simplex_to_json(s: Simplex) -> dict:
-    return {"vertices": format_matrix(s.vertices)}
+    """What json.dumps(obj, sort_keys=True, indent=2) + "\\n" gives once
+    each Fraction is the string "p/q" and each key is str(key), written
+    in one pass."""
+    return _text(obj, "\n") + "\n"
 
 
 def complex_to_json(c: PeriodicComplex) -> dict:
     return {
-        "period": lattice_to_json(c.period),
+        "period": {"generators": c.period.generators},
         "level": c.level,
-        "cells": [simplex_to_json(s) for s in c.cells],
+        "cells": [{"vertices": s.vertices} for s in c.cells],
     }
 
 
@@ -101,12 +99,10 @@ def certificate_to_json(cert) -> dict:
 
     return {
         "passed": cert.passed,
-        "min_slack": None if cert.min_slack is None else format_rational(cert.min_slack),
+        "min_slack": cert.min_slack,
         "witness": None if cert.witness is None else _pair_key(cert.witness),
-        "witness_slack": (
-            None if cert.witness_slack is None else format_rational(cert.witness_slack)
-        ),
-        "slacks": {k: format_rational(v) for k, v in sorted(cert.slacks.items())},
+        "witness_slack": cert.witness_slack,
+        "slacks": cert.slacks,
     }
 
 
@@ -114,7 +110,7 @@ def report_to_json(r) -> dict:
     return {
         "kind": r.kind,
         "verdict": r.verdict,
-        "entries": to_jsonable(r.entries),
-        "ratios": to_jsonable(r.ratios),
-        "details": to_jsonable(r.details),
+        "entries": r.entries,
+        "ratios": r.ratios,
+        "details": r.details,
     }

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from troptorus import (
 from troptorus import NoCommonRefinementError, PeriodicComplex, evaluate_test
 from troptorus.complexes import _containment_index, _period_coords
 from troptorus.linalg import det, dot, from_columns, solve, vsub
+from troptorus.serialization import SerializationError
 
 
 def frac(p, q=1):
@@ -104,6 +106,28 @@ def dense_averages(tests, e):
         sum((evaluate_test(t, p) for p in pts), Fraction(0)) / len(pts)
         for t in tests
     )
+
+
+def to_jsonable(obj):
+    """Recursively rewrite Fractions as "p/q" strings and keys as str(key)
+    for json.dumps."""
+    if isinstance(obj, Fraction):
+        return f"{obj.numerator}/{obj.denominator}"
+    if isinstance(obj, bool) or obj is None:
+        return obj
+    if isinstance(obj, (int, str)):
+        return obj
+    if isinstance(obj, dict):
+        return {str(k): to_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [to_jsonable(x) for x in obj]
+    raise SerializationError(f"cannot serialize {type(obj).__name__}")
+
+
+def json_dumps(obj):
+    """The canonical text through to_jsonable and the stdlib encoder: the
+    oracle of serialization.canonical_dumps."""
+    return json.dumps(to_jsonable(obj), sort_keys=True, indent=2) + "\n"
 
 
 def base_complex(n, gram=None):

@@ -28,6 +28,7 @@ from troptorus.complexes import (
     PeriodicComplex,
     Simplex,
     _ambient,
+    adjacent_pairs,
     barycentric_triangulation,
     dyadic_refine,
 )
@@ -53,7 +54,13 @@ from troptorus.linalg import (
 )
 from troptorus.paf import (
     CocycleFunction,
+    ConvexityCertificate,
     _Gap,
+    _cell_frames,
+    _epsilon_lines,
+    _interpolate_piece,
+    _pair_key,
+    face_slacks,
     locate_cell,
     verify_continuity,
     verify_periodicity,
@@ -606,3 +613,159 @@ def test_auto_epsilon_matches_the_halving_loop():
 
     check()
     assert outcomes == {"passed", "raised"}
+
+
+# --- the integer face slacks and interpolation against their Fraction
+# references -----------------------------------------------------------------
+
+
+def pair_slack(f, p):
+    """n*(m_delta - m_sigma) at the face of p, in Fractions: the gradients
+    on the two cell copies differ from the stored ones by G shift."""
+    gram = f.cocycle.polarization.gram
+    return dot(p.normal, vsub(f.pieces[p.i][0], f.pieces[p.j][0])) + dot(
+        p.normal, mat_vec(gram, vsub(p.shift_i, p.shift_j))
+    )
+
+
+def fraction_certificate(f):
+    """check_strongly_convex with one Fraction pair_slack per face."""
+    slacks, witness, witness_slack, min_slack = {}, None, None, None
+    for p in adjacent_pairs(f.complex):
+        s = pair_slack(f, p)
+        slacks[_pair_key(p)] = s
+        if min_slack is None or s < min_slack:
+            min_slack = s
+        if s <= 0 and witness is None:
+            witness, witness_slack = p, s
+    return ConvexityCertificate(
+        passed=witness is None,
+        slacks=slacks,
+        min_slack=min_slack,
+        witness=witness,
+        witness_slack=witness_slack,
+    )
+
+
+SKEW_BASIS = ((F(1), F(0)), (F(1, 2), F(3, 2)))
+THIRDS_GRAM = ((F(3, 2), F(1, 3)), (F(1, 3), F(1)))
+
+
+@st.composite
+def model_problems(draw):
+    """(c, z): the level-0 complex and a cocycle in dimension 1 to 3, over
+    the unit basis, the skewed basis or (n < 3) a random one, with the
+    identity gram, a gram with non-integer entries or a random one."""
+    n = draw(st.integers(1, 3))
+    point = st.tuples(*[small_rationals] * n)
+    unit = tuple(tuple(F(int(i == j)) for i in range(n)) for j in range(n))
+    # None stands for a random basis or gram
+    bases = {1: [unit, None], 2: [unit, SKEW_BASIS, None], 3: [unit]}[n]
+    grams = {1: [unit, None], 2: [unit, THIRDS_GRAM, None], 3: [unit, None]}[n]
+    basis, gram = draw(st.sampled_from(bases)), draw(st.sampled_from(grams))
+    if basis is None:
+        basis = draw(
+            st.tuples(*[point] * n).filter(lambda g: det(from_columns(g)) != 0)
+        )
+    lat = Lattice(basis)
+    b = Polarization(_positive_definite(draw, n) if gram is None else gram)
+    _, prime = superlattice(orthogonalize(lat, b), lat)
+    c = barycentric_triangulation(prime.generators, prime)
+    return c, Cocycle(polarization=b, linear=draw(point))
+
+
+@st.composite
+def slack_cases(draw):
+    """A model function at eps = 0 (zero slacks), a small eps or a random
+    eps, or random pieces (slacks of any sign), over the complex of
+    model_problems; then perhaps one Tate step, and perhaps unfolded to
+    the sublattice with its first generator doubled, whose faces carry
+    shifts the level-0 faces do not."""
+    c, z = draw(model_problems())
+    n = c.dim
+    point = st.tuples(*[small_rationals] * n)
+    kind = draw(st.sampled_from(["zero", "small", "any", "random"]))
+    if kind == "random":
+        f = CocycleFunction(
+            complex=c,
+            pieces=tuple(
+                (draw(point), draw(small_rationals)) for _ in c.cells
+            ),
+            cocycle=z,
+            linear_scale=draw(st.fractions(F(1, 4), 2, max_denominator=4)),
+        )
+    else:
+        eps = {"zero": F(0), "small": F(1, 64)}.get(kind)
+        if eps is None:
+            eps = draw(st.fractions(F(-1), F(1), max_denominator=16))
+        f = build_model_function(c, z, eps)
+    if n < 3 and draw(st.booleans()):
+        f = tate_iterate(f, 1)
+    if n < 3 and draw(st.booleans()):
+        gens = f.complex.period.generators
+        f = change_period(f, Lattice((vscale(F(2), gens[0]),) + gens[1:]))
+    return f
+
+
+def test_face_slacks_match_the_fraction_certificate():
+    """Equal certificates, slack by slack, with witnesses and zero,
+    negative and positive slacks all reached, and faces whose copies lie
+    in different period translates."""
+    seen = set()
+
+    @given(f=slack_cases())
+    @settings(max_examples=120, deadline=None)
+    def check(f):
+        cert = check_strongly_convex(f)
+        assert cert == fraction_certificate(f)
+        seen.update((s > 0) - (s < 0) for s in cert.slacks.values())
+        seen.add(cert.passed)
+        if any(p.shift_i != p.shift_j for p in adjacent_pairs(f.complex)):
+            seen.add("shifted")
+
+    check()
+    assert seen == {-1, 0, 1, True, False, "shifted"}
+
+
+@given(problem=model_problems())
+@settings(max_examples=60, deadline=None)
+def test_epsilon_lines_match_the_fraction_slacks(problem):
+    """The line (a + b*eps) / den of each face is pair_slack of the
+    unperturbed model plus eps times the normal jump of the perturbation."""
+    c, z = problem
+    parts, den, lines = _epsilon_lines(c, z)
+    base = CocycleFunction(complex=c, pieces=tuple(p for p, _ in parts), cocycle=z)
+    pairs = adjacent_pairs(c)
+    assert len(lines) == len(pairs)
+    for p, (a, b) in zip(pairs, lines):
+        assert F(a, den) == pair_slack(base, p)
+        jump = vsub(parts[p.i][1][0], parts[p.j][1][0])
+        assert F(b, den) == dot(p.normal, jump)
+
+
+@given(f=slack_cases())
+@settings(max_examples=60, deadline=None)
+def test_integer_interpolation_matches_solve(f):
+    """Per cell, the per-shape integer interpolant of the values of f at
+    the vertices is the Fraction solve of rows [v | 1]."""
+    c = f.complex
+    n = c.dim
+    t, frames = _cell_frames(c)
+    for cell, frame, (m, c0) in zip(c.cells, frames, f.pieces):
+        values = [dot(m, v) + c0 for v in cell.vertices]
+        rows = tuple(v + (F(1),) for v in cell.vertices)
+        sol = solve(rows, values)
+        assert _interpolate_piece(t, frame, values) == (sol[:n], sol[n])
+
+
+def test_tate_iterate_reuses_each_step():
+    """tate_iterate keeps each one-step successor: iterating again hands
+    back the same objects, equal to those of a fresh start."""
+    _, b, _, c = base_complex(2)
+    z = Cocycle(polarization=b, linear=(F(0), F(0)))
+    f0 = build_model_function(c, z, F(1, 8))
+    f2 = tate_iterate(f0, 2)
+    assert tate_iterate(f0, 1)._next is f2
+    assert tate_iterate(f0, 3) is tate_iterate(f2, 1)
+    fresh = build_model_function(c, z, F(1, 8))
+    assert tate_iterate(fresh, 3) == tate_iterate(f0, 3)
