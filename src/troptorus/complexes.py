@@ -111,6 +111,8 @@ class PeriodicComplex:
     _pairs: tuple | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    # the J1 level of the cells, -1 if they are not J1; see _kept_j1_level
+    _j1: int | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -183,7 +185,9 @@ def barycentric_triangulation(
 
     Maximal cells are generated from the reference flag simplex with
     vertices 0, b_1'/2, (b_1'+b_2')/2, ... by sign flips and
-    permutations, then reduced to canonical representatives.
+    permutations, then reduced to canonical representatives.  These are
+    the level-0 J1 cells of the period basis (see :func:`_j1_level`),
+    and the complex keeps that level.
     """
     if tuple(orth_prime) != tuple(period.generators):
         raise ComplexError("period must be generated by the cuboid basis")
@@ -199,7 +203,9 @@ def barycentric_triangulation(
                 verts.append(acc)
             cells.append(Simplex(tuple(verts)))
     expected = (2 ** n) * math.factorial(n)
-    return make_complex(period, cells, level=0, expected=expected)
+    c = make_complex(period, cells, level=0, expected=expected)
+    object.__setattr__(c, "_j1", 0)
+    return c
 
 
 def dyadic_refine_step(
@@ -214,7 +220,8 @@ def dyadic_refine_step(
     division.  Translation keeps the lexicographic vertex order, so each
     parent is sorted once; the ambient integer coordinates that order
     needs are a fixed integer image of the period coordinates.  The new
-    complex keeps its period coordinates.
+    complex keeps its period coordinates, and the J1 level j + 1 if c
+    keeps the J1 level j.
     """
     n = c.dim
     scale, coords = _period_coords(c)
@@ -282,6 +289,8 @@ def dyadic_refine_step(
         period=c.period, cells=tuple(cells), level=c.level + 1
     )
     object.__setattr__(refined, "_coords", (two_s, tuple(new_coords)))
+    if c._j1 is not None and c._j1 >= 0:
+        object.__setattr__(refined, "_j1", c._j1 + 1)
     return refined, tuple(parents)
 
 
@@ -452,17 +461,34 @@ def _containment_index(c: PeriodicComplex) -> _ContainmentIndex:
 def is_refinement(fine: PeriodicComplex, coarse: PeriodicComplex) -> bool:
     """True iff every fine cell sits inside a coarse cell mod the period.
 
-    Exact for any two complexes with the same period.  Against a J1
-    complex (see :func:`_j1_level`) the one candidate parent of each fine
-    cell is found in closed form; any other coarse complex takes the
-    bucket search of :func:`_is_refinement_search`.
+    Exact for any two complexes with the same period.  Two J1 complexes
+    (see :func:`_kept_j1_level`) at levels j_fine >= j_coarse refine with
+    no per-cell work: each cell of :func:`dyadic_refine_step` lies in its
+    parent, so by transitivity each level-j_fine cell lies in a
+    level-j_coarse cell.  Any other fine complex against a J1 one has
+    the one candidate parent of each fine cell found in closed form by
+    :func:`_is_refinement_j1`; any other coarse complex takes the bucket
+    search of :func:`_is_refinement_search`.
     """
     if fine.period != coarse.period:
         raise IncompatiblePeriodsError("refinement check needs equal periods")
-    j = _j1_level(coarse)
+    j = _kept_j1_level(coarse)
     if j is None:
         return _is_refinement_search(fine, coarse)
+    j_fine = _kept_j1_level(fine)
+    if j_fine is not None and j_fine >= j:
+        return True
     return _is_refinement_j1(fine, j)
+
+
+def _kept_j1_level(c: PeriodicComplex) -> int | None:
+    """The J1 level of c, or None: kept on c when
+    :func:`barycentric_triangulation` or :func:`dyadic_refine_step` built
+    it, else found by :func:`_j1_level` at most once and kept."""
+    if c._j1 is None:
+        j = _j1_level(c)
+        object.__setattr__(c, "_j1", -1 if j is None else j)
+    return None if c._j1 < 0 else c._j1
 
 
 def _j1_level(c: PeriodicComplex) -> int | None:
@@ -478,6 +504,7 @@ def _j1_level(c: PeriodicComplex) -> int | None:
     level 0 and dyadic_refine_step maps level j to level j + 1.  The
     ``level`` field is not trusted: the cells themselves are checked,
     and there must be all 2^n n! 2^(nj) of them, distinct mod the period.
+    Recomputed on each call; :func:`_kept_j1_level` keeps the result.
     """
     n = c.dim
     r, rem = divmod(len(c.cells), 2 ** n * math.factorial(n))
@@ -574,7 +601,7 @@ class AdjacentPair:
 
     The actual simplices are cells[i] + shift_i and cells[j] + shift_j;
     ``normal`` is the primitive integer inner normal of the first cell
-    at the shared face.
+    at the shared face, and ``key`` names the pair in certificates.
     """
 
     i: int
@@ -583,6 +610,7 @@ class AdjacentPair:
     shift_j: Vec
     face: tuple[Vec, ...]
     normal: Vec
+    key: str
 
     def delta(self, c: PeriodicComplex) -> Simplex:
         return c.cells[self.i].translate(self.shift_i)
@@ -623,7 +651,9 @@ def adjacent_pairs(c: PeriodicComplex) -> tuple[AdjacentPair, ...]:
     :func:`_period_coords`, ordered by their ambient integer image as in
     :func:`dyadic_refine_step`; the canonical shift is a floor division
     and the normal is computed once per facet shape.  Computed at most
-    once per complex and kept on it.
+    once per complex and kept on it, with the certificate key of each
+    pair, ``cell<i>[<shift_i>]|cell<j>[<shift_j>]`` with the shift
+    entries comma-separated as ``str`` gives them.
     """
     if c._pairs is not None:
         return c._pairs
@@ -647,7 +677,7 @@ def adjacent_pairs(c: PeriodicComplex) -> tuple[AdjacentPair, ...]:
             key = tuple(x for a, _, _ in face for x in map(sub, a, step))
             buckets.setdefault(key, []).append((i, k, drop, step))
     normals: dict[tuple, Vec] = {}  # facet edges -> normal of either sign
-    shifts: dict[tuple, Vec] = {}  # k -> the period vector -k
+    shifts: dict[tuple, tuple] = {}  # k -> (the period vector -k, its text)
     points: dict[tuple, Vec] = {}  # ambient image -> vertex
     pairs = []
     for key in sorted(buckets):
@@ -671,17 +701,20 @@ def adjacent_pairs(c: PeriodicComplex) -> tuple[AdjacentPair, ...]:
             raise ComplexError("degenerate face/opposite configuration")
         for k in (ki, kj):
             if k not in shifts:
-                shifts[k] = tuple(Fraction(-x, g) for x in _ambient(rows, k))
+                v = tuple(Fraction(-x, g) for x in _ambient(rows, k))
+                shifts[k] = v, ",".join(map(str, v))
         for a in face:
             if a not in points:
                 points[a] = tuple(Fraction(x, t) for x in a)
+        (si, text_i), (sj, text_j) = shifts[ki], shifts[kj]
         pairs.append(AdjacentPair(
             i=i,
             j=j,
-            shift_i=shifts[ki],
-            shift_j=shifts[kj],
+            shift_i=si,
+            shift_j=sj,
             face=tuple(points[a] for a in face),
             normal=nu if side > 0 else vscale(Fraction(-1), nu),
+            key=f"cell{i}[{text_i}]|cell{j}[{text_j}]",
         ))
     object.__setattr__(c, "_pairs", tuple(pairs))
     return c._pairs

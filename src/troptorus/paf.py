@@ -224,12 +224,6 @@ def build_model_function(
     )
 
 
-def _pair_key(p: AdjacentPair) -> str:
-    si = ",".join(str(x) for x in p.shift_i)
-    sj = ",".join(str(x) for x in p.shift_j)
-    return f"cell{p.i}[{si}]|cell{p.j}[{sj}]"
-
-
 def face_slacks(
     c: PeriodicComplex, pieces, gram=None
 ) -> tuple[int, list[int]]:
@@ -275,7 +269,7 @@ def check_strongly_convex(f: CocycleFunction) -> ConvexityCertificate:
     bad = next((k for k, s in enumerate(nums) if s <= 0), None)
     return ConvexityCertificate(
         passed=bad is None,
-        slacks={_pair_key(p): Fraction(s, den) for p, s in zip(pairs, nums)},
+        slacks={p.key: Fraction(s, den) for p, s in zip(pairs, nums)},
         min_slack=Fraction(min(nums), den) if nums else None,
         witness=None if bad is None else pairs[bad],
         witness_slack=None if bad is None else Fraction(nums[bad], den),

@@ -95,12 +95,10 @@ def complex_to_json(c: PeriodicComplex) -> dict:
 
 
 def certificate_to_json(cert) -> dict:
-    from .paf import _pair_key
-
     return {
         "passed": cert.passed,
         "min_slack": cert.min_slack,
-        "witness": None if cert.witness is None else _pair_key(cert.witness),
+        "witness": None if cert.witness is None else cert.witness.key,
         "witness_slack": cert.witness_slack,
         "slacks": cert.slacks,
     }

@@ -130,6 +130,14 @@ def json_dumps(obj):
     return json.dumps(to_jsonable(obj), sort_keys=True, indent=2) + "\n"
 
 
+def pair_key(i, shift_i, j, shift_j):
+    """The certificate key of an adjacent pair, formatted from its cells
+    and Fraction shifts: the oracle of AdjacentPair.key."""
+    si = ",".join(str(x) for x in shift_i)
+    sj = ",".join(str(x) for x in shift_j)
+    return f"cell{i}[{si}]|cell{j}[{sj}]"
+
+
 def base_complex(n, gram=None):
     """Level-0 barycentric complex over the rescaled orthogonal lattice."""
     lat = standard_lattice(n)

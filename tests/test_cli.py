@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from troptorus import cli
 from troptorus.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -49,6 +50,29 @@ def test_triangulate_refined(tmp_path):
     )
     assert code == 0
     assert len(json.loads(text)["cells"]) == 2 * 2 ** 2
+
+
+def test_parser_reused_across_calls(tmp_path, capsys):
+    """One parser serves every main call in a process: an option given
+    to one call does not stick to the next, and a usage error still
+    exits 2 and leaves the parser working."""
+    code, text = run_cli(
+        ["triangulate", "--problem", N1, "--level", "2"], tmp_path
+    )
+    assert code == 0
+    assert json.loads(text)["level"] == 2
+    code, text = run_cli(["triangulate", "--problem", N1], tmp_path, "b.json")
+    assert code == 0
+    assert json.loads(text)["level"] == 0  # the problem file's level
+    assert cli._parser() is cli._parser()
+    assert cli._parser().parse_args(["tate", "--problem", N1]).level is None
+    with pytest.raises(SystemExit) as exc:
+        main(["triangulate", "--level", "1"])  # no --problem
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+    code, text = run_cli(["triangulate", "--problem", N1], tmp_path, "c.json")
+    assert code == 0
+    assert len(json.loads(text)["cells"]) == 2
 
 
 def test_bad_rational_is_parse_error():

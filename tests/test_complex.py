@@ -26,6 +26,7 @@ from troptorus.complexes import (
     _is_refinement_j1,
     _is_refinement_search,
     _j1_level,
+    _kept_j1_level,
     barycentric_triangulation,
     canonical_cell,
     dyadic_refine_step,
@@ -33,6 +34,7 @@ from troptorus.complexes import (
 )
 from troptorus.lattice import Lattice
 from troptorus.linalg import det, from_columns, vadd, vscale, vsub
+from tests.conftest import pair_key
 
 F = Fraction
 HALF = F(1, 2)
@@ -259,13 +261,17 @@ def j1_chains(draw):
 @given(data=j1_chains())
 @settings(max_examples=12, deadline=None)
 def test_j1_path_matches_search(data):
-    """The closed-form J1 parent location agrees with the general bucket
-    search on every level pair, reversed pairs included, and on
-    quarter-shifted, scrambled and non-J1 complexes; only J1 complexes
-    take the closed form."""
+    """The closed-form J1 parent location and the kept J1 level agree
+    with the general bucket search on every level pair, reversed pairs
+    included, and on quarter-shifted, scrambled, relabelled and non-J1
+    complexes; only J1 complexes take the closed form.  The library's
+    J1 complexes keep the level of their cells; hand-built ones keep
+    none until it is found from their cells."""
     lat, chain, rnd = data
     n = lat.dim
     top = len(chain) - 1
+    for j, c in enumerate(chain):
+        assert c._j1 == _j1_level(c) == j
     # the top level as non-canonical translates in shuffled order, with a
     # wrong level: still recognised from its cells
     cells = [
@@ -277,23 +283,30 @@ def test_j1_path_matches_search(data):
     rnd.shuffle(cells)
     scrambled = PeriodicComplex(period=lat, cells=tuple(cells), level=0)
     assert _j1_level(scrambled) == top
+    # the top level's cells through make_complex, with a wrong level
+    relabelled = make_complex(lat, chain[top].cells, level=top + 1)
     # J1 cells, as many as the top level has, but one of them twice
     cells = chain[top].cells
     twice = cells[1].translate(lat.generators[0])
     gap = PeriodicComplex(period=lat, cells=cells[1:] + (twice,), level=top)
     assert _j1_level(gap) is None
-    assert not is_refinement(chain[top], gap)
     # made by make_complex with level 0, but J1 only at n = 1
     kuhn = make_complex(lat, _kuhn_half_cells(lat), level=0)
     assert (_j1_level(kuhn) is None) == (n >= 2)
-    for fine in chain:
+    hand_built = [scrambled, relabelled, gap, kuhn]
+    assert all(c._j1 is None for c in hand_built)
+    assert not is_refinement(chain[top], gap)
+    for k, fine in enumerate(chain):
         assert is_refinement(fine, kuhn) == _is_refinement_search(fine, kuhn)
+        assert is_refinement(fine, relabelled) == (k == top)
+        assert is_refinement(relabelled, fine)
     for j, coarse in enumerate(chain):
-        assert _j1_level(coarse) == j
         quarter = vscale(F(1, 4), lat.generators[rnd.randrange(n)])
         shifted = make_complex(
             lat, [cell.translate(quarter) for cell in coarse.cells], level=j
         )
+        assert shifted._j1 is None
+        hand_built.append(shifted)
         # in scaled period coordinates the shift is 2^j / 4 of a unit
         # vector: a symmetry of J1 when integral, or half-integral at n = 1
         y_shift = F(2**j, 4)
@@ -309,6 +322,13 @@ def test_j1_path_matches_search(data):
             assert is_refinement(fine, coarse) == want
             if k <= top + 1:  # the chain, then the scrambled top level
                 assert want == (min(k, top) >= j)
+    for c in hand_built:
+        # found from the cells once is_refinement needed it
+        assert _kept_j1_level(c) == _j1_level(c)
+    # a found level carries over to the refinement, and no level to none
+    finer, _ = dyadic_refine_step(kuhn)
+    assert finer._j1 == (1 if n == 1 else None)
+    assert _kept_j1_level(finer) == _j1_level(finer)
 
 
 def fraction_adjacent_pairs(c):
@@ -335,7 +355,7 @@ def fraction_adjacent_pairs(c):
         (i, si, opp_i), (j, sj, _) = entries
         pairs.append(AdjacentPair(
             i=i, j=j, shift_i=si, shift_j=sj, face=key,
-            normal=_inner_normal(key, opp_i),
+            normal=_inner_normal(key, opp_i), key=pair_key(i, si, j, sj),
         ))
     return tuple(pairs)
 

@@ -59,14 +59,13 @@ from troptorus.paf import (
     _cell_frames,
     _epsilon_lines,
     _interpolate_piece,
-    _pair_key,
     face_slacks,
     locate_cell,
     verify_continuity,
     verify_periodicity,
     vertex_orbits,
 )
-from tests.conftest import barycentric_coords, base_complex
+from tests.conftest import barycentric_coords, base_complex, pair_key
 
 F = Fraction
 
@@ -633,7 +632,7 @@ def fraction_certificate(f):
     slacks, witness, witness_slack, min_slack = {}, None, None, None
     for p in adjacent_pairs(f.complex):
         s = pair_slack(f, p)
-        slacks[_pair_key(p)] = s
+        slacks[pair_key(p.i, p.shift_i, p.j, p.shift_j)] = s
         if min_slack is None or s < min_slack:
             min_slack = s
         if s <= 0 and witness is None:
