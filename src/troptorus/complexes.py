@@ -111,7 +111,11 @@ class PeriodicComplex:
     _pairs: tuple | None = field(
         default=None, init=False, repr=False, compare=False
     )
-    # the J1 level of the cells, -1 if they are not J1; see _kept_j1_level
+    # j when the cells are the 2^n n! 2^(nj) level-j cells of Todd's J1
+    # triangulation of the period basis (center a, signs s, permutation
+    # pi in the scaled period coordinates 2^j u; see
+    # barycentric_triangulation); set only by that builder and
+    # dyadic_refine_step, None on any other complex; see is_refinement
     _j1: int | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -186,8 +190,14 @@ def barycentric_triangulation(
     Maximal cells are generated from the reference flag simplex with
     vertices 0, b_1'/2, (b_1'+b_2')/2, ... by sign flips and
     permutations, then reduced to canonical representatives.  These are
-    the level-0 J1 cells of the period basis (see :func:`_j1_level`),
-    and the complex keeps that level.
+    the level-0 cells of Todd's J1 ("Union Jack") triangulation of the
+    period basis, and the complex records that level.  At level j, in the
+    scaled period coordinates y = 2^j u, the J1 cell with center a in
+    Z^n, signs s and permutation pi is
+    {1/2 >= s_pi1 (y-a)_pi1 >= ... >= s_pin (y-a)_pin >= 0}.  At scale
+    2^(j+1) its vertices are 2a, then 2a + s_pi1 e_pi1, and so on, each
+    with one more odd coordinate; there are 2^n n! 2^(nj) cells mod the
+    period.  :func:`dyadic_refine_step` maps level j to level j + 1.
     """
     if tuple(orth_prime) != tuple(period.generators):
         raise ComplexError("period must be generated by the cuboid basis")
@@ -221,7 +231,7 @@ def dyadic_refine_step(
     parent is sorted once; the ambient integer coordinates that order
     needs are a fixed integer image of the period coordinates.  The new
     complex keeps its period coordinates, and the J1 level j + 1 if c
-    keeps the J1 level j.
+    records the J1 level j.
     """
     n = c.dim
     scale, coords = _period_coords(c)
@@ -289,7 +299,7 @@ def dyadic_refine_step(
         period=c.period, cells=tuple(cells), level=c.level + 1
     )
     object.__setattr__(refined, "_coords", (two_s, tuple(new_coords)))
-    if c._j1 is not None and c._j1 >= 0:
+    if c._j1 is not None:
         object.__setattr__(refined, "_j1", c._j1 + 1)
     return refined, tuple(parents)
 
@@ -461,122 +471,21 @@ def _containment_index(c: PeriodicComplex) -> _ContainmentIndex:
 def is_refinement(fine: PeriodicComplex, coarse: PeriodicComplex) -> bool:
     """True iff every fine cell sits inside a coarse cell mod the period.
 
-    Exact for any two complexes with the same period.  Two J1 complexes
-    (see :func:`_kept_j1_level`) at levels j_fine >= j_coarse refine with
-    no per-cell work: each cell of :func:`dyadic_refine_step` lies in its
-    parent, so by transitivity each level-j_fine cell lies in a
-    level-j_coarse cell.  Any other fine complex against a J1 one has
-    the one candidate parent of each fine cell found in closed form by
-    :func:`_is_refinement_j1`; any other coarse complex takes the bucket
-    search of :func:`_is_refinement_search`.
+    Exact for any two complexes with the same period.  When both carry
+    the J1 level that :func:`barycentric_triangulation` and
+    :func:`dyadic_refine_step` record, the answer is j_fine >= j_coarse,
+    with no per-cell work.  True by transitivity: each cell of
+    :func:`dyadic_refine_step` lies in its parent.  False because a J1
+    cell at level j' < j is larger than every level-j cell, so it fits
+    in none of them.  Every other pair, any complex from
+    :func:`make_complex`, :func:`unfold` or the constructor among them,
+    takes the containment-index search of :func:`_is_refinement_search`.
     """
     if fine.period != coarse.period:
         raise IncompatiblePeriodsError("refinement check needs equal periods")
-    j = _kept_j1_level(coarse)
-    if j is None:
-        return _is_refinement_search(fine, coarse)
-    j_fine = _kept_j1_level(fine)
-    if j_fine is not None and j_fine >= j:
-        return True
-    return _is_refinement_j1(fine, j)
-
-
-def _kept_j1_level(c: PeriodicComplex) -> int | None:
-    """The J1 level of c, or None: kept on c when
-    :func:`barycentric_triangulation` or :func:`dyadic_refine_step` built
-    it, else found by :func:`_j1_level` at most once and kept."""
-    if c._j1 is None:
-        j = _j1_level(c)
-        object.__setattr__(c, "_j1", -1 if j is None else j)
-    return None if c._j1 < 0 else c._j1
-
-
-def _j1_level(c: PeriodicComplex) -> int | None:
-    """j if the cells of c are, mod the period, exactly the level-j J1
-    cells of its period basis; else None.
-
-    Todd's J1 ("Union Jack") triangulation at level j: in the scaled
-    period coordinates y = 2^j u, the cell with center a in Z^n, signs s
-    and permutation pi is
-    {1/2 >= s_pi1 (y-a)_pi1 >= ... >= s_pin (y-a)_pin >= 0}.  At scale
-    2^(j+1) its vertices are 2a, then 2a + s_pi1 e_pi1, and so on, each
-    with one more odd coordinate.  barycentric_triangulation builds
-    level 0 and dyadic_refine_step maps level j to level j + 1.  The
-    ``level`` field is not trusted: the cells themselves are checked,
-    and there must be all 2^n n! 2^(nj) of them, distinct mod the period.
-    Recomputed on each call; :func:`_kept_j1_level` keeps the result.
-    """
-    n = c.dim
-    r, rem = divmod(len(c.cells), 2 ** n * math.factorial(n))
-    j = (r.bit_length() - 1) // n
-    if rem or r == 0 or r != 1 << (n * j):
-        return None
-    scale, coords = _period_coords(c)
-    t = 2 << j
-    mask = (1 << j) - 1
-    seen = set()
-    for cell in coords:
-        if scale != t:
-            if any(x * t % scale for x in cell):
-                return None
-            cell = tuple(x * t // scale for x in cell)
-        odd = sorted(
-            (sum(x & 1 for x in v), v)
-            for v in (cell[k : k + n] for k in range(0, len(cell), n))
-        )
-        if [k for k, _ in odd] != list(range(n + 1)):
-            return None
-        moves = []
-        for (_, a), (_, b) in zip(odd, odd[1:]):
-            diff = [(m, y - x) for m, (x, y) in enumerate(zip(a, b)) if y != x]
-            if len(diff) != 1 or abs(diff[0][1]) != 1:
-                return None
-            moves.append(diff[0])
-        center = tuple((x >> 1) & mask for x in odd[0][1])
-        seen.add((center, tuple(moves)))
-    return j if len(seen) == len(coords) else None
-
-
-def _is_refinement_j1(fine: PeriodicComplex, j: int) -> bool:
-    """is_refinement(fine, the level-j J1 complex of fine's period).
-
-    Take a fine cell's barycenter b in scaled period coordinates, its
-    nearest integer point a (rounding halves up) and z = b - a.  The J1
-    cell of a with the signs of z (+ for 0) and |z| in descending order
-    holds b.  A coarse cell that contains the fine cell meets that one
-    in a common face (J1 is a triangulation) holding b, which is in the
-    relative interior of the fine cell; so the face, and the candidate,
-    hold the whole fine cell.  Hence the fine cell refines iff its
-    vertices satisfy the candidate's inequalities, checked here in
-    integers.
-    """
-    n = fine.dim
-    scale, coords = _period_coords(fine)
-    p2 = 2 << j  # 2 * scale * y = p2 * w for period coordinates w / scale
-    s2 = 2 * scale
-    columns = [slice(k, None, n) for k in range(n)]
-    for cell in coords:
-        m = len(cell) // n
-        ms = m * scale
-        rows = []
-        for k in columns:
-            col = cell[k]
-            total = p2 * sum(col)  # 2 * scale * m * b
-            off = s2 * ((total + ms) // (2 * ms))  # 2 * scale * a
-            z = total - m * off  # 2 * scale * m * (b - a)
-            if z >= 0:
-                rows.append((z, [p2 * w - off for w in col]))
-            else:
-                rows.append((-z, [off - p2 * w for w in col]))
-        # per vertex: scale >= row_1 >= ... >= row_n >= 0, row_k being
-        # s_pik * 2 * scale * (y - a)_pik
-        rows.sort(reverse=True)
-        if max(rows[0][1]) > scale or min(rows[-1][1]) < 0:
-            return False
-        for (_, hi), (_, lo) in zip(rows, rows[1:]):
-            if min(map(sub, hi, lo)) < 0:
-                return False
-    return True
+    if fine._j1 is not None and coarse._j1 is not None:
+        return fine._j1 >= coarse._j1
+    return _is_refinement_search(fine, coarse)
 
 
 def _is_refinement_search(

@@ -23,10 +23,7 @@ from troptorus.complexes import (
     IncompatiblePeriodsError,
     PeriodicComplex,
     _inner_normal,
-    _is_refinement_j1,
     _is_refinement_search,
-    _j1_level,
-    _kept_j1_level,
     barycentric_triangulation,
     canonical_cell,
     dyadic_refine_step,
@@ -261,19 +258,17 @@ def j1_chains(draw):
 @given(data=j1_chains())
 @settings(max_examples=12, deadline=None)
 def test_j1_path_matches_search(data):
-    """The closed-form J1 parent location and the kept J1 level agree
-    with the general bucket search on every level pair, reversed pairs
-    included, and on quarter-shifted, scrambled, relabelled and non-J1
-    complexes; only J1 complexes take the closed form.  The library's
-    J1 complexes keep the level of their cells; hand-built ones keep
-    none until it is found from their cells."""
+    """The recorded J1 levels answer as the containment search does on
+    every ordered pair of chain levels, reversed pairs included.  Only
+    the library's builders record a level: quarter-shifted, scrambled,
+    relabelled and non-J1 complexes record none and take the search."""
     lat, chain, rnd = data
     n = lat.dim
     top = len(chain) - 1
     for j, c in enumerate(chain):
-        assert c._j1 == _j1_level(c) == j
+        assert c._j1 == j
     # the top level as non-canonical translates in shuffled order, with a
-    # wrong level: still recognised from its cells
+    # wrong level
     cells = [
         cell.translate(
             lat.from_coords(tuple(F(rnd.randint(-2, 2)) for _ in range(n)))
@@ -282,22 +277,17 @@ def test_j1_path_matches_search(data):
     ]
     rnd.shuffle(cells)
     scrambled = PeriodicComplex(period=lat, cells=tuple(cells), level=0)
-    assert _j1_level(scrambled) == top
     # the top level's cells through make_complex, with a wrong level
     relabelled = make_complex(lat, chain[top].cells, level=top + 1)
     # J1 cells, as many as the top level has, but one of them twice
     cells = chain[top].cells
     twice = cells[1].translate(lat.generators[0])
     gap = PeriodicComplex(period=lat, cells=cells[1:] + (twice,), level=top)
-    assert _j1_level(gap) is None
     # made by make_complex with level 0, but J1 only at n = 1
     kuhn = make_complex(lat, _kuhn_half_cells(lat), level=0)
-    assert (_j1_level(kuhn) is None) == (n >= 2)
     hand_built = [scrambled, relabelled, gap, kuhn]
-    assert all(c._j1 is None for c in hand_built)
     assert not is_refinement(chain[top], gap)
     for k, fine in enumerate(chain):
-        assert is_refinement(fine, kuhn) == _is_refinement_search(fine, kuhn)
         assert is_refinement(fine, relabelled) == (k == top)
         assert is_refinement(relabelled, fine)
     for j, coarse in enumerate(chain):
@@ -305,30 +295,44 @@ def test_j1_path_matches_search(data):
         shifted = make_complex(
             lat, [cell.translate(quarter) for cell in coarse.cells], level=j
         )
-        assert shifted._j1 is None
         hand_built.append(shifted)
-        # in scaled period coordinates the shift is 2^j / 4 of a unit
-        # vector: a symmetry of J1 when integral, or half-integral at n = 1
-        y_shift = F(2**j, 4)
-        symmetric = y_shift.denominator == 1 or (n, y_shift) == (1, HALF)
-        assert (_j1_level(shifted) is None) == (not symmetric)
         if j + 2 <= top:
             # level j + 2 is invariant under the shift and refines level j
             assert is_refinement(chain[j + 2], shifted)
             assert _is_refinement_search(chain[j + 2], shifted)
-        for k, fine in enumerate([*chain, scrambled, shifted, kuhn]):
+        for k, fine in enumerate([*chain, scrambled]):
             want = _is_refinement_search(fine, coarse)
-            assert _is_refinement_j1(fine, j) == want
             assert is_refinement(fine, coarse) == want
-            if k <= top + 1:  # the chain, then the scrambled top level
-                assert want == (min(k, top) >= j)
+            assert want == (min(k, top) >= j)
+    assert all(c._j1 is None for c in hand_built)
     for c in hand_built:
-        # found from the cells once is_refinement needed it
-        assert _kept_j1_level(c) == _j1_level(c)
-    # a found level carries over to the refinement, and no level to none
+        for other in chain:
+            assert is_refinement(c, other) == _is_refinement_search(c, other)
+            assert is_refinement(other, c) == _is_refinement_search(other, c)
+    # no level carries over to the refinement of an unrecorded complex
     finer, _ = dyadic_refine_step(kuhn)
-    assert finer._j1 == (1 if n == 1 else None)
-    assert _kept_j1_level(finer) == _j1_level(finer)
+    assert finer._j1 is None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_recorded_levels_answer_without_an_index(n):
+    """Two recorded levels decide is_refinement in both directions with
+    no containment index built; an unrecorded copy of the coarse side
+    takes the search and gets the same answers."""
+    from tests.conftest import base_complex
+
+    _, _, prime, coarse = base_complex(n)
+    fine, _ = dyadic_refine_step(coarse)
+    assert not is_refinement(coarse, fine)
+    assert is_refinement(fine, coarse)
+    assert coarse._index is None and fine._index is None
+    # the coarse side of each call as an unrecorded copy
+    fine_copy = make_complex(prime, fine.cells)
+    coarse_copy = make_complex(prime, coarse.cells)
+    assert fine_copy._j1 is None and coarse_copy._j1 is None
+    assert not is_refinement(coarse, fine_copy)
+    assert is_refinement(fine, coarse_copy)
+    assert fine_copy._index is not None and coarse_copy._index is not None
 
 
 def fraction_adjacent_pairs(c):
