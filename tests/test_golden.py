@@ -4,7 +4,8 @@ The digests were taken from the CLI before the point locator was
 unified; any change to a report's bytes shows here.  To regenerate after
 an intended output change, run ``python tests/test_golden.py`` from the
 repository root with ``src`` on ``PYTHONPATH`` and paste the printed
-table over ``GOLDEN``.
+table over ``GOLDEN``; ``python tests/test_golden.py NAME...`` prints
+only the named rows.
 """
 import hashlib
 import json
@@ -56,6 +57,12 @@ CASES = {
     "collapse-n1": (
         "n1", {}, ["collapse", "--samples", "2000", "--seed", "3"]
     ),
+    "collapse-n2-copies3": (
+        "n2",
+        {"collapse": {"copies": 3}},
+        ["collapse", "--samples", "1000", "--seed", "3"],
+    ),
+    "triangulate-skew-level2": (SKEW, {}, ["triangulate", "--level", "2"]),
 }
 
 # name -> (exit code, sha256 of the output bytes)
@@ -116,6 +123,14 @@ GOLDEN = {
         0,
         "688807f08f132916470fec37fc31966ba488da46158af68c6aeea1256da1f98e",
     ),
+    "collapse-n2-copies3": (
+        5,
+        "110e7bb20c8c349f72e8ee2b6339ee8fa28b4f583ae6da76f5a47662190e1245",
+    ),
+    "triangulate-skew-level2": (
+        0,
+        "c582ce16345b17fa8e3fc1de7812d131911c1ea8fa92a4b9f67c5e5fcd179a54",
+    ),
 }
 
 
@@ -137,10 +152,11 @@ def test_golden_cli_output(name, tmp_path):
 
 
 if __name__ == "__main__":
+    import sys
     import tempfile
 
     print("GOLDEN = {")
-    for name in CASES:
+    for name in sys.argv[1:] or CASES:
         with tempfile.TemporaryDirectory() as tmp:
             code, digest = run_case(name, Path(tmp))
         print(f'    "{name}": (\n        {code},\n        "{digest}",\n    ),')
