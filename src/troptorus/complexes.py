@@ -2,7 +2,8 @@
 
 Cells are stored as canonical representatives modulo the period lattice:
 vertex lists sorted lexicographically and translated so the smallest
-vertex has period-basis coordinates in [0, 1)^n.
+vertex has period-basis coordinates in [0, 1)^n.  A complex the library
+builds keeps integer period coordinates and builds its cells on access.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from operator import add, mul, sub
 
-from .lattice import Lattice, box_translates, covolume, reduce_mod
+from .lattice import Lattice, box_translates, covolume
 from .linalg import (
     DimensionMismatchError,
     TroptorusError,
@@ -29,8 +30,6 @@ from .linalg import (
     vscale,
     zero_vec,
 )
-
-HALF = Fraction(1, 2)
 
 
 class ComplexError(TroptorusError):
@@ -96,7 +95,8 @@ def canonical_cell(vertices: tuple[Vec, ...], period: Lattice) -> tuple[Simplex,
 
 @dataclass(frozen=True)
 class PeriodicComplex:
-    """Finitely many maximal cells whose period translates tile R^n."""
+    """Finitely many maximal cells whose period translates tile R^n.  One
+    the library builds is (period, ``_coords``): see :func:`_from_coords`."""
 
     period: Lattice
     cells: tuple[Simplex, ...]
@@ -111,16 +111,34 @@ class PeriodicComplex:
     _pairs: tuple | None = field(
         default=None, init=False, repr=False, compare=False
     )
-    # j when the cells are the 2^n n! 2^(nj) level-j cells of Todd's J1
-    # triangulation of the period basis (center a, signs s, permutation
-    # pi in the scaled period coordinates 2^j u; see
-    # barycentric_triangulation); set only by that builder and
-    # dyadic_refine_step, None on any other complex; see is_refinement
+    # j when the cells are the level-j cells of Todd's J1 triangulation
+    # of the period basis (see barycentric_triangulation); set only by
+    # that builder and dyadic_refine_step; see is_refinement
     _j1: int | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __getattr__(self, name):
+        # reached only for the unbuilt cells of a complex of _from_coords
+        if name != "cells" or self._coords is None:
+            raise AttributeError(name)
+        object.__setattr__(self, "cells", tuple(map(Simplex, _cell_vertices(self))))
+        return self.cells
 
     @property
     def dim(self) -> int:
         return self.period.dim
+
+    @property
+    def size(self) -> int:
+        """The number of cells, read without building them."""
+        return len(self.cells if self._coords is None else self._coords[1])
+
+
+def _from_coords(period, scale, coords, level, j1=None) -> PeriodicComplex:
+    """The complex with these :func:`_period_coords`, as an
+    ``EmpiricalMeasure`` is (lattice, scale, coords); cells on access."""
+    c = object.__new__(PeriodicComplex)
+    c.__dict__.update(period=period, level=level, _coords=(scale, coords), _j1=j1)
+    return c
 
 
 def _period_coords(c: PeriodicComplex) -> tuple[int, tuple]:
@@ -129,29 +147,44 @@ def _period_coords(c: PeriodicComplex) -> tuple[int, tuple]:
     Returns ``(scale, cells)``: ``cells[i]`` is the flat integer tuple
     ``scale * coords(v)`` over the vertices v of ``c.cells[i]`` in order,
     so vertex k is ``cells[i][k*n:(k+1)*n]`` and coordinate m of every
-    vertex is ``cells[i][m::n]``.  Computed from the Fractions at most
-    once per complex and kept on it; :func:`dyadic_refine_step` hands its
-    output the coordinates it built.
+    vertex is ``cells[i][m::n]``, on the least scale.  Computed once,
+    from the Fractions, on a complex the library did not build.
     """
     if c._coords is None:
-        fracs: dict[Vec, Vec] = {}
-        for cell in c.cells:
-            for v in cell.vertices:
-                if v not in fracs:
-                    fracs[v] = c.period.coords(v)
-        scale = math.lcm(
-            1, *(x.denominator for w in fracs.values() for x in w)
-        )
-        ints = {
-            v: tuple(x.numerator * (scale // x.denominator) for x in w)
-            for v, w in fracs.items()
-        }
-        cells = tuple(
-            tuple(x for v in cell.vertices for x in ints[v])
-            for cell in c.cells
-        )
-        object.__setattr__(c, "_coords", (scale, cells))
+        den, ws = c.period.integer_coords([v for s in c.cells for v in s.vertices])
+        ws = list(ws)
+        e = math.gcd(den, *(x for w in ws for x in w))
+        it = iter(ws)
+        cells = tuple(tuple(x // e for _ in s.vertices for x in next(it)) for s in c.cells)
+        object.__setattr__(c, "_coords", (den // e, cells))
     return c._coords
+
+
+def _vertex_images(c: PeriodicComplex) -> tuple[int, list, dict]:
+    """(t, cells, images): per cell, the period coordinates w of its
+    vertices, as tuples; and the image a = t v (see :func:`_ambient`)
+    of each distinct w, for the vertex v = L w / scale; t = g scale."""
+    n, (scale, coords) = c.dim, _period_coords(c)
+    cells = [tuple(zip(*[iter(w)] * n)) for w in coords]
+    rows = c.period.frame.basis
+    images = {w: _ambient(rows, w) for w in set().union(*cells)}
+    return c.period.frame.g * scale, cells, images
+
+
+def _ambient_cells(c: PeriodicComplex) -> tuple[int, list]:
+    """(t, cells): ``cells[i]`` lists the images a = t v of the vertices
+    v of ``c.cells[i]``, as :func:`_vertex_images` gives them."""
+    t, cells, images = _vertex_images(c)
+    return t, [tuple(map(images.get, cell)) for cell in cells]
+
+
+def _cell_vertices(c: PeriodicComplex) -> list[tuple[Vec, ...]]:
+    """The rational vertex tuples of the cells of c, made from its
+    integer form without building a Simplex."""
+    t, cells, images = _vertex_images(c)
+    fracs = {x: Fraction(x, t) for x in {x for a in images.values() for x in a}}
+    verts = {w: tuple(map(fracs.get, a)) for w, a in images.items()}
+    return [tuple(map(verts.get, cell)) for cell in cells]
 
 
 def _ambient(rows, w: tuple) -> tuple[int, ...]:
@@ -198,24 +231,28 @@ def barycentric_triangulation(
     2^(j+1) its vertices are 2a, then 2a + s_pi1 e_pi1, and so on, each
     with one more odd coordinate; there are 2^n n! 2^(nj) cells mod the
     period.  :func:`dyadic_refine_step` maps level j to level j + 1.
+    Written at scale 2 in period coordinates, ordered by ambient image.
     """
     if tuple(orth_prime) != tuple(period.generators):
         raise ComplexError("period must be generated by the cuboid basis")
     n = len(orth_prime)
-    ambient = len(orth_prime[0])
-    cells = []
+    rows = period.frame.basis
+    cols = tuple(zip(*rows))  # cols[i] is the ambient image of e_i
+    cells: dict[tuple, tuple] = {}  # ambient image -> period coordinates
     for signs in product((1, -1), repeat=n):
         for perm in permutations(range(n)):
-            verts = [zero_vec(ambient)]
-            acc = zero_vec(ambient)
+            w, a = [0] * n, [0] * n
+            verts = [(tuple(a), tuple(w))]
             for idx in perm:
-                acc = vadd(acc, vscale(HALF * signs[idx], orth_prime[idx]))
-                verts.append(acc)
-            cells.append(Simplex(tuple(verts)))
-    expected = (2 ** n) * math.factorial(n)
-    c = make_complex(period, cells, level=0, expected=expected)
-    object.__setattr__(c, "_j1", 0)
-    return c
+                w[idx] += signs[idx]
+                a = [x + signs[idx] * y for x, y in zip(a, cols[idx])]
+                verts.append((tuple(a), tuple(w)))
+            verts.sort()
+            k = tuple(2 * (x // 2) for x in verts[0][1])
+            step = _ambient(rows, k)
+            key = tuple(x - y for a, _ in verts for x, y in zip(a, step))
+            cells[key] = tuple(x - y for _, u in verts for x, y in zip(u, k))
+    return _from_coords(period, 2, tuple(cells[k] for k in sorted(cells)), 0, 0)
 
 
 def dyadic_refine_step(
@@ -224,14 +261,11 @@ def dyadic_refine_step(
     """One halving step; also returns, per new cell, (parent index,
     parent translation lam) such that 2 * new_cell = parent + lam.
 
-    The loop runs on integer period-basis coordinates (see
-    :func:`_period_coords`): the new cells (u + k)/2, k in {0,1}^n, are
-    exact at twice the scale, and the canonical shift is a floor
-    division.  Translation keeps the lexicographic vertex order, so each
-    parent is sorted once; the ambient integer coordinates that order
-    needs are a fixed integer image of the period coordinates.  The new
-    complex keeps its period coordinates, and the J1 level j + 1 if c
-    records the J1 level j.
+    In integer period coordinates (see :func:`_period_coords`): the new
+    cells (u + k)/2, k in {0,1}^n, are exact at twice the scale, the
+    canonical shift is a floor division, and translation keeps the vertex
+    order, so each parent is sorted once by ambient image.  A J1 level j
+    kept on c becomes j + 1.
     """
     n = c.dim
     scale, coords = _period_coords(c)
@@ -243,12 +277,9 @@ def dyadic_refine_step(
     steps: dict[tuple, tuple] = {}
     flat_parents = []
     records: dict[tuple, tuple[int, tuple]] = {}
-    for i, cell in enumerate(coords):
-        m = len(cell) // n
-        verts = sorted(
-            (_ambient(rows, w), w)
-            for w in (cell[k : k + n] for k in range(0, m * n, n))
-        )
+    for i, (cell, amb) in enumerate(zip(coords, _ambient_cells(c)[1])):
+        m = len(amb)
+        verts = sorted(zip(amb, (cell[k : k + n] for k in range(0, m * n, n))))
         amb = tuple(x for a, _ in verts for x in a)
         flat_parents.append(tuple(x for _, w in verts for x in w))
         # 2 * new = parent + sum(d_j b_j) for d = k - 2 * shift, k in
@@ -267,40 +298,17 @@ def dyadic_refine_step(
                     sd * m,
                     tuple(Fraction(x, g) for x in _ambient(rows, d)),
                 )
-            records.setdefault(tuple(map(add, amb, step[0])), (i, d))
-    if len(records) != len(c.cells) * 2 ** n:
+            records.setdefault(tuple(map(add, amb, step[0])), (i, step))
+    if len(records) != len(coords) * 2 ** n:
         raise ComplexError("dyadic refinement produced colliding cells")
-    t = two_s * g  # ambient keys are t * vertex
-    frac_cache: dict[int, Fraction] = {}
-    verts_f: dict[tuple, Vec] = {}
-    cells = []
     new_coords = []
     parents = []
     for key in sorted(records):
-        i, d = records[key]
-        vs = []
-        for k in range(0, len(key), n):
-            a = key[k : k + n]
-            v = verts_f.get(a)
-            if v is None:
-                fs = []
-                for x in a:
-                    f = frac_cache.get(x)
-                    if f is None:
-                        f = frac_cache[x] = Fraction(x, t)
-                    fs.append(f)
-                v = verts_f[a] = tuple(fs)
-            vs.append(v)
-        cells.append(Simplex(tuple(vs)))
-        _, sd, lam = steps[len(vs), d]
+        i, (_, sd, lam) = records[key]
         new_coords.append(tuple(map(add, flat_parents[i], sd)))
         parents.append((i, lam))
-    refined = PeriodicComplex(
-        period=c.period, cells=tuple(cells), level=c.level + 1
-    )
-    object.__setattr__(refined, "_coords", (two_s, tuple(new_coords)))
-    if c._j1 is not None:
-        object.__setattr__(refined, "_j1", c._j1 + 1)
+    j1 = None if c._j1 is None else c._j1 + 1
+    refined = _from_coords(c.period, two_s, tuple(new_coords), c.level + 1, j1)
     return refined, tuple(parents)
 
 
@@ -313,30 +321,34 @@ def dyadic_refine(c: PeriodicComplex, steps: int) -> PeriodicComplex:
 
 
 def _int_det_adj(cols):
-    """Determinant and adjugate of an integer matrix given by columns.
+    """(|det M|, |det M| M^-1) for the integer matrix M given by columns:
+    the determinant and adjugate up to one sign, so the first is >= 0.
 
     Closed cofactor forms for n <= 3; Fraction elimination otherwise.
     """
     n = len(cols)
+    if not 0 < n <= 3:
+        m = from_columns(tuple(tuple(Fraction(x) for x in col) for col in cols))
+        d = abs(det(m))
+        if d == 0:
+            return 0, ()
+        return int(d), tuple(tuple(int(x * d) for x in row) for row in inverse(m))
     if n == 1:
-        return cols[0][0], ((1,),)
-    if n == 2:
+        det_m, adj = cols[0][0], ((1,),)
+    elif n == 2:
         (a, c), (b, d) = cols  # matrix [[a, b], [c, d]]
-        return a * d - b * c, ((d, -b), (-c, a))
-    if n == 3:
+        det_m, adj = a * d - b * c, ((d, -b), (-c, a))
+    else:
         (a, d, g), (b, e, h), (c, f, i) = cols
-        det_i = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+        det_m = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
         adj = (
             (e * i - f * h, c * h - b * i, b * f - c * e),
             (f * g - d * i, a * i - c * g, c * d - a * f),
             (d * h - e * g, b * g - a * h, a * e - b * d),
         )
-        return det_i, adj
-    m = from_columns(tuple(tuple(Fraction(x) for x in col) for col in cols))
-    d = det(m)
-    if d == 0:
-        return 0, ()
-    return int(d), tuple(tuple(int(x * d) for x in row) for row in inverse(m))
+    if det_m < 0:
+        return -det_m, tuple(tuple(-x for x in row) for row in adj)
+    return det_m, adj
 
 
 class _ContainmentIndex:
@@ -403,25 +415,15 @@ class _ContainmentIndex:
             if p < lo[k] * denom or p > hi[k] * denom:
                 return False
         diff = [p_num[k] - denom * v0[k] for k in range(n)]
-        d_scaled = det_i * denom
         total = 0
-        if det_i > 0:
-            for row in adj:
-                y = 0
-                for k in range(n):
-                    y += row[k] * diff[k]
-                if y < 0:
-                    return False
-                total += y
-            return total <= d_scaled
         for row in adj:
             y = 0
             for k in range(n):
                 y += row[k] * diff[k]
-            if y > 0:
+            if y < 0:
                 return False
             total += y
-        return total >= d_scaled
+        return total <= det_i * denom
 
     def find_cell_containing_simplex(
         self, verts, den: int
@@ -521,12 +523,6 @@ class AdjacentPair:
     normal: Vec
     key: str
 
-    def delta(self, c: PeriodicComplex) -> Simplex:
-        return c.cells[self.i].translate(self.shift_i)
-
-    def sigma(self, c: PeriodicComplex) -> Simplex:
-        return c.cells[self.j].translate(self.shift_j)
-
 
 def _facet_normal(edges: tuple[Vec, ...], n: int) -> Vec:
     """A primitive integer normal, of either sign, of the hyperplane
@@ -556,27 +552,22 @@ def adjacent_pairs(c: PeriodicComplex) -> tuple[AdjacentPair, ...]:
     pairs come in the order of the canonical facets, the first cell copy
     of a pair being the first in cell and vertex order.
 
-    The work runs on the integer period coordinates of
-    :func:`_period_coords`, ordered by their ambient integer image as in
-    :func:`dyadic_refine_step`; the canonical shift is a floor division
-    and the normal is computed once per facet shape.  Computed at most
-    once per complex and kept on it, with the certificate key of each
-    pair, ``cell<i>[<shift_i>]|cell<j>[<shift_j>]`` with the shift
-    entries comma-separated as ``str`` gives them.
+    In integer period coordinates, ordered by ambient image as in
+    :func:`dyadic_refine_step`, with one normal per facet shape.  Kept on
+    the complex, with the certificate key of each pair,
+    ``cell<i>[<shift_i>]|cell<j>[<shift_j>]``, the shift entries
+    comma-separated as ``str`` gives them.
     """
     if c._pairs is not None:
         return c._pairs
     n = c.dim
     scale, coords = _period_coords(c)
     g, rows = c.period.frame.g, c.period.frame.basis
-    t = g * scale  # ambient images are t * vertex
+    t, images = _ambient_cells(c)
     steps: dict[tuple, tuple] = {}  # k -> the ambient image of scale * k
     buckets: dict[tuple, list] = {}
-    for i, cell in enumerate(coords):
-        verts = sorted(
-            (_ambient(rows, cell[k : k + n]), cell[k : k + n], k // n)
-            for k in range(0, len(cell), n)
-        )
+    for i, (cell, amb) in enumerate(zip(coords, images)):
+        verts = sorted((a, cell[k * n : k * n + n], k) for k, a in enumerate(amb))
         for drop in range(len(verts)):
             face = [v for v in verts if v[2] != drop]
             k = tuple(x // scale for x in face[0][1])
@@ -603,8 +594,7 @@ def adjacent_pairs(c: PeriodicComplex) -> tuple[AdjacentPair, ...]:
             nu = normals[edges] = _facet_normal(
                 tuple(tuple(map(Fraction, e)) for e in edges), n
             )
-        w = coords[i][drop * n : drop * n + n]
-        opp = map(sub, _ambient(rows, w), step)
+        opp = map(sub, images[i][drop], step)
         side = sum(int(x) * (y - z) for x, y, z in zip(nu, opp, face[0]))
         if side == 0:
             raise ComplexError("degenerate face/opposite configuration")
@@ -688,44 +678,56 @@ def unfold(c: PeriodicComplex, lat: Lattice) -> PeriodicComplex:
     ``lat`` must be contained in ``c.period``; the result has period
     ``lat``, one cell per (cell, coset) pair, and is c if lat = c.period.
     """
-    if lat == c.period:
-        return c
-    for g in lat.generators:
-        if not c.period.contains(g):
-            raise IncompatiblePeriodsError("unfold target must be a sublattice")
-    index = covolume(lat) / covolume(c.period)
-    if index.denominator != 1:
-        raise IncompatiblePeriodsError("non-integer lattice index")
-    index = int(index)
-    reps: dict[tuple, Vec] = {}
-    bound = max(index, 1)
-    for k in product(range(bound), repeat=c.dim):
-        lam = c.period.from_coords(tuple(Fraction(x) for x in k))
-        r = reduce_mod(lam, lat)
-        reps.setdefault(r, r)
-        if len(reps) == index:
-            break
-    if len(reps) != index:
-        raise ComplexError("could not enumerate coset representatives")
-    cells = []
-    for cell in c.cells:
-        for r in reps.values():
-            cells.append(cell.translate(r))
-    return make_complex(lat, cells, level=c.level, expected=index * len(c.cells))
+    return c if lat == c.period else unfold_with_shifts(c, lat)[0]
 
 
 def unfold_with_shifts(
     c: PeriodicComplex, lat: Lattice
 ) -> tuple[PeriodicComplex, tuple[tuple[int, Vec], ...]]:
     """Like :func:`unfold` but also returns, per new cell, the source
-    cell index and the period shift lam with new_cell = cells[i] + lam."""
-    unfolded = unfold(c, lat)
-    mapping = []
-    originals = {cell.vertices: i for i, cell in enumerate(c.cells)}
-    for cell in unfolded.cells:
-        canon, shift = canonical_cell(cell.vertices, c.period)
-        i = originals.get(canon.vertices)
-        if i is None:
-            raise ComplexError("unfolded cell lost its source")
-        mapping.append((i, shift))
-    return unfolded, tuple(mapping)
+    cell index and the period shift lam with new_cell = cells[i] + lam.
+    ``lat`` is K Z^n in the period basis: the cells are translated by the
+    coset representatives of Z^n / K Z^n in integer period coordinates,
+    reduced mod K Z^n by floor division, and ordered by ambient image.
+    """
+    n = c.dim
+    kcols = [c.period.coords(g) for g in lat.generators]
+    if any(x.denominator != 1 for col in kcols for x in col):
+        raise IncompatiblePeriodsError("unfold target must be a sublattice")
+    kcols = [list(map(int, col)) for col in kcols]
+    det_k, adj = _int_det_adj(kcols)
+
+    def shift(w, s):
+        """s K floor(K^-1 w / s): what reduces w mod s K Z^n."""
+        m = [sum(map(mul, row, w)) // (det_k * s) for row in adj]
+        return [s * sum(map(mul, m, row)) for row in zip(*kcols)]
+
+    reps = {
+        tuple(map(sub, k, shift(k, 1)))
+        for k in product(range(det_k), repeat=n)
+    }
+    scale, coords = _period_coords(c)
+    rows = c.period.frame.basis
+    cells: dict[tuple, tuple] = {}  # ambient image -> (coordinates, i, lam)
+    for i, (cell, amb) in enumerate(zip(coords, _ambient_cells(c)[1])):
+        verts = sorted(zip(amb, (cell[k : k + n] for k in range(0, len(cell), n))))
+        for r in reps:
+            w0 = [x + scale * y for x, y in zip(verts[0][1], r)]
+            k = [scale * x - y for x, y in zip(r, shift(w0, scale))]
+            step = _ambient(rows, k)
+            key = tuple(x + y for a, _ in verts for x, y in zip(a, step))
+            w = tuple(x + y for _, u in verts for x, y in zip(u, k))
+            cells[key] = w, i, tuple(x // scale for x in k)
+    if len(cells) != det_k * len(coords):
+        raise ComplexError("unfolded cells collide")
+    ordered = [cells[key] for key in sorted(cells)]
+    # lat coordinates adj(K) w / (det(K) scale), on the least scale
+    new = [
+        [sum(map(mul, row, w[m : m + n])) for m in range(0, len(w), n) for row in adj]
+        for w, _, _ in ordered
+    ]
+    e = math.gcd(det_k * scale, *(x for w in new for x in w))
+    new = tuple(tuple(x // e for x in w) for w in new)
+    lams = {k: c.period.from_coords(k) for k in {k for _, _, k in ordered}}
+    unfolded = _from_coords(lat, det_k * scale // e, new, c.level)
+    return unfolded, tuple((i, lams[k]) for _, i, k in ordered)

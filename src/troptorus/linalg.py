@@ -111,13 +111,22 @@ def det(m: Mat) -> Fraction:
         raise DimensionMismatchError("det: matrix not square")
     if n == 0:
         return Fraction(1)
-    rows, pivots, sign = _eliminate(m)
-    if len(pivots) < n:
-        return Fraction(0)
-    d = Fraction(sign)
-    for i in range(n):
-        d *= rows[i][pivots[i]]
-    return d
+    # fraction-free (Bareiss) elimination of the integer matrix d * m:
+    # every division is exact, and the last pivot is det(d * m)
+    d, rows = integer_matrix(m)
+    rows, sign, prev = [list(r) for r in rows], 1, 1
+    for k in range(n - 1):
+        if rows[k][k] == 0:
+            pr = next((i for i in range(k + 1, n) if rows[i][k]), None)
+            if pr is None:
+                return Fraction(0)
+            rows[k], rows[pr], sign = rows[pr], rows[k], -sign
+        rk = rows[k]
+        for ri in rows[k + 1 :]:
+            ri[k + 1 :] = [(rk[k] * x - ri[k] * y) // prev for x, y in
+                           zip(ri[k + 1 :], rk[k + 1 :])]
+        prev = rk[k]
+    return Fraction(sign * rows[-1][-1], d ** n)
 
 
 def solve(m: Mat, rhs: Vec) -> Vec:

@@ -11,12 +11,13 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from operator import add, mul
+from operator import add, mul, sub
 
 from .complexes import (
     PeriodicComplex,
     Simplex,
     _ambient,
+    _ambient_cells,
     _containment_index,
     _period_coords,
     canonical_cell,
@@ -87,12 +88,25 @@ def simplex_k_volume(s: Simplex) -> Fraction:
 
 @dataclass(frozen=True)
 class PolytopalMeasure:
+    """Atoms (simplex, density) modulo the lattice.  A measure of
+    :func:`haar` builds its ``atoms`` from its complex on first access."""
+
     lattice: Lattice
     atoms: tuple[tuple[Simplex, Fraction], ...]
     # (mass, barycenter) per atom; see _atom_masses
     _masses: tuple | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    # (complex over the lattice, densities) of the atoms
+    _cells: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __getattr__(self, name):
+        # reached only for the unbuilt atoms of a measure of haar
+        if name != "atoms":
+            raise AttributeError(name)
+        c, dens = self._cells
+        object.__setattr__(self, "atoms", tuple(zip(c.cells, dens)))
+        return self.atoms
 
     def __post_init__(self):
         if not self.atoms:
@@ -102,6 +116,8 @@ class PolytopalMeasure:
             raise MeasureError("atoms must share a common dimension")
         if any(d <= 0 for _, d in self.atoms):
             raise MeasureError("densities must be positive")
+        cells = PeriodicComplex(self.lattice, tuple(s for s, _ in self.atoms))
+        object.__setattr__(self, "_cells", (cells, tuple(d for _, d in self.atoms)))
 
     @property
     def dim(self) -> int:
@@ -110,11 +126,22 @@ class PolytopalMeasure:
 
 def _atom_masses(mu: PolytopalMeasure) -> tuple[tuple[Fraction, Vec], ...]:
     """(d * vol(s), barycenter of s) per atom (s, d), computed at most once
-    per measure and kept on it."""
+    per measure and kept on it; one volume per cell shape (the edges of
+    the integer vertex images, see complexes._ambient_cells)."""
     if mu._masses is None:
-        object.__setattr__(mu, "_masses", tuple(
-            (d * simplex_k_volume(s), s.barycenter()) for s, d in mu.atoms
-        ))
+        c, dens = mu._cells
+        t, cells = _ambient_cells(c)
+        shapes: dict[tuple, Fraction] = {}  # edges -> volume
+        masses = []
+        for d, (a0, *rest) in zip(dens, cells):
+            edges = tuple(tuple(map(sub, a, a0)) for a in rest)
+            if edges not in shapes:
+                s = Simplex(((0,) * len(a0),) + edges)
+                shapes[edges] = simplex_k_volume(s) / t ** len(edges)
+            k = len(rest) + 1
+            bary = tuple(Fraction(sum(x), k * t) for x in zip(a0, *rest))
+            masses.append((d * shapes[edges], bary))
+        object.__setattr__(mu, "_masses", tuple(masses))
     return mu._masses
 
 
@@ -172,12 +199,12 @@ class IntegralAffineMap:
 
 
 def haar(lat: Lattice, c: PeriodicComplex) -> PolytopalMeasure:
-    """Haar probability measure with atoms from one lattice-fundamental set."""
-    cells = unfold(c, lat).cells
-    density = 1 / covolume(lat)
-    return PolytopalMeasure(
-        lattice=lat, atoms=tuple((cell, density) for cell in cells)
-    )
+    """Haar probability measure with atoms from one lattice-fundamental
+    set, the cells of c unfolded over lat."""
+    c = unfold(c, lat)
+    mu = object.__new__(PolytopalMeasure)
+    mu.__dict__.update(lattice=lat, _cells=(c, (1 / covolume(lat),) * c.size))
+    return mu
 
 
 def integrate(t: TestFunction, mu: PolytopalMeasure) -> Fraction:
@@ -190,10 +217,8 @@ def integrate(t: TestFunction, mu: PolytopalMeasure) -> Fraction:
     barycenter value; the atom masses and barycenters are kept on the
     measure, and pieces with m = 0 and c = 0 add nothing.
     """
-    # fast path: the atoms are exactly t's cells (e.g. Haar on t's complex)
-    if len(mu.atoms) == len(t.complex.cells) and all(
-        s == cell for (s, _), cell in zip(mu.atoms, t.complex.cells)
-    ):
+    # fast path: the atoms are t's cells (Haar on t's own complex)
+    if mu._cells[0] is t.complex:
         total = Fraction(0)
         for (w, bc), (m, c) in zip(_atom_masses(mu), t.pieces):
             if c or any(m):
@@ -222,10 +247,7 @@ def integrate(t: TestFunction, mu: PolytopalMeasure) -> Fraction:
     n = mu.lattice.dim
     if mu.dim != n:
         raise NoCommonRefinementError("flat atoms hold no test cell")
-    atoms = PeriodicComplex(
-        period=mu.lattice, cells=tuple(s for s, _ in mu.atoms)
-    )
-    index = _containment_index(atoms)
+    index = _containment_index(mu._cells[0])
     scale, coords = _period_coords(t.complex)
     total = Fraction(0)
     for cell, w, (m, c) in zip(t.complex.cells, coords, t.pieces):
@@ -320,10 +342,9 @@ def monte_carlo_pushforward(
     bit for bit regardless of evaluation order.  A sample of a k-simplex
     takes k sorted 32-bit cuts of [0, 1) as its barycentric weights.
 
-    The work runs on one integer grid: the map followed by the target's
-    period coordinates is affine, so each vertex is mapped once, and a
-    sample is the integer combination of its atom's mapped vertices with
-    the cut gaps as weights, reduced by ``%``; these reduced integers are
+    In integers: the map followed by the target's period coordinates is
+    affine, and a sample is the combination of its atom's mapped integer
+    vertices with the cut gaps as weights, reduced by ``%``, which gives
     the output's period coordinates.
     """
     if samples <= 0:
@@ -346,20 +367,21 @@ def monte_carlo_pushforward(
         lat.frame.inverse,
         tuple(row + (b,) for row, b in zip(a.matrix, a.offset)),
     ))
-    den, verts = integer_matrix(
-        tuple(v for s, _ in mu.atoms for v in s.vertices)
-    )
+    # the atom vertices a / t over their least common denominator t / e
+    t, cells = _ambient_cells(mu._cells[0])
+    e = math.gcd(t, *(x for cell in cells for a in cell for x in a))
+    den = t // e
     top = 1 << 32
     modulus = top * g * den  # period coordinates of a sample times this
     coords = []
-    first = 0
-    for idx, ((s, _), cnt) in enumerate(zip(mu.atoms, counts)):
-        k = s.dim
+    for idx, (cell, cnt) in enumerate(zip(cells, counts)):
+        if not cnt:
+            continue
+        k = len(cell) - 1
         images = [
-            [sum(map(mul, row, v)) + row[-1] * den for row in to_coords]
-            for v in verts[first : first + k + 1]
+            [sum(map(mul, row, a)) // e + row[-1] * den for row in to_coords]
+            for a in cell
         ]
-        first += k + 1
         # with cuts c_1 <= ... <= c_k the weights are the gaps c_1 - 0,
         # c_2 - c_1, ..., top - c_k; summed by parts, coordinate m is
         # top * images[k][m] + sum_i c_i * (images[i-1][m] - images[i][m])
@@ -462,9 +484,7 @@ def mass_near(mu, center: Vec, delta: Fraction) -> Fraction:
     elif mu.dim != n:
         raise MeasureError("box masses need full-dimensional atoms")
     else:
-        unit, verts = integer_matrix(
-            tuple(v for s, _ in mu.atoms for v in s.vertices)
-        )
+        unit, cells = _ambient_cells(mu._cells[0])
     # the center and delta as c / t and d / t, t a multiple of unit, and
     # the period-coordinate bounding box of the box, at scale q * t
     t = math.lcm(unit, delta.denominator, *(x.denominator for x in center))
@@ -491,11 +511,8 @@ def mass_near(mu, center: Vec, delta: Fraction) -> Fraction:
         return Fraction(hits, len(mu.coords))
     total = Fraction(0)
     r = t // unit
-    for i, (atom, dens) in enumerate(mu.atoms):
-        ws = [
-            [r * sum(map(mul, row, v)) for row in inv]
-            for v in verts[i * (n + 1) : (i + 1) * (n + 1)]
-        ]
+    for cell, (atom, dens) in zip(cells, mu.atoms):
+        ws = [[r * sum(map(mul, row, a)) for row in inv] for a in cell]
         box = [min(col) for col in zip(*ws)], [max(col) for col in zip(*ws)]
         for k in box_translates(*box, lo, hi, qt):
             lam = lat.from_coords(k)

@@ -19,6 +19,8 @@ from .complexes import (
     AdjacentPair,
     PeriodicComplex,
     _ambient,
+    _ambient_cells,
+    _cell_vertices,
     _containment_index,
     _int_det_adj,
     _period_coords,
@@ -29,9 +31,7 @@ from .complexes import (
 from .lattice import (
     Lattice,
     Polarization,
-    bilinear,
     quadratic,
-    reduce_mod,
 )
 from .linalg import (
     SingularMatrixError,
@@ -83,7 +83,7 @@ class CocycleFunction:
     )
 
     def __post_init__(self):
-        if len(self.pieces) != len(self.complex.cells):
+        if len(self.pieces) != self.complex.size:
             raise PafError("one affine piece per maximal cell required")
 
 
@@ -93,9 +93,11 @@ class TestFunction:
 
     complex: PeriodicComplex
     pieces: tuple[Piece, ...]
+    # sup |t|; see test_sup_abs
+    _sup: Fraction | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.pieces) != len(self.complex.cells):
+        if len(self.pieces) != self.complex.size:
             raise PafError("one affine piece per maximal cell required")
 
 
@@ -113,13 +115,10 @@ def _cell_frames(c: PeriodicComplex) -> tuple[int, list]:
     a_k = t*v_k of its vertices (see complexes._ambient), where det and
     adj are the determinant and adjugate of the matrix whose columns are
     the edges a_k - a_0, computed once per cell shape."""
-    n = c.dim
-    scale, coords = _period_coords(c)
-    rows = c.period.frame.basis
+    t, cells = _ambient_cells(c)
     shapes: dict[tuple, tuple] = {}
     frames = []
-    for w in coords:
-        a0, *rest = (_ambient(rows, w[k : k + n]) for k in range(0, len(w), n))
+    for a0, *rest in cells:
         edges = tuple(tuple(map(sub, a, a0)) for a in rest)
         shape = shapes.get(edges)
         if shape is None:
@@ -127,7 +126,7 @@ def _cell_frames(c: PeriodicComplex) -> tuple[int, list]:
             if shape[0] == 0:
                 raise SingularMatrixError("flat cell")
         frames.append((a0, *shape))
-    return c.period.frame.g * scale, frames
+    return t, frames
 
 
 def _interpolate_piece(t: int, frame, values) -> Piece:
@@ -169,36 +168,27 @@ def piece_on_translate(f: CocycleFunction, i: int, lam: Vec) -> Piece:
     return vadd(m, glam), c - dot(m, lam) + const
 
 
-def _vertex_stage(v: Vec, period: Lattice) -> int:
-    """Number of half-integer period coordinates; the barycentric depth."""
-    stage = 0
-    for c in period.coords(v):
-        d = c.denominator
-        if d == 1:
-            continue
-        if d == 2:
-            stage += 1
-        else:
-            raise NotBarycentricError(
-                "vertex is not on the half-integer grid of the period basis"
-            )
-    return stage
-
-
-def _model_values(c: PeriodicComplex, z: Cocycle) -> dict[Vec, tuple]:
-    """Per distinct vertex v of c: (q(v) + ell(v), 1 - 2^-k), k the
-    barycentric depth of v."""
+def _model_values(c: PeriodicComplex, z: Cocycle) -> list[list[tuple]]:
+    """Per cell, per vertex v: (q(v) + ell(v), 1 - 2^-k), k the number
+    of half-integer period coordinates of v, its barycentric depth."""
     if c.level != 0:
         raise NotBarycentricError("model functions live on the level-0 complex")
-    out: dict[Vec, tuple] = {}
-    for cell in c.cells:
-        for v in cell.vertices:
+    scale, coords = _period_coords(c)
+    if scale > 2:
+        raise NotBarycentricError(
+            "vertex is not on the half-integer grid of the period basis"
+        )
+    n, out = c.dim, {}
+    cells = _cell_vertices(c)
+    for vs, w in zip(cells, coords):
+        for k, v in enumerate(vs):
             if v not in out:
+                depth = sum(x % scale for x in w[k * n : k * n + n])
                 out[v] = (
                     quadratic(z.polarization, v) + dot(z.linear, v),
-                    1 - Fraction(1, 2 ** _vertex_stage(v, c.period)),
+                    1 - Fraction(1, 2 ** depth),
                 )
-    return out
+    return [[out[v] for v in vs] for vs in cells]
 
 
 def build_model_function(
@@ -214,10 +204,8 @@ def build_model_function(
     eps = Fraction(eps)
     t, frames = _cell_frames(c)
     pieces = [
-        _interpolate_piece(t, frame, [
-            values[v][0] + eps * values[v][1] for v in cell.vertices
-        ])
-        for cell, frame in zip(c.cells, frames)
+        _interpolate_piece(t, frame, [y + eps * p for y, p in vals])
+        for vals, frame in zip(values, frames)
     ]
     return CocycleFunction(
         complex=c, pieces=tuple(pieces), cocycle=z, linear_scale=Fraction(1)
@@ -354,16 +342,19 @@ def evaluate_test(t: TestFunction, u: Vec) -> Fraction:
 
 def test_sup_abs(t: TestFunction) -> Fraction:
     """sup |t|; attained at cell vertices since t is affine per cell.
-    Pieces with m = 0 and c = 0 are 0 and skipped."""
-    best = Fraction(0)
-    for cell, (m, c) in zip(t.complex.cells, t.pieces):
-        if not (c or any(m)):
-            continue
-        for v in cell.vertices:
-            val = abs(dot(m, v) + c)
-            if val > best:
-                best = val
-    return best
+    Pieces with m = 0 and c = 0 are 0 and skipped.  Computed at most once
+    per test and kept on it."""
+    if t._sup is None:
+        best = Fraction(0)
+        for cell, (m, c) in zip(t.complex.cells, t.pieces):
+            if not (c or any(m)):
+                continue
+            for v in cell.vertices:
+                val = abs(dot(m, v) + c)
+                if val > best:
+                    best = val
+        object.__setattr__(t, "_sup", best)
+    return t._sup
 
 
 def interpolate_test(
@@ -373,32 +364,38 @@ def interpolate_test(
 
     Keys are vertices reduced mod the period; values extend periodically.
     """
-    reduced = _reduced_vertices(c)
+    orbits, keys = _orbit_keys(c)
     t, frames = _cell_frames(c)
     pieces = []
-    for cell, frame in zip(c.cells, frames):
+    for ks, frame in zip(keys, frames):
         vals = []
-        for v in cell.vertices:
-            key = reduced[v]
-            if key not in vertex_values:
-                raise PafError(f"missing vertex value at {key}")
-            vals.append(vertex_values[key])
+        for k in ks:
+            if orbits[k] not in vertex_values:
+                raise PafError(f"missing vertex value at {orbits[k]}")
+            vals.append(vertex_values[orbits[k]])
         pieces.append(_interpolate_piece(t, frame, vals))
     return TestFunction(complex=c, pieces=tuple(pieces))
 
 
-def _reduced_vertices(c: PeriodicComplex) -> dict[Vec, Vec]:
-    """Each distinct cell vertex, reduced mod the period once."""
-    out: dict[Vec, Vec] = {}
-    for cell in c.cells:
-        for v in cell.vertices:
-            if v not in out:
-                out[v] = reduce_mod(v, c.period)
-    return out
+def _orbit_keys(c: PeriodicComplex) -> tuple[tuple[Vec, ...], list]:
+    """(orbits, keys): the vertex orbits of c as reduce_mod gives them,
+    sorted, and per cell the index in orbits of each vertex.  The period
+    coordinates are reduced by floor-mod and sorted by ambient image."""
+    n = c.dim
+    scale, coords = _period_coords(c)
+    cells = [
+        [tuple(x % scale for x in w[k : k + n]) for k in range(0, len(w), n)]
+        for w in coords
+    ]
+    rows, t = c.period.frame.basis, c.period.frame.g * scale
+    ranked = sorted((_ambient(rows, r), r) for r in {r for ks in cells for r in ks})
+    pos = {r: k for k, (_, r) in enumerate(ranked)}
+    orbits = tuple(tuple(Fraction(x, t) for x in a) for a, _ in ranked)
+    return orbits, [[pos[r] for r in ks] for ks in cells]
 
 
 def vertex_orbits(c: PeriodicComplex) -> tuple[Vec, ...]:
-    return tuple(sorted(set(_reduced_vertices(c).values())))
+    return _orbit_keys(c)[0]
 
 
 def hat_test_functions(c: PeriodicComplex) -> tuple[TestFunction, ...]:
@@ -407,17 +404,14 @@ def hat_test_functions(c: PeriodicComplex) -> tuple[TestFunction, ...]:
     On a cell, the hat of orbit o interpolates 1 at the cell's vertices
     in o and 0 at the others; cells the orbit misses get the zero piece.
     """
-    reduced = _reduced_vertices(c)
-    orbits = sorted(set(reduced.values()))
-    pos = {o: k for k, o in enumerate(orbits)}
+    orbits, keys = _orbit_keys(c)
     zero = (zero_vec(c.dim), Fraction(0))
-    pieces = [[zero] * len(c.cells) for _ in orbits]
+    pieces = [[zero] * c.size for _ in orbits]
     t, frames = _cell_frames(c)
-    for i, (cell, frame) in enumerate(zip(c.cells, frames)):
-        keys = [reduced[v] for v in cell.vertices]
-        for o in set(keys):
-            pieces[pos[o]][i] = _interpolate_piece(
-                t, frame, [int(k == o) for k in keys]
+    for i, (ks, frame) in enumerate(zip(keys, frames)):
+        for o in set(ks):
+            pieces[o][i] = _interpolate_piece(
+                t, frame, [int(k == o) for k in ks]
             )
     return tuple(TestFunction(complex=c, pieces=tuple(p)) for p in pieces)
 
@@ -560,9 +554,6 @@ class _Gap:
             det_s, adj = _int_det_adj(tuple(
                 tuple(sum(map(mul, r, e)) for e in edges) for r in re
             ))
-            if det_s < 0:
-                det_s = -det_s
-                adj = tuple(tuple(-x for x in row) for row in adj)
             shape = self.shapes[edges] = (det_s, adj)
         det_s, adj = shape
         if det_s == 0:
@@ -624,33 +615,6 @@ def sup_distance_to_quadratic(f: CocycleFunction) -> Fraction:
     return max(best, Fraction(-least, gap.den))
 
 
-def verify_continuity(f: CocycleFunction) -> None:
-    """Adjacent pieces must agree on the shared face (checked at vertices)."""
-    for p in adjacent_pairs(f.complex):
-        m_i, c_i = piece_on_translate(f, p.i, p.shift_i)
-        m_j, c_j = piece_on_translate(f, p.j, p.shift_j)
-        for v in p.face:
-            if dot(m_i, v) + c_i != dot(m_j, v) + c_j:
-                raise PafError("discontinuity across a shared face")
-
-
-def verify_periodicity(f: CocycleFunction) -> None:
-    """Exact cocycle law at all cell vertices for all period generators."""
-    z = f.cocycle
-    for lam in f.complex.period.generators:
-        for cell in f.complex.cells:
-            for v in cell.vertices:
-                lhs = evaluate(f, vadd(v, lam))
-                rhs = (
-                    evaluate(f, v)
-                    + quadratic(z.polarization, lam)
-                    + f.linear_scale * dot(z.linear, lam)
-                    + bilinear(z.polarization, lam, v)
-                )
-                if lhs != rhs:
-                    raise PafError("cocycle periodicity violated")
-
-
 def _epsilon_lines(c: PeriodicComplex, z: Cocycle) -> tuple[list, int, list]:
     """(parts, den, lines): per cell, the pieces of q + ell and of the
     vertex perturbation, so the model piece at eps is the first plus
@@ -659,11 +623,8 @@ def _epsilon_lines(c: PeriodicComplex, z: Cocycle) -> tuple[list, int, list]:
     values = _model_values(c, z)
     t, frames = _cell_frames(c)
     parts = [
-        tuple(
-            _interpolate_piece(t, frame, [values[v][k] for v in cell.vertices])
-            for k in (0, 1)
-        )
-        for cell, frame in zip(c.cells, frames)
+        tuple(_interpolate_piece(t, frame, [v[k] for v in vals]) for k in (0, 1))
+        for vals, frame in zip(values, frames)
     ]
     da, a = face_slacks(c, [p for p, _ in parts], z.polarization.gram)
     db, b = face_slacks(c, [q for _, q in parts])

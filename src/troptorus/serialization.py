@@ -10,7 +10,7 @@ import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
-from .complexes import PeriodicComplex
+from .complexes import PeriodicComplex, _cell_vertices
 from .linalg import Mat, TroptorusError, Vec
 
 _RATIONAL = re.compile(r"^(-?\d+)/(\d+)$")
@@ -90,7 +90,7 @@ def complex_to_json(c: PeriodicComplex) -> dict:
     return {
         "period": {"generators": c.period.generators},
         "level": c.level,
-        "cells": [{"vertices": s.vertices} for s in c.cells],
+        "cells": [{"vertices": vs} for vs in _cell_vertices(c)],
     }
 
 

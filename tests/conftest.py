@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 
@@ -14,9 +15,26 @@ from troptorus import (
     standard_lattice,
     superlattice,
 )
-from troptorus import NoCommonRefinementError, PeriodicComplex, evaluate_test
-from troptorus.complexes import _containment_index, _period_coords
-from troptorus.linalg import det, dot, from_columns, solve, vsub
+from troptorus import (
+    NoCommonRefinementError,
+    PafError,
+    PeriodicComplex,
+    adjacent_pairs,
+    bilinear,
+    evaluate,
+    evaluate_test,
+    quadratic,
+)
+from troptorus.paf import piece_on_translate
+from troptorus.complexes import (
+    Simplex,
+    _containment_index,
+    _period_coords,
+    canonical_cell,
+    make_complex,
+)
+from troptorus.lattice import covolume, reduce_mod
+from troptorus.linalg import det, dot, from_columns, solve, vadd, vscale, vsub
 from troptorus.serialization import SerializationError
 
 
@@ -108,6 +126,35 @@ def dense_averages(tests, e):
     )
 
 
+def verify_continuity(f):
+    """Adjacent pieces must agree on the shared face (checked at its
+    vertices): the continuity check of a cocycle function."""
+    for p in adjacent_pairs(f.complex):
+        m_i, c_i = piece_on_translate(f, p.i, p.shift_i)
+        m_j, c_j = piece_on_translate(f, p.j, p.shift_j)
+        for v in p.face:
+            if dot(m_i, v) + c_i != dot(m_j, v) + c_j:
+                raise PafError("discontinuity across a shared face")
+
+
+def verify_periodicity(f):
+    """The exact cocycle law at all cell vertices for all period
+    generators, each side located anew by evaluate."""
+    z = f.cocycle
+    for lam in f.complex.period.generators:
+        for cell in f.complex.cells:
+            for v in cell.vertices:
+                lhs = evaluate(f, vadd(v, lam))
+                rhs = (
+                    evaluate(f, v)
+                    + quadratic(z.polarization, lam)
+                    + f.linear_scale * dot(z.linear, lam)
+                    + bilinear(z.polarization, lam, v)
+                )
+                if lhs != rhs:
+                    raise PafError("cocycle periodicity violated")
+
+
 def to_jsonable(obj):
     """Recursively rewrite Fractions as "p/q" strings and keys as str(key)
     for json.dumps."""
@@ -136,6 +183,71 @@ def pair_key(i, shift_i, j, shift_j):
     si = ",".join(str(x) for x in shift_i)
     sj = ",".join(str(x) for x in shift_j)
     return f"cell{i}[{si}]|cell{j}[{sj}]"
+
+
+def fraction_barycentric(orth_prime, period):
+    """The level-0 flag cells of the period basis in Fractions, put in
+    canonical form by make_complex: the oracle of the integer
+    complexes.barycentric_triangulation."""
+    n = len(orth_prime)
+    cells = []
+    for signs in product((1, -1), repeat=n):
+        for perm in permutations(range(n)):
+            verts = [(Fraction(0),) * n]
+            for idx in perm:
+                step = vscale(Fraction(signs[idx], 2), orth_prime[idx])
+                verts.append(vadd(verts[-1], step))
+            cells.append(Simplex(tuple(verts)))
+    c = make_complex(period, cells, expected=2 ** n * math.factorial(n))
+    object.__setattr__(c, "_j1", 0)
+    return c
+
+
+def fraction_refine_step(c):
+    """The halving (cell + sum k_j b_j) / 2, k in {0,1}^n, of every cell
+    in Fractions, each child in canonical form, with (parent index, lam)
+    such that 2 * child = parent + lam: the oracle of the integer
+    complexes.dyadic_refine_step."""
+    children = {}
+    for i, cell in enumerate(c.cells):
+        for k in product((0, 1), repeat=c.dim):
+            step = c.period.from_coords(tuple(map(Fraction, k)))
+            half = tuple(vscale(Fraction(1, 2), vadd(v, step)) for v in cell.vertices)
+            canon, shift = canonical_cell(half, c.period)
+            children[canon.vertices] = (canon, i, vsub(step, vscale(Fraction(2), shift)))
+    keys = sorted(children)
+    fine = PeriodicComplex(
+        period=c.period,
+        cells=tuple(children[k][0] for k in keys),
+        level=c.level + 1,
+    )
+    if c._j1 is not None:
+        object.__setattr__(fine, "_j1", c._j1 + 1)
+    return fine, tuple(children[k][1:] for k in keys)
+
+
+def fraction_unfold_with_shifts(c, lat):
+    """The cells of c translated by coset representatives reduced by
+    reduce_mod, put in canonical form by make_complex, and each new cell's
+    source and shift from canonical_cell: the oracle of the integer
+    complexes.unfold_with_shifts."""
+    index = int(covolume(lat) / covolume(c.period))
+    reps = set()
+    for k in product(range(index), repeat=c.dim):
+        reps.add(reduce_mod(c.period.from_coords(tuple(map(Fraction, k))), lat))
+    assert len(reps) == index
+    unfolded = make_complex(
+        lat,
+        [cell.translate(r) for cell in c.cells for r in reps],
+        level=c.level,
+        expected=index * len(c.cells),
+    )
+    originals = {cell.vertices: i for i, cell in enumerate(c.cells)}
+    mapping = []
+    for cell in unfolded.cells:
+        canon, shift = canonical_cell(cell.vertices, c.period)
+        mapping.append((originals[canon.vertices], shift))
+    return unfolded, tuple(mapping)
 
 
 def base_complex(n, gram=None):

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from troptorus import (
     ComplexError,
@@ -24,14 +24,21 @@ from troptorus.complexes import (
     PeriodicComplex,
     _inner_normal,
     _is_refinement_search,
+    _period_coords,
     barycentric_triangulation,
     canonical_cell,
     dyadic_refine_step,
     make_complex,
+    unfold_with_shifts,
 )
 from troptorus.lattice import Lattice
 from troptorus.linalg import det, from_columns, vadd, vscale, vsub
-from tests.conftest import pair_key
+from tests.conftest import (
+    fraction_barycentric,
+    fraction_refine_step,
+    fraction_unfold_with_shifts,
+    pair_key,
+)
 
 F = Fraction
 HALF = F(1, 2)
@@ -413,3 +420,107 @@ def test_adjacency_names_a_broken_tiling():
         adjacent_pairs(c)
     with pytest.raises(ComplexError, match="shared by 1 cells"):
         fraction_adjacent_pairs(c)
+
+
+_SKEW_BASIS = ((F(1), F(0)), (F(1, 2), F(3, 2)))
+
+
+@st.composite
+def builder_cases(draw):
+    """A rational period basis at n = 1..4, the skew basis among them; a
+    top level that keeps the Fraction oracles fast; a sublattice K Z^n
+    of index 1..6 in the period basis, det K of either sign; and the
+    level to unfold."""
+    n = draw(st.integers(1, 4))
+    entries = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    bases = st.tuples(*[st.tuples(*[entries] * n)] * n).filter(
+        lambda g: det(from_columns(g)) != 0
+    )
+    if n == 2:
+        bases = st.one_of(st.just(_SKEW_BASIS), bases)
+    gens = draw(bases)
+    top = draw(st.integers(0, {1: 3, 2: 2, 3: 1, 4: 1}[n]))
+    a = draw(st.sampled_from((1, 2, 3, -1, -2)))
+    b = draw(st.integers(0, 1)) if n > 1 else 0
+    kcols = [[int(i == j) for i in range(n)] for j in range(n)]
+    kcols[0][0] = a
+    if n > 1:
+        kcols[-1][0] = b
+        kcols[-1][-1] = draw(st.integers(1, 2))
+    return gens, top, kcols, draw(st.integers(0, min(top, 4 - n)))
+
+
+def _assert_same_complex(built, oracle):
+    """Equal cells in equal order, level and J1 level, and kept integer
+    coordinates equal to those computed from the Fraction cells."""
+    assert built._coords == _period_coords(oracle)
+    assert built.size == len(oracle.cells)
+    assert built.cells == oracle.cells
+    assert (built.level, built._j1) == (oracle.level, oracle._j1)
+
+
+@given(case=builder_cases())
+@example(case=(_SKEW_BASIS, 1, [[2, 0], [0, 2]], 1))  # lat scale below det(K) s
+@settings(max_examples=25, deadline=None)
+def test_integer_builders_match_the_fraction_oracles(case):
+    """barycentric_triangulation, dyadic_refine_step and
+    unfold_with_shifts, built in integer period coordinates, against the
+    Fraction builders of tests/conftest.py."""
+    gens, top, kcols, at = case
+    lat = Lattice(gens)
+    built = [barycentric_triangulation(gens, lat)]
+    oracle = [fraction_barycentric(gens, lat)]
+    for _ in range(top):
+        fine, parents = dyadic_refine_step(built[-1])
+        fine_o, parents_o = fraction_refine_step(oracle[-1])
+        assert parents == parents_o
+        built.append(fine)
+        oracle.append(fine_o)
+    for c, o in zip(built, oracle):
+        _assert_same_complex(c, o)
+    sub = Lattice(tuple(lat.from_coords(tuple(map(F, k))) for k in kcols))
+    unfolded, mapping = unfold_with_shifts(built[at], sub)
+    unfolded_o, mapping_o = fraction_unfold_with_shifts(oracle[at], sub)
+    assert mapping == mapping_o
+    _assert_same_complex(unfolded, unfolded_o)
+    assert unfold(built[at], sub).cells == unfolded_o.cells
+
+
+def test_refined_cells_are_built_only_on_access():
+    """On the n2 model, the Tate iterates, their certificates and
+    sup-distances, and triangulate's serialization run on the integer
+    form: no refined complex builds its cells.  Read, they are the
+    Fraction oracle's."""
+    import json
+    from pathlib import Path
+
+    from troptorus import Cocycle, Polarization, build_model_function
+    from troptorus.equidist import barycentric_complex
+    from troptorus.paf import (
+        check_strongly_convex,
+        sup_distance_to_quadratic,
+        tate_iterate,
+    )
+    from troptorus.serialization import canonical_dumps, complex_to_json
+
+    raw = json.loads(
+        (Path(__file__).resolve().parent.parent / "problems" / "n2.json")
+        .read_text()
+    )
+    lat = Lattice(tuple(tuple(map(F, g)) for g in raw["lattice"]))
+    b = Polarization(tuple(tuple(map(F, r)) for r in raw["gram"]))
+    z = Cocycle(polarization=b, linear=tuple(map(F, raw["linear"])))
+    f0 = build_model_function(barycentric_complex(lat, b, 0), z, F(1, 8))
+    f2 = tate_iterate(f0, 2)
+    check_strongly_convex(f2)
+    sup_distance_to_quadratic(f2)
+    tri = barycentric_complex(lat, b, 2)
+    text = canonical_dumps(complex_to_json(tri))
+    refined = [tate_iterate(f0, 1).complex, f2.complex, tri]
+    assert all("cells" not in vars(c) for c in refined)
+    oracle = [f0.complex]
+    for _ in range(2):
+        oracle.append(fraction_refine_step(oracle[-1])[0])
+    for c in refined:
+        assert c.cells == oracle[c.level].cells
+    assert canonical_dumps(complex_to_json(tri)) == text

@@ -28,7 +28,8 @@ from troptorus.equidist import (
 )
 from troptorus.lattice import Lattice, Polarization, covolume, reduce_mod
 from troptorus.linalg import det, from_columns
-from tests.conftest import base_complex, dense_averages
+from troptorus import paf
+from tests.conftest import base_complex, dense_averages, dense_sup_abs
 
 F = Fraction
 
@@ -78,6 +79,26 @@ def test_discrepancy_frozen_values(line_setup):
     assert discrepancy(torsion_grid(lat, 1), mu, tests) == F(3, 8)
     # the order-4 grid hits every level-1 vertex once: exact agreement
     assert discrepancy(torsion_grid(lat, 4), mu, tests) == 0
+
+
+def test_sup_abs_is_computed_once_per_test(plane_setup, monkeypatch):
+    """discrepancy against one family, called once per grid as the grid
+    bound does, computes sup |t| of each test once and keeps it there."""
+    lat, b, _, _ = plane_setup
+    c = standard_test_complex(lat, b, 1)
+    tests = hat_test_functions(c)
+    mu = haar(lat, c)
+    calls = []
+    real = paf.dot  # test_sup_abs evaluates the pieces with it
+    monkeypatch.setattr(paf, "dot", lambda u, v: calls.append(1) or real(u, v))
+    discrepancy(torsion_grid(lat, 3), mu, tests)
+    first = len(calls)
+    assert first > 0
+    for m in (4, 5, 6):
+        discrepancy(torsion_grid(lat, m), mu, tests)
+    assert len(calls) == first
+    monkeypatch.undo()
+    assert all(t._sup == dense_sup_abs(t) for t in tests)
 
 
 def test_discrepancy_needs_tests(line_setup):

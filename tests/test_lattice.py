@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +28,26 @@ F = Fraction
 rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=16
 )
+
+
+def _leibniz_det(m):
+    """sum over permutations p of sign(p) prod m[i][p(i)]: the oracle of
+    the fraction-free linalg.det."""
+    total = Fraction(0)
+    for p in permutations(range(len(m))):
+        sign = (-1) ** sum(p[j] > p[i] for i in range(len(p)) for j in range(i))
+        total += sign * math.prod((m[i][p[i]] for i in range(len(p))), start=Fraction(1))
+    return total
+
+
+@given(data=st.data(), n=st.integers(1, 5), whole=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_det_matches_the_leibniz_formula(data, n, whole):
+    """Rational and integer matrices, with zero entries that force row
+    swaps and singular ones among them."""
+    entry = st.integers(-4, 4) if whole else st.one_of(st.just(F(0)), rationals)
+    m = data.draw(st.tuples(*[st.tuples(*[entry] * n)] * n))
+    assert det(m) == _leibniz_det(m)
 
 
 def test_standard_lattice_basis():

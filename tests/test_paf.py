@@ -39,6 +39,7 @@ from troptorus.lattice import (
     covolume,
     identity_polarization,
     orthogonalize,
+    reduce_mod,
     superlattice,
 )
 from troptorus.linalg import (
@@ -61,11 +62,15 @@ from troptorus.paf import (
     _interpolate_piece,
     face_slacks,
     locate_cell,
-    verify_continuity,
-    verify_periodicity,
     vertex_orbits,
 )
-from tests.conftest import barycentric_coords, base_complex, pair_key
+from tests.conftest import (
+    barycentric_coords,
+    base_complex,
+    pair_key,
+    verify_continuity,
+    verify_periodicity,
+)
 
 F = Fraction
 
@@ -189,6 +194,21 @@ def test_hat_functions_partition_unity(line_setup):
     assert len(hats) == len(vertex_orbits(c))
     for u in (F(0), F(1, 8), F(1, 3), F(7, 16)):
         assert sum(evaluate_test(t, (u,)) for t in hats) == 1
+
+
+@pytest.mark.parametrize("n,skew,level", [(1, False, 2), (2, False, 1), (2, True, 1), (3, False, 0)])
+def test_vertex_orbits_match_reduce_mod(n, skew, level):
+    """The orbits from floor-mod on the integer coordinates, and their
+    order, are those of reduce_mod on the rational vertices; hat k is 1
+    at orbit k."""
+    lat, b, _, _ = base_complex(n)
+    if skew:
+        lat, b = Lattice(SKEW_BASIS), Polarization(((F(2), F(1)), (F(1), F(2))))
+    c = standard_test_complex(lat, b, level)
+    want = sorted({reduce_mod(v, lat) for cell in c.cells for v in cell.vertices})
+    assert vertex_orbits(c) == tuple(want)
+    for o, t in zip(want, hat_test_functions(c)):
+        assert evaluate_test(t, o) == 1
 
 
 def test_hat_sup_norm_is_one(line_setup):
