@@ -57,6 +57,11 @@ CASES = {
     "collapse-n1": (
         "n1", {}, ["collapse", "--samples", "2000", "--seed", "3"]
     ),
+    "collapse-n1-copies3": (
+        "n1",
+        {"collapse": {"copies": 3}},
+        ["collapse", "--samples", "2000", "--seed", "3"],
+    ),
     "collapse-n2-copies3": (
         "n2",
         {"collapse": {"copies": 3}},
@@ -122,6 +127,10 @@ GOLDEN = {
     "collapse-n1": (
         0,
         "688807f08f132916470fec37fc31966ba488da46158af68c6aeea1256da1f98e",
+    ),
+    "collapse-n1-copies3": (
+        0,
+        "c26d7623309c1bf25cd7c2e4df77bcc9a2463c12c5e3fb59c7869560695b893a",
     ),
     "collapse-n2-copies3": (
         5,
