@@ -19,6 +19,8 @@ from .equidist import (
     ExperimentConfig,
     ExperimentError,
     barycentric_complex,
+    checks_collapse_decay,
+    checks_grid_decay,
     collapse_experiment,
     fixed_denominator_obstruction,
     run_equidistribution,
@@ -140,10 +142,30 @@ def load_problem(path: str) -> Problem:
     equidist = _block(raw, "equidist")
     collapse = _block(raw, "collapse")
     obstruction = _block(raw, "obstruction")
-    grid_orders = _list(
-        equidist.get("grid_orders", [8, 16, 32, 64, 128, 256, 512]),
-        "equidist.grid_orders",
+    grid_orders = tuple(
+        _integer(m, "equidist.grid_orders entry", 1)
+        for m in _list(
+            equidist.get("grid_orders", [8, 16, 32, 64, 128, 256, 512]),
+            "equidist.grid_orders",
+        )
     )
+    if not checks_grid_decay(grid_orders):
+        raise SerializationError(
+            "equidist.grid_orders must hold some m >= 8 together with 2 m,"
+            f" got {list(grid_orders)}"
+        )
+    deltas = tuple(
+        _positive(parse_rational(d), "collapse.deltas entry")
+        for d in _list(
+            collapse.get("deltas", ["1/4", "1/8", "1/16", "1/32"]),
+            "collapse.deltas",
+        )
+    )
+    if not checks_collapse_decay(deltas):
+        raise SerializationError(
+            "collapse.deltas must hold some delta followed by delta / 2, got "
+            + ", ".join(map(format_rational, deltas))
+        )
     return Problem(
         lattice=lattice,
         polarization=polarization,
@@ -157,19 +179,11 @@ def load_problem(path: str) -> Problem:
                 0,
                 MAX_LEVEL,
             ),
-            "grid_orders": tuple(
-                _integer(m, "equidist.grid_orders entry", 1) for m in grid_orders
-            ),
+            "grid_orders": grid_orders,
         },
         collapse={
             "copies": _integer(collapse.get("copies", 2), "collapse.copies", 2),
-            "deltas": tuple(
-                _positive(parse_rational(d), "collapse.deltas entry")
-                for d in _list(
-                    collapse.get("deltas", ["1/4", "1/8", "1/16", "1/32"]),
-                    "collapse.deltas",
-                )
-            ),
+            "deltas": deltas,
             "samples": _integer(
                 collapse.get("samples", 100_000), "collapse.samples", 1
             ),

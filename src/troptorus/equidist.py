@@ -76,6 +76,22 @@ class ExperimentConfig:
             raise ExperimentError("grid orders must be >= 1")
         if not 0 <= self.test_level <= MAX_LEVEL:
             raise ExperimentError(f"test level must be in 0..{MAX_LEVEL}")
+        if not checks_grid_decay(self.grid_orders):
+            raise ExperimentError(
+                "grid orders must hold some m >= 8 together with 2 m"
+            )
+
+
+def checks_grid_decay(orders) -> bool:
+    """Whether the orders hold a doubling m, 2 m with m >= 8, the only
+    pairs whose discrepancy decay the equidistribution verdict checks."""
+    return any(m >= 8 and 2 * m in orders for m in orders)
+
+
+def checks_collapse_decay(deltas) -> bool:
+    """Whether some delta is followed by delta / 2, the only pairs whose
+    mass decay the collapse verdict checks."""
+    return any(2 * d2 == d1 for d1, d2 in zip(deltas, deltas[1:]))
 
 
 @dataclass(frozen=True)
@@ -328,6 +344,9 @@ def collapse_experiment(
     images = [mat_vec(amap.matrix, v) for v in d_face.vertices]
     if any(any(x != 0 for x in img) for img in images):
         raise ExperimentError("diagonal face does not map to 0")
+    deltas = tuple(map(Fraction, delta_sequence))
+    if not checks_collapse_decay(deltas):
+        raise ExperimentError("deltas must hold some delta followed by delta / 2")
 
     plat = product_lattice(lat, copies)
     c = barycentric_triangulation(plat.generators, plat)
@@ -335,8 +354,8 @@ def collapse_experiment(
     pushed = monte_carlo_pushforward(mu, amap, samples, seed)
     origin = zero_vec(n * (copies - 1))
     entries = []
-    for d in delta_sequence:
-        entries.append((Fraction(d), mass_near(pushed, origin, Fraction(d))))
+    for d in deltas:
+        entries.append((d, mass_near(pushed, origin, d)))
     ratios = []
     verdict = "pass"
     for (d1, m1), (d2, m2) in zip(entries, entries[1:]):

@@ -390,9 +390,11 @@ def monte_carlo_pushforward(
             (top * images[k][m], [u[m] - w[m] for u, w in pairs])
             for m in range(len(to_coords))
         ]
+        # all the atom's cuts in one draw, k per sample, in stream order
         bits = random.Random(f"{seed}:{idx}").getrandbits
-        for _ in range(cnt):
-            cuts = sorted([bits(32) for _ in range(k)])
+        draws = [bits(32) for _ in range(cnt * k)]
+        for j in range(cnt):
+            cuts = sorted(draws[j * k : j * k + k])
             coords.append(tuple(
                 (b + sum(map(mul, cuts, col))) % modulus for b, col in axes
             ))
@@ -467,9 +469,10 @@ def _wrap_guard(lat: Lattice, delta: Fraction) -> None:
 def mass_near(mu, center: Vec, delta: Fraction) -> Fraction:
     """Measure of the closed sup-norm box of radius delta around center.
 
-    The period translates tried for a point or an atom are those whose
+    The period translates tried for an atom are those whose
     period-coordinate bounding box meets the box's, so any rational
-    period basis is handled.  Points are tested in integers.
+    period basis is handled.  Points share one set of translates, that of
+    the box holding every reduced point, and are tested in integers.
     """
     delta = Fraction(delta)
     if delta <= 0:
@@ -497,15 +500,27 @@ def mass_near(mu, center: Vec, delta: Fraction) -> Fraction:
     qt = q * t
     if empirical_case:
         # at scale t the point L w / scale plus the period vector L k is
-        # g L (a w + b k)
+        # g L (a w + b k); every 0 <= w < scale lies in one box, so one
+        # set of translates k serves all points, each kept as the offset
+        # g L b k - c of the box center
         a, b = t // unit, t // g
         f = qt // mu.scale  # w / scale as period coordinates at scale q t
+        offsets = [
+            tuple(map(sub, _ambient(rows, [b * y for y in k]), c))
+            for k in box_translates((0,) * n, (qt - f,) * n, lo, hi, qt)
+        ]
+        # a point can hit only if each of its period coordinates has a
+        # translate inside [lo, hi]
+        ws = mu.coords
+        for m, (l, h) in enumerate(zip(lo, hi)):
+            if h - l < qt:
+                ws = [w for w in ws if (f * w[m] - l) % qt <= h - l]
+        arows = [[a * x for x in row] for row in rows]
         hits = 0
-        for w in mu.coords:
-            wq = [f * x for x in w]
-            for k in box_translates(wq, wq, lo, hi, qt):
-                p = _ambient(rows, [a * x + b * y for x, y in zip(w, k)])
-                if all(abs(x - y) <= d for x, y in zip(p, c)):
+        for w in ws:
+            p = _ambient(arows, w)
+            for o in offsets:
+                if all(abs(x + y) <= d for x, y in zip(p, o)):
                     hits += 1
                     break
         return Fraction(hits, len(mu.coords))

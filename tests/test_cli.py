@@ -119,6 +119,10 @@ _UNIT = '"lattice": [["1/1"]], "gram": [["1/1"]]'
         ("collapse", _UNIT + ', "collapse": {"deltas": ["0/1"]}', []),
         ("equidist", _UNIT + ', "equidist": {"test_level": 7}', []),
         ("obstruction", _UNIT + ', "obstruction": {"witness_level": 7}', []),
+        ("collapse", _UNIT + ', "collapse": {"deltas": ["1/4"]}', []),
+        ("collapse", _UNIT + ', "collapse": {"deltas": ["1/4", "1/5"]}', []),
+        ("equidist", _UNIT + ', "equidist": {"grid_orders": [4, 8]}', []),
+        ("equidist", _UNIT + ', "equidist": {"grid_orders": [8, 12]}', []),
     ],
     ids=[
         "singular-lattice",
@@ -139,6 +143,10 @@ _UNIT = '"lattice": [["1/1"]], "gram": [["1/1"]]'
         "zero-delta",
         "test-level-7",
         "witness-level-7",
+        "one-delta",
+        "no-halving-delta",
+        "doubling-below-8",
+        "no-doubling-grid-order",
     ],
 )
 def test_malformed_problem_is_parse_error(command, body, extra, tmp_path, capsys):

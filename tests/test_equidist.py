@@ -110,8 +110,20 @@ def test_discrepancy_needs_tests(line_setup):
 
 @pytest.mark.parametrize(
     "options",
-    [{"grid_orders": ()}, {"test_level": -1}, {"test_level": 7}],
-    ids=["empty-grid-orders", "negative-level", "level-7"],
+    [
+        {"grid_orders": ()},
+        {"test_level": -1},
+        {"test_level": 7},
+        {"grid_orders": (4, 8)},
+        {"grid_orders": (8, 12, 32)},
+    ],
+    ids=[
+        "empty-grid-orders",
+        "negative-level",
+        "level-7",
+        "doubling-below-8",
+        "no-doubling",
+    ],
 )
 def test_experiment_config_rejects_bad_options(line_setup, options):
     lat, b, _, _ = line_setup
@@ -263,12 +275,26 @@ def test_collapse_small_run(line_setup):
 def test_collapse_rejects_offdiagonal_face(line_setup):
     lat, _, _, _ = line_setup
     face = Simplex(((F(0), F(1, 4)), (F(1, 2), F(1, 2))))
-    with pytest.raises(ExperimentError):
+    with pytest.raises(ExperimentError, match="diagonal"):
         collapse_experiment(lat, face, 2, (F(1, 4),), samples=10, seed=0)
 
 
 def test_collapse_needs_two_copies(line_setup):
     lat, _, _, _ = line_setup
     face = Simplex(((F(0),),))
-    with pytest.raises(ExperimentError):
+    with pytest.raises(ExperimentError, match="two factors"):
         collapse_experiment(lat, face, 1, (F(1, 4),), samples=10, seed=0)
+
+
+@pytest.mark.parametrize(
+    "deltas",
+    [(F(1, 4),), (F(1, 4), F(1, 5)), (F(1, 8), F(1, 4))],
+    ids=["one-delta", "no-halving", "doubling"],
+)
+def test_collapse_needs_a_halving(line_setup, deltas):
+    """With no delta followed by delta / 2 no ratio is checked, so the
+    verdict would pass vacuously."""
+    lat, _, _, _ = line_setup
+    face = Simplex(((F(0), F(0)), (F(1, 2), F(1, 2))))
+    with pytest.raises(ExperimentError, match="delta / 2"):
+        collapse_experiment(lat, face, 2, deltas, samples=10, seed=0)

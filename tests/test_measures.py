@@ -672,6 +672,41 @@ def test_point_form_matches_the_fraction_definitions(lat, data):
             assert empirical_averages(tests, e2) == dense_averages(tests, e2)
 
 
+@given(lat=rational_lattices(), seed=st.integers(0, 2 ** 16), data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_box_counts_match_the_every_shift_oracle(lat, seed, data):
+    """mass_near of 50-200 points against the every-shift count, at delta
+    and delta / 3, with centers outside [0, 1)^n and on a corner of the
+    box around a point, moved by a random period.  Most points lie within
+    2 delta of a translate of the first center, at steps of delta / 6, so
+    some sit on the boundary of the box.  On the basis ((1,0),(7,1)) one
+    period-coordinate axis of the box spans a whole period, so the
+    prefilter keeps every point there."""
+    n = lat.dim
+    rng = random.Random(seed)
+    delta = _dyadic_delta(lat)
+    if lat.generators == _POINT_BASES[1]:
+        assert max(sum(map(abs, row)) for row in inverse(lat.matrix)) * delta >= 1
+
+    def translate(p):
+        k = tuple(F(rng.randint(-3, 3)) for _ in range(n))
+        return vadd(p, lat.from_coords(k))
+
+    far = tuple(F(rng.randint(-48, 48), 16) for _ in range(n))
+    pts = [
+        vadd(translate(far), tuple(rng.randint(-12, 12) * delta / 6 for _ in far))
+        if rng.random() < 0.7
+        else tuple(F(rng.randint(-40, 40), rng.randint(1, 8)) for _ in far)
+        for _ in range(data.draw(st.integers(50, 200)))
+    ]
+    e = empirical(lat, pts)
+    signs = tuple(rng.choice((-1, 1)) for _ in range(n))
+    for d in (delta, delta / 3):
+        corner = vadd(pts[-1], tuple(d * x for x in signs))
+        for center in (far, translate(corner)):
+            assert mass_near(e, center, d) == _oracle_mass_near(e, center, d)
+
+
 @given(n=st.integers(1, 4), data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_n_volume_matches_the_gram_path(n, data):
