@@ -35,6 +35,7 @@ IDENTITY_N3 = {
 
 # name -> (problem file or dict, top-level overrides, extra CLI arguments)
 CASES = {
+    "triangulate-n1-level3": ("n1", {}, ["triangulate", "--level", "3"]),
     "triangulate-n2-level2": ("n2", {}, ["triangulate", "--level", "2"]),
     "triangulate-n2-level4": ("n2", {}, ["triangulate", "--level", "4"]),
     "certify-n1-1/8": ("n1", {}, ["certify", "--epsilon", "1/8"]),
@@ -72,6 +73,10 @@ CASES = {
 
 # name -> (exit code, sha256 of the output bytes)
 GOLDEN = {
+    "triangulate-n1-level3": (
+        0,
+        "f9eae9c167f2aac0f30aedb8def85c4dae767966a87741ccb65dbbdc3a268c95",
+    ),
     "triangulate-n2-level2": (
         0,
         "3e5b94c84eadaf3bf6c767b139c2f39188ffa3e9ae68965b481bd7a385899410",
