@@ -46,7 +46,6 @@ from .serialization import (
     SerializationError,
     canonical_dumps,
     certificate_to_json,
-    complex_to_json,
     format_rational,
     parse_matrix,
     parse_rational,
@@ -215,7 +214,7 @@ def cmd_triangulate(p: Problem, args) -> int:
     if args.level is not None:
         level = _integer(args.level, "--level", 0)
     c = barycentric_complex(p.lattice, p.polarization, level)
-    _emit(canonical_dumps(complex_to_json(c)), args.out)
+    _emit(canonical_dumps(c), args.out)
     return EXIT_OK
 
 

@@ -93,10 +93,12 @@ class PolytopalMeasure:
 
     lattice: Lattice
     atoms: tuple[tuple[Simplex, Fraction], ...]
-    # (mass, barycenter) per atom; see _atom_masses
+    # mass per atom; see _atom_masses
     _masses: tuple | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    # barycenter per atom; see _atom_barycenters
+    _barys: tuple | None = field(default=None, init=False, repr=False, compare=False)
     # (complex over the lattice, densities) of the atoms
     _cells: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -124,10 +126,10 @@ class PolytopalMeasure:
         return self.atoms[0][0].dim
 
 
-def _atom_masses(mu: PolytopalMeasure) -> tuple[tuple[Fraction, Vec], ...]:
-    """(d * vol(s), barycenter of s) per atom (s, d), computed at most once
-    per measure and kept on it; one volume per cell shape (the edges of
-    the integer vertex images, see complexes._ambient_cells)."""
+def _atom_masses(mu: PolytopalMeasure) -> tuple[Fraction, ...]:
+    """d * vol(s) per atom (s, d), computed at most once per measure and
+    kept on it; one volume per cell shape (the edges of the integer
+    vertex images, see complexes._ambient_cells)."""
     if mu._masses is None:
         c, dens = mu._cells
         t, cells = _ambient_cells(c)
@@ -138,11 +140,18 @@ def _atom_masses(mu: PolytopalMeasure) -> tuple[tuple[Fraction, Vec], ...]:
             if edges not in shapes:
                 s = Simplex(((0,) * len(a0),) + edges)
                 shapes[edges] = simplex_k_volume(s) / t ** len(edges)
-            k = len(rest) + 1
-            bary = tuple(Fraction(sum(x), k * t) for x in zip(a0, *rest))
-            masses.append((d * shapes[edges], bary))
+            masses.append(d * shapes[edges])
         object.__setattr__(mu, "_masses", tuple(masses))
     return mu._masses
+
+
+def _atom_barycenters(mu: PolytopalMeasure) -> tuple[Vec, ...]:
+    """The barycenter per atom, built when integrate first reads it; kept."""
+    if mu._barys is None:
+        t, cells = _ambient_cells(mu._cells[0])
+        barys = (tuple(Fraction(sum(x), len(a) * t) for x in zip(*a)) for a in cells)
+        object.__setattr__(mu, "_barys", tuple(barys))
+    return mu._barys
 
 
 @dataclass(frozen=True)
@@ -220,7 +229,7 @@ def integrate(t: TestFunction, mu: PolytopalMeasure) -> Fraction:
     # fast path: the atoms are t's cells (Haar on t's own complex)
     if mu._cells[0] is t.complex:
         total = Fraction(0)
-        for (w, bc), (m, c) in zip(_atom_masses(mu), t.pieces):
+        for w, bc, (m, c) in zip(_atom_masses(mu), _atom_barycenters(mu), t.pieces):
             if c or any(m):
                 total += w * (dot(m, bc) + c)
         return total
@@ -234,7 +243,7 @@ def integrate(t: TestFunction, mu: PolytopalMeasure) -> Fraction:
         hits.append(hit)
     else:
         total = Fraction(0)
-        for (w, bc), (i, lam) in zip(_atom_masses(mu), hits):
+        for w, bc, (i, lam) in zip(_atom_masses(mu), _atom_barycenters(mu), hits):
             m, c = t.pieces[i]
             if c or any(m):
                 total += w * (dot(m, vsub(bc, lam)) + c)
@@ -318,7 +327,7 @@ def pushforward(mu, a: IntegralAffineMap):
     if isinstance(mu, EmpiricalMeasure):
         return empirical(a.target, tuple(a.apply(p) for p in mu.points))
     atoms = []
-    for (s, _), (w, _) in zip(mu.atoms, _atom_masses(mu)):
+    for (s, _), w in zip(mu.atoms, _atom_masses(mu)):
         edges = s.edge_matrix()
         image_edges = tuple(mat_vec(a.matrix, e) for e in edges)
         if rank(image_edges) != s.dim:
@@ -349,7 +358,7 @@ def monte_carlo_pushforward(
     """
     if samples <= 0:
         raise MeasureError("samples must be positive")
-    masses = [w for w, _ in _atom_masses(mu)]
+    masses = _atom_masses(mu)
     total = sum(masses, Fraction(0))
     quotas = [m / total * samples for m in masses]
     counts = [math.floor(q) for q in quotas]

@@ -6,11 +6,12 @@ with a newline, so equal objects serialize to identical bytes.
 """
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
-from .complexes import PeriodicComplex, _cell_vertices
+from .complexes import PeriodicComplex, _vertex_images
 from .linalg import Mat, TroptorusError, Vec
 
 _RATIONAL = re.compile(r"^(-?\d+)/(\d+)$")
@@ -58,40 +59,51 @@ def _text(obj, nl: str) -> str:
     if isinstance(obj, Fraction):
         return f'"{obj.numerator}/{obj.denominator}"'
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = nl + "  "
-        parts = [_text(x, inner) for x in obj]
-        return f"[{inner}" + f",{inner}".join(parts) + nl + "]"
+        return _join([_text(x, nl + "  ") for x in obj], nl)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = nl + "  "
         items = sorted({str(k): v for k, v in obj.items()}.items())
-        parts = [f"{_quote(k)}: {_text(v, inner)}" for k, v in items]
-        return "{" + inner + f",{inner}".join(parts) + nl + "}"
+        parts = [f"{_quote(k)}: {_text(v, nl + '  ')}" for k, v in items]
+        return _join(parts, nl, "{}")
     if isinstance(obj, str):
         return _quote(obj)
     if obj is None or isinstance(obj, bool):
         return "null" if obj is None else "true" if obj else "false"
     if isinstance(obj, int):
         return int.__repr__(obj)
+    if isinstance(obj, PeriodicComplex):
+        return _complex_text(obj, nl)
     raise SerializationError(f"cannot serialize {type(obj).__name__}")
 
 
+def _join(parts: list, nl: str, brackets: str = "[]") -> str:
+    """The text of an array (an object if brackets is "{}") of the parts."""
+    if not parts:
+        return brackets
+    inner = nl + "  "
+    return brackets[0] + inner + f",{inner}".join(parts) + nl + brackets[1]
+
+
+def _complex_text(c: PeriodicComplex, nl: str) -> str:
+    """The text of {"cells": [{"vertices": ...}], "level", "period":
+    {"generators"}} for c, written from the integer images a = t v of its
+    vertices: one "p/q" per distinct integer, one block per vertex."""
+    t, cells, images = _vertex_images(c)
+    i1, i3 = nl + "  ", nl + "      "
+    head, tail = f'{{{i3}"vertices": ', nl + "    }"
+    nums = {x for a in images.values() for x in a}
+    rats = {x: f'"{x // g}/{t // g}"' for x in nums for g in (math.gcd(x, t),)}
+    verts = {w: _join([rats[x] for x in a], i3 + "  ") for w, a in images.items()}
+    texts = [head + _join([verts[w] for w in ws], i3) + tail for ws in cells]
+    period = _text({"generators": c.period.generators}, i1)
+    parts = [f'"cells": {_join(texts, i1)}', f'"level": {_text(c.level, i1)}']
+    return _join(parts + [f'"period": {period}'], nl, "{}")
+
+
 def canonical_dumps(obj) -> str:
-    """What json.dumps(obj, sort_keys=True, indent=2) + "\\n" gives once
-    each Fraction is the string "p/q" and each key is str(key), written
-    in one pass."""
+    """What json.dumps(obj, sort_keys=True, indent=2) + "\\n" gives once each
+    Fraction is the string "p/q", each key is str(key) and each complex is
+    its object of cells, level and period; written in one pass."""
     return _text(obj, "\n") + "\n"
-
-
-def complex_to_json(c: PeriodicComplex) -> dict:
-    return {
-        "period": {"generators": c.period.generators},
-        "level": c.level,
-        "cells": [{"vertices": vs} for vs in _cell_vertices(c)],
-    }
 
 
 def certificate_to_json(cert) -> dict:

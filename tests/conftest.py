@@ -177,6 +177,16 @@ def json_dumps(obj):
     return json.dumps(to_jsonable(obj), sort_keys=True, indent=2) + "\n"
 
 
+def complex_to_json(c):
+    """The JSON form of a complex, written from its Fraction cells: the
+    oracle of serialization.canonical_dumps on a PeriodicComplex."""
+    return {
+        "period": {"generators": c.period.generators},
+        "level": c.level,
+        "cells": [{"vertices": s.vertices} for s in c.cells],
+    }
+
+
 def pair_key(i, shift_i, j, shift_j):
     """The certificate key of an adjacent pair, formatted from its cells
     and Fraction shifts: the oracle of AdjacentPair.key."""

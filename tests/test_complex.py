@@ -34,9 +34,11 @@ from troptorus.complexes import (
 from troptorus.lattice import Lattice
 from troptorus.linalg import det, from_columns, vadd, vscale, vsub
 from tests.conftest import (
+    complex_to_json,
     fraction_barycentric,
     fraction_refine_step,
     fraction_unfold_with_shifts,
+    json_dumps,
     pair_key,
 )
 
@@ -490,7 +492,7 @@ def test_refined_cells_are_built_only_on_access():
     """On the n2 model, the Tate iterates, their certificates and
     sup-distances, and triangulate's serialization run on the integer
     form: no refined complex builds its cells.  Read, they are the
-    Fraction oracle's."""
+    Fraction oracle's, and the text is the JSON oracle's."""
     import json
     from pathlib import Path
 
@@ -501,7 +503,7 @@ def test_refined_cells_are_built_only_on_access():
         sup_distance_to_quadratic,
         tate_iterate,
     )
-    from troptorus.serialization import canonical_dumps, complex_to_json
+    from troptorus.serialization import canonical_dumps
 
     raw = json.loads(
         (Path(__file__).resolve().parent.parent / "problems" / "n2.json")
@@ -515,7 +517,7 @@ def test_refined_cells_are_built_only_on_access():
     check_strongly_convex(f2)
     sup_distance_to_quadratic(f2)
     tri = barycentric_complex(lat, b, 2)
-    text = canonical_dumps(complex_to_json(tri))
+    text = canonical_dumps(tri)
     refined = [tate_iterate(f0, 1).complex, f2.complex, tri]
     assert all("cells" not in vars(c) for c in refined)
     oracle = [f0.complex]
@@ -523,4 +525,4 @@ def test_refined_cells_are_built_only_on_access():
         oracle.append(fraction_refine_step(oracle[-1])[0])
     for c in refined:
         assert c.cells == oracle[c.level].cells
-    assert canonical_dumps(complex_to_json(tri)) == text
+    assert text == json_dumps(complex_to_json(tri))

@@ -747,3 +747,26 @@ def test_atom_masses_are_built_once_per_measure(plane_setup, monkeypatch):
     assert len(calls) == len(shapes) < len(mu.atoms)
     integrate(hats[0], haar(lat, c))  # a new measure builds its own
     assert len(calls) == 2 * len(shapes)
+
+
+def test_barycenters_are_built_only_where_read(plane_setup):
+    """Monte Carlo, pushforward and box masses read no barycenter; the
+    first integrate builds them from the integer images and keeps them."""
+    lat, _, _, c = plane_setup
+    mu = haar(lat, c)
+    ident = IntegralAffineMap(
+        matrix=((F(1), F(0)), (F(0), F(1))),
+        offset=(F(0), F(0)),
+        source=lat,
+        target=lat,
+    )
+    monte_carlo_pushforward(mu, ident, samples=8, seed=0)
+    pushforward(mu, ident)
+    mass_near(mu, (F(1, 3), F(0)), F(1, 8))
+    assert mu._masses is not None and mu._barys is None
+    hats = hat_test_functions(c)
+    integrate(hats[0], mu)
+    barys = mu._barys
+    assert barys == tuple(s.barycenter() for s, _ in mu.atoms)
+    integrate(hats[1], mu)
+    assert mu._barys is barys

@@ -1,10 +1,20 @@
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from troptorus.complexes import (
+    PeriodicComplex,
+    Simplex,
+    barycentric_triangulation,
+    dyadic_refine,
+    unfold,
+)
+from troptorus.lattice import Lattice
+from troptorus.linalg import det, from_columns, vscale
 from troptorus.serialization import SerializationError, canonical_dumps
-from tests.conftest import json_dumps
+from tests.conftest import complex_to_json, json_dumps
 
 # text with quotes, backslashes, control characters and non-ASCII
 texts = st.text(
@@ -47,3 +57,59 @@ def test_canonical_dumps_rejects_what_json_cannot_say_exactly(bad, wrap):
         canonical_dumps(wrap(bad))
     with pytest.raises(SerializationError):
         json_dumps(wrap(bad))
+
+
+
+
+@st.composite
+def j1_cases(draw):
+    """(basis, level, random): a rational period basis with a negative
+    entry at n = 1..3 and a level 0..3 (0..2 at n = 3)."""
+    n = draw(st.integers(1, 3))
+    entries = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    gens = draw(
+        st.tuples(*[st.tuples(*[entries] * n)] * n).filter(
+            lambda g: min(map(min, g)) < 0 and det(from_columns(g)) != 0
+        )
+    )
+    level = draw(st.integers(0, 3 if n < 3 else 2))
+    return gens, level, draw(st.randoms(use_true_random=False))
+
+
+@given(case=j1_cases())
+@settings(max_examples=20, deadline=None)
+def test_complexes_are_written_as_the_fraction_oracle(case):
+    """A complex is written from its integer vertex images with the text
+    of its Fraction cells, at the top and nested deeper: J1, hand-built
+    and unfolded complexes alike.  The J1 cells hold the origin, the
+    vertex b / 2 of a generator b with a negative entry and, from level
+    1, nonzero coordinates whose "p/q" is reduced by a gcd."""
+    gens, level, rnd = case
+    lat, n = Lattice(gens), len(gens)
+    c = dyadic_refine(barycentric_triangulation(gens, lat), level)
+    text = canonical_dumps(c)
+    assert "cells" not in vars(c)
+    assert text == json_dumps(complex_to_json(c))
+    cells = text.split('"level"')[0]
+    t = lat.frame.g * c._coords[0]
+    dens = [int(q) for p, q in re.findall(r'"(-?\d+)/(\d+)"', cells) if p != "0"]
+    assert '"0/1"' in cells and '"-' in cells
+    assert level == 0 or min(dens) < t
+    # the same cells, each shifted by a period vector and its vertices
+    # permuted, given to the constructor
+    hand = PeriodicComplex(
+        lat,
+        tuple(
+            Simplex(tuple(rnd.sample(s.vertices, n + 1))).translate(
+                lat.from_coords(tuple(Fraction(rnd.randint(-2, 2)) for _ in range(n)))
+            )
+            for s in c.cells
+        ),
+        level,
+    )
+    assert hand._coords is None
+    low = c if level < 2 else barycentric_triangulation(gens, lat)
+    sub = Lattice(tuple(vscale(Fraction(2), g) for g in gens))
+    tree = [unfold(low, sub), {"hand": [hand]}]
+    want = [complex_to_json(tree[0]), {"hand": [complex_to_json(hand)]}]
+    assert canonical_dumps(tree) == json_dumps(want)
