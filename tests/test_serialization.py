@@ -59,8 +59,6 @@ def test_canonical_dumps_rejects_what_json_cannot_say_exactly(bad, wrap):
         json_dumps(wrap(bad))
 
 
-
-
 @st.composite
 def j1_cases(draw):
     """(basis, level, random): a rational period basis with a negative
