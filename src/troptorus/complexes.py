@@ -83,16 +83,6 @@ def simplex_volume(s: Simplex) -> Fraction:
     return abs(det(s.edge_matrix())) / math.factorial(s.dim)
 
 
-def canonical_cell(vertices: tuple[Vec, ...], period: Lattice) -> tuple[Simplex, Vec]:
-    """Canonical representative and the period shift that was subtracted."""
-    vs = sorted(vertices)
-    coords = period.coords(vs[0])
-    shift = period.from_coords(tuple(Fraction(math.floor(c)) for c in coords))
-    if any(c != 0 for c in shift):
-        vs = [vsub(v, shift) for v in vs]
-    return Simplex(tuple(vs)), shift
-
-
 @dataclass(frozen=True)
 class PeriodicComplex:
     """Finitely many maximal cells whose period translates tile R^n.  One
@@ -200,19 +190,6 @@ def _coord_box(w: tuple, n: int) -> tuple[list, list]:
     """Per-axis minima and maxima of a flat coordinate tuple of
     :func:`_period_coords`."""
     return [min(w[m::n]) for m in range(n)], [max(w[m::n]) for m in range(n)]
-
-
-def make_complex(
-    period: Lattice, simplices, level: int = 0, expected: int | None = None
-) -> PeriodicComplex:
-    seen: dict[tuple, Simplex] = {}
-    for s in simplices:
-        canon, _ = canonical_cell(s.vertices, period)
-        seen.setdefault(canon.vertices, canon)
-    cells = tuple(seen[k] for k in sorted(seen))
-    if expected is not None and len(cells) != expected:
-        raise ComplexError(f"expected {expected} cells, got {len(cells)}")
-    return PeriodicComplex(period=period, cells=cells, level=level)
 
 
 def barycentric_triangulation(
@@ -479,9 +456,9 @@ def is_refinement(fine: PeriodicComplex, coarse: PeriodicComplex) -> bool:
     with no per-cell work.  True by transitivity: each cell of
     :func:`dyadic_refine_step` lies in its parent.  False because a J1
     cell at level j' < j is larger than every level-j cell, so it fits
-    in none of them.  Every other pair, any complex from
-    :func:`make_complex`, :func:`unfold` or the constructor among them,
-    takes the containment-index search of :func:`_is_refinement_search`.
+    in none of them.  Every other pair, any complex from :func:`unfold`
+    or the constructor among them, takes the containment-index search of
+    :func:`_is_refinement_search`.
     """
     if fine.period != coarse.period:
         raise IncompatiblePeriodsError("refinement check needs equal periods")
@@ -546,11 +523,12 @@ def _inner_normal(face: tuple[Vec, ...], opposite: Vec) -> Vec:
 def adjacent_pairs(c: PeriodicComplex) -> tuple[AdjacentPair, ...]:
     """All codim-1 adjacent cell pairs, one per period orbit.
 
-    Facets are hashed by their canonical representative (as
-    :func:`canonical_cell` makes it); since translates of the cells tile
-    space, every facet orbit is shared by exactly two cell copies.  The
-    pairs come in the order of the canonical facets, the first cell copy
-    of a pair being the first in cell and vertex order.
+    Facets are hashed by their canonical representative: the vertices
+    ordered by ambient image, the first one's period coordinates in
+    [0, 1)^n; since translates of the cells tile space, every facet orbit
+    is shared by exactly two cell copies.  The pairs come in the order of
+    the canonical facets, the first cell copy of a pair being the first
+    in cell and vertex order.
 
     In integer period coordinates, ordered by ambient image as in
     :func:`dyadic_refine_step`, with one normal per facet shape.  Kept on

@@ -19,8 +19,8 @@ from .complexes import (
     _ambient,
     _ambient_cells,
     _containment_index,
+    _from_coords,
     _period_coords,
-    canonical_cell,
     simplex_volume,
     unfold,
 )
@@ -34,7 +34,6 @@ from .linalg import (
     integer_matrix,
     mat_mul,
     mat_vec,
-    rank,
     vadd,
     vsub,
     vscale,
@@ -89,21 +88,19 @@ def simplex_k_volume(s: Simplex) -> Fraction:
 @dataclass(frozen=True)
 class PolytopalMeasure:
     """Atoms (simplex, density) modulo the lattice.  A measure of
-    :func:`haar` builds its ``atoms`` from its complex on first access."""
+    :func:`_measure` builds its ``atoms`` from its complex on first access."""
 
     lattice: Lattice
     atoms: tuple[tuple[Simplex, Fraction], ...]
     # mass per atom; see _atom_masses
-    _masses: tuple | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _masses: tuple | None = field(default=None, init=False, repr=False, compare=False)
     # barycenter per atom; see _atom_barycenters
     _barys: tuple | None = field(default=None, init=False, repr=False, compare=False)
     # (complex over the lattice, densities) of the atoms
     _cells: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __getattr__(self, name):
-        # reached only for the unbuilt atoms of a measure of haar
+        # reached only for the unbuilt atoms of a measure of _measure
         if name != "atoms":
             raise AttributeError(name)
         c, dens = self._cells
@@ -123,34 +120,50 @@ class PolytopalMeasure:
 
     @property
     def dim(self) -> int:
-        return self.atoms[0][0].dim
+        c = self._cells[0]
+        return len(_period_coords(c)[1][0]) // c.dim - 1
+
+
+def _measure(lat: Lattice, c: PeriodicComplex, densities) -> PolytopalMeasure:
+    """The measure whose atoms are the cells of c, c.period = lat."""
+    mu = object.__new__(PolytopalMeasure)
+    mu.__dict__.update(lattice=lat, _cells=(c, tuple(densities)))
+    return mu
+
+
+def _volumes(t: int, cells):
+    """Lazily, the k-volume of each cell from the integer images a = t v of
+    its vertices v (see complexes._ambient_cells), one volume per shape
+    (the edges from the first vertex); raises as simplex_k_volume does."""
+    shapes: dict[tuple, Fraction] = {}  # edges -> volume
+    for a0, *rest in cells:
+        edges = tuple(tuple(map(sub, a, a0)) for a in rest)
+        if edges not in shapes:
+            s = Simplex(((0,) * len(a0),) + edges)
+            shapes[edges] = simplex_k_volume(s) / t ** len(edges)
+        yield shapes[edges]
 
 
 def _atom_masses(mu: PolytopalMeasure) -> tuple[Fraction, ...]:
-    """d * vol(s) per atom (s, d), computed at most once per measure and
-    kept on it; one volume per cell shape (the edges of the integer
-    vertex images, see complexes._ambient_cells)."""
+    """d * vol(s) per atom (s, d), computed at most once and kept."""
     if mu._masses is None:
         c, dens = mu._cells
-        t, cells = _ambient_cells(c)
-        shapes: dict[tuple, Fraction] = {}  # edges -> volume
-        masses = []
-        for d, (a0, *rest) in zip(dens, cells):
-            edges = tuple(tuple(map(sub, a, a0)) for a in rest)
-            if edges not in shapes:
-                s = Simplex(((0,) * len(a0),) + edges)
-                shapes[edges] = simplex_k_volume(s) / t ** len(edges)
-            masses.append(d * shapes[edges])
-        object.__setattr__(mu, "_masses", tuple(masses))
+        masses = tuple(map(mul, dens, _volumes(*_ambient_cells(c))))
+        object.__setattr__(mu, "_masses", masses)
     return mu._masses
 
 
 def _atom_barycenters(mu: PolytopalMeasure) -> tuple[Vec, ...]:
-    """The barycenter per atom, built when integrate first reads it; kept."""
+    """The barycenter g L s / ((k + 1) g scale) per atom, s the sum of its
+    vertices' period coordinates; built when integrate first reads it, kept."""
     if mu._barys is None:
-        t, cells = _ambient_cells(mu._cells[0])
-        barys = (tuple(Fraction(sum(x), len(a) * t) for x in zip(*a)) for a in cells)
-        object.__setattr__(mu, "_barys", tuple(barys))
+        c = mu._cells[0]
+        n, (scale, coords) = c.dim, _period_coords(c)
+        g, rows = c.period.frame.g, c.period.frame.basis
+        den = len(coords[0]) // n * g * scale
+        sums = ([sum(w[m::n]) for m in range(n)] for w in coords)
+        barys = tuple(tuple(Fraction(x, den) for x in _ambient(rows, s)) for s in sums)
+        object.__setattr__(mu, "_barys", barys)
     return mu._barys
 
 
@@ -211,9 +224,7 @@ def haar(lat: Lattice, c: PeriodicComplex) -> PolytopalMeasure:
     """Haar probability measure with atoms from one lattice-fundamental
     set, the cells of c unfolded over lat."""
     c = unfold(c, lat)
-    mu = object.__new__(PolytopalMeasure)
-    mu.__dict__.update(lattice=lat, _cells=(c, (1 / covolume(lat),) * c.size))
-    return mu
+    return _measure(lat, c, (1 / covolume(lat),) * c.size)
 
 
 def integrate(t: TestFunction, mu: PolytopalMeasure) -> Fraction:
@@ -226,48 +237,41 @@ def integrate(t: TestFunction, mu: PolytopalMeasure) -> Fraction:
     barycenter value; the atom masses and barycenters are kept on the
     measure, and pieces with m = 0 and c = 0 add nothing.
     """
-    # fast path: the atoms are t's cells (Haar on t's own complex)
-    if mu._cells[0] is t.complex:
-        total = Fraction(0)
-        for w, bc, (m, c) in zip(_atom_masses(mu), _atom_barycenters(mu), t.pieces):
-            if c or any(m):
-                total += w * (dot(m, bc) + c)
-        return total
-    # branch 1: each atom inside a cell translate cells[i] + lam of t
-    index = _containment_index(t.complex)
-    hits = []
-    for s, _ in mu.atoms:
-        hit = index.locate(s.vertices)
-        if hit is None:
-            break
-        hits.append(hit)
-    else:
-        total = Fraction(0)
-        for w, bc, (i, lam) in zip(_atom_masses(mu), _atom_barycenters(mu), hits):
-            m, c = t.pieces[i]
-            if c or any(m):
-                total += w * (dot(m, vsub(bc, lam)) + c)
-        return total
-    # branch 2: t's cells refine the atoms
-    if t.complex.period != mu.lattice:
-        raise NoCommonRefinementError(
-            "test complex period differs from the measure lattice"
-        )
-    n = mu.lattice.dim
-    if mu.dim != n:
-        raise NoCommonRefinementError("flat atoms hold no test cell")
-    index = _containment_index(mu._cells[0])
-    scale, coords = _period_coords(t.complex)
+    atoms, dens = mu._cells
+    pieces = t.pieces
+    if atoms is not t.complex:
+        # branch 1: each atom, by the integer coordinates of its vertices
+        # in t's period, inside a translate cells[i] + L k of t, where t is
+        # (m, c - m . L k)
+        period = t.complex.period
+        find = _containment_index(t.complex).find_cell_containing_simplex
+        ta, cells = _ambient_cells(atoms)
+        den, inv = period.frame.q * ta, period.frame.inv
+        hits = [find([_ambient(inv, a) for a in cell], den) for cell in cells]
+        if None not in hits:
+            pieces = []
+            for i, k in hits:
+                m, c = t.pieces[i]
+                pieces.append((m, c - dot(m, period.from_coords(k)) if any(m) else c))
+        else:
+            # branch 2: t's cells refine the atoms; each takes its atom's density
+            if period != mu.lattice:
+                raise NoCommonRefinementError(
+                    "test complex period differs from the measure lattice"
+                )
+            n = period.dim
+            if mu.dim != n:
+                raise NoCommonRefinementError("flat atoms hold no test cell")
+            find = _containment_index(atoms).find_cell_containing_simplex
+            scale, coords = _period_coords(t.complex)
+            hits = [find(list(zip(*[iter(w)] * n)), scale) for w in coords]
+            if None in hits:
+                raise NoCommonRefinementError("test cell not inside one atom")
+            mu = _measure(period, t.complex, [dens[i] for i, _ in hits])
     total = Fraction(0)
-    for cell, w, (m, c) in zip(t.complex.cells, coords, t.pieces):
-        hit = index.find_cell_containing_simplex(
-            [w[k : k + n] for k in range(0, len(w), n)], scale
-        )
-        if hit is None:
-            raise NoCommonRefinementError("test cell not inside one atom")
+    for w, bc, (m, c) in zip(_atom_masses(mu), _atom_barycenters(mu), pieces):
         if c or any(m):
-            d = mu.atoms[hit[0]][1]
-            total += d * simplex_k_volume(cell) * (dot(m, cell.barycenter()) + c)
+            total += w * (dot(m, bc) + c)
     return total
 
 
@@ -322,23 +326,52 @@ def empirical_averages(
     return tuple(s / len(e.coords) for s in sums)
 
 
+def _atom_images(mu: PolytopalMeasure, a: IntegralAffineMap):
+    """(s, cells, image): the integer vertex images of the atoms (see
+    complexes._ambient_cells), and the map taking those of one atom to
+    the target period coordinates, times s, of its vertices mapped by a."""
+    # x -> a.target.coords(a.apply(x)) as the integer rows g * [L^-1 M | L^-1 b]
+    g, rows = integer_matrix(mat_mul(
+        a.target.frame.inverse,
+        tuple(row + (b,) for row, b in zip(a.matrix, a.offset)),
+    ))
+    # the atom vertices a / t over their least common denominator t / e
+    t, cells = _ambient_cells(mu._cells[0])
+    e = math.gcd(t, *(x for cell in cells for v in cell for x in v))
+    den = t // e
+    return g * den, cells, lambda cell: [
+        [sum(map(mul, row, v)) // e + row[-1] * den for row in rows] for v in cell
+    ]
+
+
 def pushforward(mu, a: IntegralAffineMap):
-    """Exact pushforward; same kind in, same kind out."""
+    """Exact pushforward; same kind in, same kind out.
+
+    Each atom is mapped in integers and put in canonical form as the
+    complex builders do; its image has volume 0 exactly when a collapses
+    it, and the atoms are checked in order.
+    """
     if isinstance(mu, EmpiricalMeasure):
         return empirical(a.target, tuple(a.apply(p) for p in mu.points))
-    atoms = []
-    for (s, _), w in zip(mu.atoms, _atom_masses(mu)):
-        edges = s.edge_matrix()
-        image_edges = tuple(mat_vec(a.matrix, e) for e in edges)
-        if rank(image_edges) != s.dim:
+    lat = a.target
+    scale, cells, image = _atom_images(mu, a)
+    coords, images = [], []
+    for cell in cells:
+        # vertices by ambient image, the first one's shift by floor division
+        verts = sorted((_ambient(lat.frame.basis, w), w) for w in image(cell))
+        k = [scale * (x // scale) for x in verts[0][1]]
+        coords.append(tuple(x - y for _, w in verts for x, y in zip(w, k)))
+        images.append(tuple(v for v, _ in verts))
+    densities = []
+    for w, vol in zip(_atom_masses(mu), _volumes(lat.frame.g * scale, images)):
+        if not vol:
             raise NonInjectiveAtomError(
                 "map collapses an atom; use monte_carlo_pushforward"
             )
-        img = Simplex(tuple(a.apply(v) for v in s.vertices))
-        vol_img = simplex_k_volume(img)  # raises if irrational
-        canon, _ = canonical_cell(img.vertices, a.target)
-        atoms.append((canon, w / vol_img))
-    return PolytopalMeasure(lattice=a.target, atoms=tuple(atoms))
+        densities.append(w / vol)
+    e = math.gcd(scale, *(x for w in coords for x in w))
+    c = _from_coords(lat, scale // e, tuple(tuple(x // e for x in w) for w in coords), 0)
+    return _measure(lat, c, densities)
 
 
 def monte_carlo_pushforward(
@@ -370,34 +403,22 @@ def monte_carlo_pushforward(
     short = samples - sum(counts)
     for i in remainders[:short]:
         counts[i] += 1
-    lat = a.target
-    # x -> lat.coords(a.apply(x)) as the integer rows g * [L^-1 M | L^-1 b]
-    g, to_coords = integer_matrix(mat_mul(
-        lat.frame.inverse,
-        tuple(row + (b,) for row, b in zip(a.matrix, a.offset)),
-    ))
-    # the atom vertices a / t over their least common denominator t / e
-    t, cells = _ambient_cells(mu._cells[0])
-    e = math.gcd(t, *(x for cell in cells for a in cell for x in a))
-    den = t // e
+    scale, cells, image = _atom_images(mu, a)
     top = 1 << 32
-    modulus = top * g * den  # period coordinates of a sample times this
+    modulus = top * scale  # period coordinates of a sample times this
     coords = []
     for idx, (cell, cnt) in enumerate(zip(cells, counts)):
         if not cnt:
             continue
         k = len(cell) - 1
-        images = [
-            [sum(map(mul, row, a)) // e + row[-1] * den for row in to_coords]
-            for a in cell
-        ]
+        images = image(cell)
         # with cuts c_1 <= ... <= c_k the weights are the gaps c_1 - 0,
         # c_2 - c_1, ..., top - c_k; summed by parts, coordinate m is
         # top * images[k][m] + sum_i c_i * (images[i-1][m] - images[i][m])
         pairs = list(zip(images, images[1:]))
         axes = [
             (top * images[k][m], [u[m] - w[m] for u, w in pairs])
-            for m in range(len(to_coords))
+            for m in range(a.target.dim)
         ]
         # all the atom's cuts in one draw, k per sample, in stream order
         bits = random.Random(f"{seed}:{idx}").getrandbits
@@ -407,7 +428,7 @@ def monte_carlo_pushforward(
             coords.append(tuple(
                 (b + sum(map(mul, cuts, col))) % modulus for b, col in axes
             ))
-    return EmpiricalMeasure(lattice=lat, scale=modulus, coords=tuple(coords))
+    return EmpiricalMeasure(lattice=a.target, scale=modulus, coords=tuple(coords))
 
 
 def _clip_simplex(verts: tuple[Vec, ...], a: Vec, beta: Fraction):

@@ -27,19 +27,78 @@ from troptorus import (
 )
 from troptorus.paf import piece_on_translate
 from troptorus.complexes import (
+    ComplexError,
     Simplex,
     _containment_index,
     _period_coords,
-    canonical_cell,
-    make_complex,
 )
 from troptorus.lattice import covolume, reduce_mod
-from troptorus.linalg import det, dot, from_columns, solve, vadd, vscale, vsub
+from troptorus.linalg import (
+    det,
+    dot,
+    from_columns,
+    mat_vec,
+    rank,
+    solve,
+    vadd,
+    vscale,
+    vsub,
+)
+from troptorus.measures import (
+    NonInjectiveAtomError,
+    PolytopalMeasure,
+    simplex_k_volume,
+)
 from troptorus.serialization import SerializationError
 
 
 def frac(p, q=1):
     return Fraction(p, q)
+
+
+def canonical_cell(vertices, period):
+    """The canonical representative of a cell in Fractions, vertices
+    sorted and the first one's period coordinates in [0, 1)^n, and the
+    period shift that was subtracted: the oracle of the canonical form
+    the integer builders take."""
+    vs = sorted(vertices)
+    coords = period.coords(vs[0])
+    shift = period.from_coords(tuple(Fraction(math.floor(c)) for c in coords))
+    if any(c != 0 for c in shift):
+        vs = [vsub(v, shift) for v in vs]
+    return Simplex(tuple(vs)), shift
+
+
+def make_complex(period, simplices, level=0, expected=None):
+    """The complex of the canonical representatives of the simplices,
+    each orbit once, in sorted order; it records no J1 level."""
+    seen = {}
+    for s in simplices:
+        canon, _ = canonical_cell(s.vertices, period)
+        seen.setdefault(canon.vertices, canon)
+    cells = tuple(seen[k] for k in sorted(seen))
+    if expected is not None and len(cells) != expected:
+        raise ComplexError(f"expected {expected} cells, got {len(cells)}")
+    return PeriodicComplex(period=period, cells=cells, level=level)
+
+
+def fraction_pushforward(mu, a):
+    """Each atom's vertices mapped by a in Fractions, its rank checked,
+    its image volume taken anew and put in canonical form by
+    canonical_cell: the oracle of measures.pushforward on a polytopal
+    measure."""
+    masses = [d * simplex_k_volume(s) for s, d in mu.atoms]
+    atoms = []
+    for (s, _), w in zip(mu.atoms, masses):
+        image_edges = tuple(mat_vec(a.matrix, e) for e in s.edge_matrix())
+        if rank(image_edges) != s.dim:
+            raise NonInjectiveAtomError(
+                "map collapses an atom; use monte_carlo_pushforward"
+            )
+        img = Simplex(tuple(a.apply(v) for v in s.vertices))
+        canon, _ = canonical_cell(img.vertices, a.target)
+        atoms.append((canon, w / simplex_k_volume(img)))
+    return PolytopalMeasure(lattice=a.target, atoms=tuple(atoms))
 
 
 def barycentric_coords(s, p):

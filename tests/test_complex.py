@@ -26,19 +26,19 @@ from troptorus.complexes import (
     _is_refinement_search,
     _period_coords,
     barycentric_triangulation,
-    canonical_cell,
     dyadic_refine_step,
-    make_complex,
     unfold_with_shifts,
 )
 from troptorus.lattice import Lattice
 from troptorus.linalg import det, from_columns, vadd, vscale, vsub
 from tests.conftest import (
+    canonical_cell,
     complex_to_json,
     fraction_barycentric,
     fraction_refine_step,
     fraction_unfold_with_shifts,
     json_dumps,
+    make_complex,
     pair_key,
 )
 

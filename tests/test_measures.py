@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from troptorus import (
     IntegralAffineMap,
@@ -34,7 +34,7 @@ from troptorus.equidist import (
     standard_test_complex,
     torsion_grid,
 )
-from troptorus.lattice import Lattice, covolume, reduce_mod
+from troptorus.lattice import Lattice, covolume, reduce_mod, standard_lattice
 from troptorus.linalg import (
     det,
     dot,
@@ -57,6 +57,7 @@ from tests.conftest import (
     dense_averages,
     dense_integrate,
     dense_sup_abs,
+    fraction_pushforward,
     gram_k_volume,
 )
 
@@ -770,3 +771,111 @@ def test_barycenters_are_built_only_where_read(plane_setup):
     assert barys == tuple(s.barycenter() for s, _ in mu.atoms)
     integrate(hats[1], mu)
     assert mu._barys is barys
+
+
+@st.composite
+def pushforward_setups(draw):
+    """A measure over a rational basis of R^n, n <= 3, and an integral
+    affine map into a rational lattice of R^m, m <= 3, whose linear part
+    L_T U L_S^-1, U an integer matrix, may collapse atoms.  The measure is
+    Haar on the level-0 J1 complex of the basis, or atoms of one dimension
+    k <= n: full or flat, with orthogonal axis edges (a rational
+    k-volume), period vectors as edges, or random edges (often an
+    irrational k-volume).  The target is often Z^m, where period edges
+    have integer images."""
+    src = draw(rational_lattices())
+    target = draw(rational_lattices() | st.integers(1, 3).map(standard_lattice))
+    n, m = src.dim, target.dim
+    u = tuple(tuple(F(draw(st.integers(-2, 2))) for _ in range(n)) for _ in range(m))
+    amap = IntegralAffineMap(
+        matrix=mat_mul(mat_mul(target.matrix, u), inverse(src.matrix)),
+        offset=tuple(
+            draw(st.fractions(min_value=-2, max_value=2, max_denominator=6))
+            for _ in range(m)
+        ),
+        source=src,
+        target=target,
+    )
+    if draw(st.booleans()):
+        return haar(src, barycentric_triangulation(src.generators, src)), amap
+    k = draw(st.integers(0, n) | st.just(min(m, n)))
+    coord = st.fractions(min_value=-2, max_value=2, max_denominator=6)
+    nonzero = st.fractions(min_value=F(1, 4), max_value=2, max_denominator=4)
+    small = st.integers(-2, 2)
+    atoms = []
+    for _ in range(draw(st.integers(1, 3))):
+        v0 = draw(st.tuples(*[coord] * n))
+        kind = draw(st.sampled_from(("axes", "periods", "random")))
+        if kind == "axes":
+            axes = draw(st.permutations(range(n)))[:k]
+            edges = [
+                tuple(draw(nonzero) if j == i else F(0) for j in range(n))
+                for i in axes
+            ]
+        elif kind == "periods":  # integer images under a standard target
+            edges = [
+                src.from_coords(tuple(F(x) for x in draw(st.tuples(*[small] * n))))
+                for _ in range(k)
+            ]
+        else:
+            edges = [draw(st.tuples(*[coord] * n)) for _ in range(k)]
+        s = Simplex((v0,) + tuple(vadd(v0, e) for e in edges))
+        atoms.append((s, draw(st.fractions(min_value=F(1, 4), max_value=3))))
+    return PolytopalMeasure(lattice=src, atoms=tuple(atoms)), amap
+
+
+_Z2 = standard_lattice(2)
+
+
+@given(setup=pushforward_setups())
+@example(  # the first atom collapses, the second has irrational image
+    setup=(
+        PolytopalMeasure(
+            lattice=_Z2,
+            atoms=(
+                (Simplex(((F(0), F(0)), (F(0), F(1)))), F(1)),
+                (Simplex(((F(0), F(0)), (F(1), F(0)))), F(1)),
+            ),
+        ),
+        IntegralAffineMap(
+            matrix=((F(1), F(0)), (F(1), F(0))),
+            offset=(F(0), F(0)),
+            source=_Z2,
+            target=_Z2,
+        ),
+    )
+)
+@settings(max_examples=80, deadline=None)
+def test_pushforward_matches_the_fraction_path(setup):
+    """The integer pushforward against the Fraction one of
+    tests/conftest.py: the same atoms in the same order with the same
+    densities, or the same exception type, the atoms being checked for
+    injectivity in order."""
+    mu, amap = setup
+    try:
+        expected = fraction_pushforward(mu, amap)
+    except MeasureError as exc:
+        with pytest.raises(MeasureError) as info:
+            pushforward(mu, amap)
+        assert type(info.value) is type(exc)
+        return
+    nu = pushforward(mu, amap)
+    assert nu.lattice == expected.lattice
+    assert nu.dim == expected.dim
+    assert nu.atoms == expected.atoms
+
+
+def test_refinement_branches_build_no_atoms_or_cells():
+    """integrate through branch 1 and branch 2 reads the integer forms
+    only: the measure builds no atoms and the test's complex no cells."""
+    lat = Lattice(_SKEWED)
+    b = Polarization(((F(2), F(1)), (F(1), F(2))))
+    c0, c1 = (standard_test_complex(lat, b, j) for j in (0, 1))
+    mu0, mu1 = haar(lat, c0), haar(lat, c1)
+    t0, t1 = hat_test_functions(c0)[0], hat_test_functions(c1)[0]
+    assert integrate(t0, mu1) == integrate(t0, mu0)  # branch 1
+    assert integrate(t1, mu0) == integrate(t1, mu1)  # branch 2
+    for mu in (mu0, mu1):
+        assert mu.dim == 2 and "atoms" not in vars(mu)
+    for t in (t0, t1):
+        assert "cells" not in vars(t.complex)
