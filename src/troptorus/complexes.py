@@ -19,12 +19,10 @@ from .linalg import (
     TroptorusError,
     Vec,
     det,
+    det_adj,
     dot,
-    from_columns,
-    inverse,
-    primitive_integer_vector,
+    null_vector,
     rank,
-    solve_underdetermined_nullvec,
     vadd,
     vsub,
     vscale,
@@ -297,37 +295,6 @@ def dyadic_refine(c: PeriodicComplex, steps: int) -> PeriodicComplex:
     return c
 
 
-def _int_det_adj(cols):
-    """(|det M|, |det M| M^-1) for the integer matrix M given by columns:
-    the determinant and adjugate up to one sign, so the first is >= 0.
-
-    Closed cofactor forms for n <= 3; Fraction elimination otherwise.
-    """
-    n = len(cols)
-    if not 0 < n <= 3:
-        m = from_columns(tuple(tuple(Fraction(x) for x in col) for col in cols))
-        d = abs(det(m))
-        if d == 0:
-            return 0, ()
-        return int(d), tuple(tuple(int(x * d) for x in row) for row in inverse(m))
-    if n == 1:
-        det_m, adj = cols[0][0], ((1,),)
-    elif n == 2:
-        (a, c), (b, d) = cols  # matrix [[a, b], [c, d]]
-        det_m, adj = a * d - b * c, ((d, -b), (-c, a))
-    else:
-        (a, d, g), (b, e, h), (c, f, i) = cols
-        det_m = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-        adj = (
-            (e * i - f * h, c * h - b * i, b * f - c * e),
-            (f * g - d * i, a * i - c * g, c * d - a * f),
-            (d * h - e * g, b * g - a * h, a * e - b * d),
-        )
-    if det_m < 0:
-        return -det_m, tuple(tuple(-x for x in row) for row in adj)
-    return det_m, adj
-
-
 class _ContainmentIndex:
     """Which period translate of which cell of a complex holds a point.
 
@@ -346,11 +313,13 @@ class _ContainmentIndex:
         scale, coords = _period_coords(c)
         self.period, self.scale = c.period, scale
         entries = []
+        shapes: dict[tuple, tuple] = {}  # edges as matrix rows -> det_adj
         for i, w in enumerate(coords):
             base = [w[k : k + n] for k in range(0, len(w), n)]
-            det_i, adj = _int_det_adj(
-                tuple(tuple(map(sub, v, base[0])) for v in base[1:])
-            )
+            edges = tuple(zip(*(map(sub, v, base[0]) for v in base[1:])))
+            if edges not in shapes:
+                shapes[edges] = det_adj(edges)
+            det_i, adj = shapes[edges]
             if det_i == 0:
                 continue  # a flat cell holds no point that others miss
             lo0, hi0 = _coord_box(w, n)
@@ -501,19 +470,11 @@ class AdjacentPair:
     key: str
 
 
-def _facet_normal(edges: tuple[Vec, ...], n: int) -> Vec:
-    """A primitive integer normal, of either sign, of the hyperplane
-    spanned by the n - 1 rational edge vectors of a facet in R^n."""
-    if not edges:
-        if n > 1:
-            raise ComplexError("codim-1 face must have n vertices")
-        return (Fraction(1),)
-    return primitive_integer_vector(solve_underdetermined_nullvec(edges, n))
-
-
 def _inner_normal(face: tuple[Vec, ...], opposite: Vec) -> Vec:
+    """The primitive integer normal of a facet, toward the opposite vertex."""
     w0 = face[0]
-    nu = _facet_normal(tuple(vsub(w, w0) for w in face[1:]), len(w0))
+    edges = tuple(vsub(w, w0) for w in face[1:])
+    nu = tuple(map(Fraction, null_vector(edges, len(w0))))
     s = dot(nu, vsub(opposite, w0))
     if s == 0:
         raise ComplexError("degenerate face/opposite configuration")
@@ -569,9 +530,7 @@ def adjacent_pairs(c: PeriodicComplex) -> tuple[AdjacentPair, ...]:
         edges = tuple(tuple(map(sub, a, face[0])) for a in face[1:])
         nu = normals.get(edges)
         if nu is None:
-            nu = normals[edges] = _facet_normal(
-                tuple(tuple(map(Fraction, e)) for e in edges), n
-            )
+            nu = normals[edges] = tuple(map(Fraction, null_vector(edges, n)))
         opp = map(sub, images[i][drop], step)
         side = sum(int(x) * (y - z) for x, y, z in zip(nu, opp, face[0]))
         if side == 0:
@@ -673,7 +632,7 @@ def unfold_with_shifts(
     if any(x.denominator != 1 for col in kcols for x in col):
         raise IncompatiblePeriodsError("unfold target must be a sublattice")
     kcols = [list(map(int, col)) for col in kcols]
-    det_k, adj = _int_det_adj(kcols)
+    det_k, adj = det_adj(tuple(zip(*kcols)))
 
     def shift(w, s):
         """s K floor(K^-1 w / s): what reduces w mod s K Z^n."""

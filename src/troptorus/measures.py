@@ -242,13 +242,18 @@ def integrate(t: TestFunction, mu: PolytopalMeasure) -> Fraction:
     if atoms is not t.complex:
         # branch 1: each atom, by the integer coordinates of its vertices
         # in t's period, inside a translate cells[i] + L k of t, where t is
-        # (m, c - m . L k)
+        # (m, c - m . L k); the first atom in no cell sends it to branch 2
         period = t.complex.period
         find = _containment_index(t.complex).find_cell_containing_simplex
         ta, cells = _ambient_cells(atoms)
         den, inv = period.frame.q * ta, period.frame.inv
-        hits = [find([_ambient(inv, a) for a in cell], den) for cell in cells]
-        if None not in hits:
+        hits = []
+        for cell in cells:
+            hit = find([_ambient(inv, a) for a in cell], den)
+            if hit is None:
+                break
+            hits.append(hit)
+        if len(hits) == len(cells):
             pieces = []
             for i, k in hits:
                 m, c = t.pieces[i]

@@ -22,7 +22,6 @@ from .complexes import (
     _ambient_cells,
     _cell_vertices,
     _containment_index,
-    _int_det_adj,
     _period_coords,
     adjacent_pairs,
     dyadic_refine_step,
@@ -37,6 +36,7 @@ from .linalg import (
     SingularMatrixError,
     TroptorusError,
     Vec,
+    det_adj,
     dot,
     integer_matrix,
     mat_vec,
@@ -122,7 +122,7 @@ def _cell_frames(c: PeriodicComplex) -> tuple[int, list]:
         edges = tuple(tuple(map(sub, a, a0)) for a in rest)
         shape = shapes.get(edges)
         if shape is None:
-            shape = shapes[edges] = _int_det_adj(edges)
+            shape = shapes[edges] = det_adj(tuple(zip(*edges)))
             if shape[0] == 0:
                 raise SingularMatrixError("flat cell")
         frames.append((a0, *shape))
@@ -551,10 +551,9 @@ class _Gap:
         shape = self.shapes.get(edges)
         if shape is None:
             re = [[sum(map(mul, row, e)) for row in self.gram] for e in edges]
-            det_s, adj = _int_det_adj(tuple(
-                tuple(sum(map(mul, r, e)) for e in edges) for r in re
-            ))
-            shape = self.shapes[edges] = (det_s, adj)
+            shape = self.shapes[edges] = det_adj(
+                [[sum(map(mul, r, e)) for e in edges] for r in re]
+            )
         det_s, adj = shape
         if det_s == 0:
             return None

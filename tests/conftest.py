@@ -1,5 +1,8 @@
+import functools
 import json
 import math
+import time
+import warnings
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -34,12 +37,11 @@ from troptorus.complexes import (
 )
 from troptorus.lattice import covolume, reduce_mod
 from troptorus.linalg import (
+    SingularMatrixError,
     det,
     dot,
     from_columns,
     mat_vec,
-    rank,
-    solve,
     vadd,
     vscale,
     vsub,
@@ -54,6 +56,85 @@ from troptorus.serialization import SerializationError
 
 def frac(p, q=1):
     return Fraction(p, q)
+
+
+SLOW_EXAMPLE_S = 5.0
+
+
+def _basis_text(gens):
+    return "(" + ", ".join("(" + ", ".join(map(str, g)) + ")" for g in gens) + ")"
+
+
+def warn_slow_examples(basis):
+    """Wrap a test under @given: an example that runs longer than
+    SLOW_EXAMPLE_S seconds issues a pytest warning naming the test, its
+    time and the period basis that basis(**drawn arguments) returns, so
+    that a rare slow draw can be replayed."""
+
+    def wrap(test):
+        @functools.wraps(test)
+        def timed(**kwargs):
+            start = time.perf_counter()
+            try:
+                return test(**kwargs)
+            finally:
+                took = time.perf_counter() - start
+                if took > SLOW_EXAMPLE_S:
+                    warnings.warn(pytest.PytestWarning(
+                        f"{test.__name__}: one example took {took:.1f} s "
+                        f"on the period basis {_basis_text(basis(**kwargs))}"
+                    ))
+
+        return timed
+
+    return wrap
+
+
+def fraction_eliminate(m):
+    """Row echelon form in Fractions; returns (rows, pivot column indices,
+    sign): the oracle of linalg's fraction-free elimination."""
+    rows = [[Fraction(x) for x in r] for r in m]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    sign = 1
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            sign = -sign
+        piv = rows[r][c]
+        for i in range(r + 1, nrows):
+            if rows[i][c] != 0:
+                f = rows[i][c] / piv
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots, sign
+
+
+def fraction_solve(m, rhs):
+    """Solve m x = rhs for square m by Gauss-Jordan elimination in
+    Fractions; raises SingularMatrixError: the oracle of linalg.solve and
+    of the integer interpolation and sup-distance of paf."""
+    n = len(m)
+    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(m, rhs)]
+    for c in range(n):
+        pr = next((i for i in range(c, n) if aug[i][c] != 0), None)
+        if pr is None:
+            raise SingularMatrixError("solve: singular matrix")
+        aug[c], aug[pr] = aug[pr], aug[c]
+        piv = aug[c][c]
+        for i in range(n):
+            if i != c and aug[i][c] != 0:
+                f = aug[i][c] / piv
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
+    return tuple(aug[i][n] / aug[i][i] for i in range(n))
 
 
 def canonical_cell(vertices, period):
@@ -91,7 +172,7 @@ def fraction_pushforward(mu, a):
     atoms = []
     for (s, _), w in zip(mu.atoms, masses):
         image_edges = tuple(mat_vec(a.matrix, e) for e in s.edge_matrix())
-        if rank(image_edges) != s.dim:
+        if len(fraction_eliminate(image_edges)[1]) != s.dim:
             raise NonInjectiveAtomError(
                 "map collapses an atom; use monte_carlo_pushforward"
             )
@@ -106,7 +187,7 @@ def barycentric_coords(s, p):
     exact oracle of the integer containment tests."""
     v0 = s.vertices[0]
     m = from_columns(s.edge_matrix())
-    lam = solve(m, vsub(p, v0))
+    lam = fraction_solve(m, vsub(p, v0))
     lam0 = Fraction(1) - sum(lam, Fraction(0))
     return (lam0,) + tuple(lam)
 

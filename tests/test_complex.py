@@ -40,6 +40,7 @@ from tests.conftest import (
     json_dumps,
     make_complex,
     pair_key,
+    warn_slow_examples,
 )
 
 F = Fraction
@@ -464,6 +465,7 @@ def _assert_same_complex(built, oracle):
 @given(case=builder_cases())
 @example(case=(_SKEW_BASIS, 1, [[2, 0], [0, 2]], 1))  # lat scale below det(K) s
 @settings(max_examples=25, deadline=None)
+@warn_slow_examples(lambda case: case[0])
 def test_integer_builders_match_the_fraction_oracles(case):
     """barycentric_triangulation, dyadic_refine_step and
     unfold_with_shifts, built in integer period coordinates, against the

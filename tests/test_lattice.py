@@ -20,8 +20,21 @@ from troptorus import (
 )
 from troptorus.equidist import _torus_distance
 from troptorus.lattice import LatticeError, sup_distances
-from troptorus.linalg import det, from_columns, inverse, vsub
+from troptorus.linalg import (
+    DimensionMismatchError,
+    SingularMatrixError,
+    det,
+    det_adj,
+    from_columns,
+    integer_matrix,
+    inverse,
+    null_vector,
+    rank,
+    solve,
+    vsub,
+)
 from troptorus.measures import MeasureError, _wrap_guard
+from tests.conftest import fraction_eliminate, fraction_solve
 
 F = Fraction
 
@@ -48,6 +61,80 @@ def test_det_matches_the_leibniz_formula(data, n, whole):
     entry = st.integers(-4, 4) if whole else st.one_of(st.just(F(0)), rationals)
     m = data.draw(st.tuples(*[st.tuples(*[entry] * n)] * n))
     assert det(m) == _leibniz_det(m)
+
+
+@st.composite
+def elimination_cases(draw):
+    """(m, c): an r x c matrix, r, c = 0..6, square, a facet's c - 1
+    edges in R^c, or of any shape; integer or rational entries, zeros
+    among them to force row swaps and skipped columns; and often of a
+    rank k < min(r, c), its rows integer combinations of k rows."""
+    c = draw(st.integers(0, 6))
+    r = draw(st.sampled_from((c, max(c - 1, 0), draw(st.integers(0, 6)))))
+    entry = draw(st.sampled_from((
+        st.integers(-4, 4),
+        st.one_of(st.just(F(0)), rationals),
+    )))
+    full = min(r, c)
+    k = draw(st.one_of(st.just(full), st.integers(0, full)))
+    if k == full:
+        return draw(st.tuples(*[st.tuples(*[entry] * c)] * r)), c
+    base = draw(st.tuples(*[st.tuples(*[entry] * c)] * k))
+    coeffs = draw(st.tuples(*[st.tuples(*[st.integers(-2, 2)] * k)] * r))
+    m = tuple(
+        tuple(sum((a * row[j] for a, row in zip(cs, base)), F(0)) for j in range(c))
+        for cs in coeffs
+    )
+    return m, c
+
+
+@given(case=elimination_cases(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_elimination_matches_the_fraction_oracles(case, data):
+    """rank and null_vector on every shape, and det, det_adj, inverse and
+    solve on square matrices, against the Fraction elimination and
+    Gauss-Jordan solve of tests/conftest.py and the Leibniz formula."""
+    m, c = case
+    rows, pivots, sign = fraction_eliminate(m)
+    assert rank(m) == len(pivots)
+    free = [j for j in range(c) if j not in pivots]
+    if free:
+        # the primitive solution with free coordinates (+, 0, ..., 0)
+        v = null_vector(m, c)
+        assert all(type(x) is int for x in v) and math.gcd(*v) == 1
+        assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in m)
+        assert v[free[0]] > 0 and not any(v[j] for j in free[1:])
+    else:
+        with pytest.raises(SingularMatrixError):
+            null_vector(m, c)
+    if len(m) != c:
+        if m:
+            with pytest.raises(DimensionMismatchError):
+                det(m)
+        return
+    d = _leibniz_det(m)
+    assert det(m) == d
+    if len(pivots) == c:
+        assert d == sign * math.prod((rows[k][k] for k in range(c)), start=F(1))
+    scale, im = integer_matrix(m)
+    rhs = data.draw(st.tuples(*[rationals] * c))
+    if d == 0:
+        assert det_adj(im) == (0, ())
+        with pytest.raises(SingularMatrixError):
+            inverse(m)
+        with pytest.raises(SingularMatrixError):
+            solve(m, rhs)
+        return
+    inv = from_columns(tuple(
+        fraction_solve(m, tuple(F(int(i == j)) for i in range(c)))
+        for j in range(c)
+    ))
+    assert inverse(m) == inv
+    det_i, adj = det_adj(im)
+    assert det_i == abs(_leibniz_det(im))
+    assert all(type(x) is int for row in adj for x in row)
+    assert adj == tuple(tuple(det_i * x / scale for x in row) for row in inv)
+    assert solve(m, rhs) == fraction_solve(m, rhs)
 
 
 def test_standard_lattice_basis():

@@ -59,6 +59,7 @@ from tests.conftest import (
     dense_sup_abs,
     fraction_pushforward,
     gram_k_volume,
+    warn_slow_examples,
 )
 
 F = Fraction
@@ -488,6 +489,7 @@ def collapse_setups(draw):
     data=st.data(),
 )
 @settings(max_examples=30, deadline=None)
+@warn_slow_examples(lambda setup, **_: setup[1].target.generators)
 def test_monte_carlo_and_mass_near_match_fraction_path(setup, samples, seed, data):
     """The integer sampling and box counting against the Fraction path:
     equal points, and equal box masses with centers at the origin, at a
@@ -635,6 +637,7 @@ def rational_lattices(draw):
 
 @given(lat=rational_lattices(), data=st.data())
 @settings(max_examples=40, deadline=None)
+@warn_slow_examples(lambda lat, **_: lat.generators)
 def test_point_form_matches_the_fraction_definitions(lat, data):
     """Empirical measures kept as integer period coordinates against the
     Fraction definitions, from unreduced rational points: the points of

@@ -48,7 +48,6 @@ from troptorus.linalg import (
     dot,
     from_columns,
     mat_vec,
-    solve,
     vadd,
     vscale,
     vsub,
@@ -67,6 +66,7 @@ from troptorus.paf import (
 from tests.conftest import (
     barycentric_coords,
     base_complex,
+    fraction_solve,
     pair_key,
     verify_continuity,
     verify_periodicity,
@@ -444,7 +444,7 @@ def max_affine_minus_quadratic(verts, m, c, gram, lin):
     grad0 = vsub(vsub(m, lin), mat_vec(gram, v0))
     m_prime = tuple(dot(grad0, e) for e in edges)
     try:
-        t_star = solve(g_prime, m_prime)
+        t_star = fraction_solve(g_prime, m_prime)
     except SingularMatrixError:
         t_star = None
     if t_star is not None and all(x >= 0 for x in t_star) and sum(t_star) <= 1:
@@ -773,7 +773,7 @@ def test_integer_interpolation_matches_solve(f):
     for cell, frame, (m, c0) in zip(c.cells, frames, f.pieces):
         values = [dot(m, v) + c0 for v in cell.vertices]
         rows = tuple(v + (F(1),) for v in cell.vertices)
-        sol = solve(rows, values)
+        sol = fraction_solve(rows, values)
         assert _interpolate_piece(t, frame, values) == (sol[:n], sol[n])
 
 
