@@ -16,6 +16,7 @@ from typing import Optional
 from .complexes import Simplex
 from .equidist import (
     MAX_LEVEL,
+    SAMPLES,
     ExperimentConfig,
     ExperimentError,
     barycentric_complex,
@@ -144,7 +145,7 @@ def load_problem(path: str) -> Problem:
     grid_orders = tuple(
         _integer(m, "equidist.grid_orders entry", 1)
         for m in _list(
-            equidist.get("grid_orders", [8, 16, 32, 64, 128, 256, 512]),
+            equidist.get("grid_orders", list(ExperimentConfig.grid_orders)),
             "equidist.grid_orders",
         )
     )
@@ -173,7 +174,7 @@ def load_problem(path: str) -> Problem:
         level=_integer(raw.get("level", 0), "level", 0),
         equidist={
             "test_level": _integer(
-                equidist.get("test_level", 1),
+                equidist.get("test_level", ExperimentConfig.test_level),
                 "equidist.test_level",
                 0,
                 MAX_LEVEL,
@@ -184,7 +185,7 @@ def load_problem(path: str) -> Problem:
             "copies": _integer(collapse.get("copies", 2), "collapse.copies", 2),
             "deltas": deltas,
             "samples": _integer(
-                collapse.get("samples", 100_000), "collapse.samples", 1
+                collapse.get("samples", SAMPLES), "collapse.samples", 1
             ),
         },
         obstruction={

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations, product
 from operator import add, mul, sub
 
@@ -89,16 +90,6 @@ class PeriodicComplex:
     period: Lattice
     cells: tuple[Simplex, ...]
     level: int = 0
-    # (scale, flat integer vertex coordinates per cell); see _period_coords
-    _coords: tuple | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    # the _ContainmentIndex of the cells; see _containment_index
-    _index: object = field(default=None, init=False, repr=False, compare=False)
-    # the AdjacentPairs of the cells; see adjacent_pairs
-    _pairs: tuple | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
     # j when the cells are the level-j cells of Todd's J1 triangulation
     # of the period basis (see barycentric_triangulation); set only by
     # that builder and dyadic_refine_step; see is_refinement
@@ -106,7 +97,7 @@ class PeriodicComplex:
 
     def __getattr__(self, name):
         # reached only for the unbuilt cells of a complex of _from_coords
-        if name != "cells" or self._coords is None:
+        if name != "cells":
             raise AttributeError(name)
         object.__setattr__(self, "cells", tuple(map(Simplex, _cell_vertices(self))))
         return self.cells
@@ -118,41 +109,107 @@ class PeriodicComplex:
     @property
     def size(self) -> int:
         """The number of cells, read without building them."""
-        return len(self.cells if self._coords is None else self._coords[1])
+        return len(self._coords[1])
 
+    @cached_property
+    def _coords(self) -> tuple[int, tuple]:
+        """Vertex coordinates in the period basis, times one common scale.
 
-def _from_coords(period, scale, coords, level, j1=None) -> PeriodicComplex:
-    """The complex with these :func:`_period_coords`, as an
-    ``EmpiricalMeasure`` is (lattice, scale, coords); cells on access."""
-    c = object.__new__(PeriodicComplex)
-    c.__dict__.update(period=period, level=level, _coords=(scale, coords), _j1=j1)
-    return c
-
-
-def _period_coords(c: PeriodicComplex) -> tuple[int, tuple]:
-    """Vertex coordinates in the period basis, times one common scale.
-
-    Returns ``(scale, cells)``: ``cells[i]`` is the flat integer tuple
-    ``scale * coords(v)`` over the vertices v of ``c.cells[i]`` in order,
-    so vertex k is ``cells[i][k*n:(k+1)*n]`` and coordinate m of every
-    vertex is ``cells[i][m::n]``, on the least scale.  Computed once,
-    from the Fractions, on a complex the library did not build.
-    """
-    if c._coords is None:
-        den, ws = c.period.integer_coords([v for s in c.cells for v in s.vertices])
+        ``(scale, cells)``: ``cells[i]`` is the flat integer tuple
+        ``scale * coords(v)`` over the vertices v of ``self.cells[i]`` in
+        order, so vertex k is ``cells[i][k*n:(k+1)*n]`` and coordinate m
+        of every vertex is ``cells[i][m::n]``, on the least scale.  The
+        builders seed it; a complex of the constructor computes it from
+        the Fractions.
+        """
+        den, ws = self.period.integer_coords(
+            [v for s in self.cells for v in s.vertices]
+        )
         ws = list(ws)
         e = math.gcd(den, *(x for w in ws for x in w))
         it = iter(ws)
-        cells = tuple(tuple(x // e for _ in s.vertices for x in next(it)) for s in c.cells)
-        object.__setattr__(c, "_coords", (den // e, cells))
-    return c._coords
+        cells = tuple(
+            tuple(x // e for _ in s.vertices for x in next(it)) for s in self.cells
+        )
+        return den // e, cells
+
+    @cached_property
+    def _index(self) -> _ContainmentIndex:
+        """The containment index of the cells."""
+        return _ContainmentIndex(self)
+
+    @cached_property
+    def _pairs(self) -> tuple[AdjacentPair, ...]:
+        """The adjacent cell pairs; see :func:`adjacent_pairs`."""
+        n = self.dim
+        scale, coords = self._coords
+        g, rows = self.period.frame.g, self.period.frame.basis
+        t, images = _ambient_cells(self)
+        steps: dict[tuple, tuple] = {}  # k -> the ambient image of scale * k
+        buckets: dict[tuple, list] = {}
+        for i, (cell, amb) in enumerate(zip(coords, images)):
+            verts = sorted((a, cell[k * n : k * n + n], k) for k, a in enumerate(amb))
+            for drop in range(len(verts)):
+                face = [v for v in verts if v[2] != drop]
+                k = tuple(x // scale for x in face[0][1])
+                step = steps.get(k)
+                if step is None:
+                    step = steps[k] = _ambient(rows, tuple(scale * x for x in k))
+                key = tuple(x for a, _, _ in face for x in map(sub, a, step))
+                buckets.setdefault(key, []).append((i, k, drop, step))
+        normals: dict[tuple, Vec] = {}  # facet edges -> normal of either sign
+        shifts: dict[tuple, tuple] = {}  # k -> (the period vector -k, its text)
+        points: dict[tuple, Vec] = {}  # ambient image -> vertex
+        pairs = []
+        for key in sorted(buckets):
+            entries = buckets[key]
+            if len(entries) != 2:
+                raise ComplexError(
+                    f"facet orbit shared by {len(entries)} cells; tiling broken"
+                )
+            (i, ki, drop, step), (j, kj, _, _) = entries
+            face = [key[m : m + n] for m in range(0, len(key), n)]
+            edges = tuple(tuple(map(sub, a, face[0])) for a in face[1:])
+            nu = normals.get(edges)
+            if nu is None:
+                nu = normals[edges] = tuple(map(Fraction, null_vector(edges, n)))
+            opp = map(sub, images[i][drop], step)
+            side = sum(int(x) * (y - z) for x, y, z in zip(nu, opp, face[0]))
+            if side == 0:
+                raise ComplexError("degenerate face/opposite configuration")
+            for k in (ki, kj):
+                if k not in shifts:
+                    v = tuple(Fraction(-x, g) for x in _ambient(rows, k))
+                    shifts[k] = v, ",".join(map(str, v))
+            for a in face:
+                if a not in points:
+                    points[a] = tuple(Fraction(x, t) for x in a)
+            (si, text_i), (sj, text_j) = shifts[ki], shifts[kj]
+            pairs.append(AdjacentPair(
+                i=i,
+                j=j,
+                shift_i=si,
+                shift_j=sj,
+                face=tuple(points[a] for a in face),
+                normal=nu if side > 0 else vscale(Fraction(-1), nu),
+                key=f"cell{i}[{text_i}]|cell{j}[{text_j}]",
+            ))
+        return tuple(pairs)
+
+
+def _from_coords(period, scale, coords, level, j1=None) -> PeriodicComplex:
+    """The complex with these ``_coords``, as an ``EmpiricalMeasure`` is
+    (lattice, scale, coords); cells on access."""
+    c = object.__new__(PeriodicComplex)
+    c.__dict__.update(period=period, level=level, _coords=(scale, coords), _j1=j1)
+    return c
 
 
 def _vertex_images(c: PeriodicComplex) -> tuple[int, list, dict]:
     """(t, cells, images): per cell, the period coordinates w of its
     vertices, as tuples; and the image a = t v (see :func:`_ambient`)
     of each distinct w, for the vertex v = L w / scale; t = g scale."""
-    n, (scale, coords) = c.dim, _period_coords(c)
+    n, (scale, coords) = c.dim, c._coords
     cells = [tuple(zip(*[iter(w)] * n)) for w in coords]
     rows = c.period.frame.basis
     images = {w: _ambient(rows, w) for w in set().union(*cells)}
@@ -178,15 +235,15 @@ def _cell_vertices(c: PeriodicComplex) -> list[tuple[Vec, ...]]:
 def _ambient(rows, w: tuple) -> tuple[int, ...]:
     """The integer image g L w of integer period coordinates w, for rows
     ``period.frame.basis`` = g L.  A vertex with coordinates w / scale in
-    :func:`_period_coords` is the point a / t with a = g L w, t = g scale;
-    a lattice vector with coordinates k is the point g L k / g.
+    ``_coords`` is the point a / t with a = g L w, t = g scale; a lattice
+    vector with coordinates k is the point g L k / g.
     """
     return tuple(sum(map(mul, w, row)) for row in rows)
 
 
 def _coord_box(w: tuple, n: int) -> tuple[list, list]:
     """Per-axis minima and maxima of a flat coordinate tuple of
-    :func:`_period_coords`."""
+    ``PeriodicComplex._coords``."""
     return [min(w[m::n]) for m in range(n)], [max(w[m::n]) for m in range(n)]
 
 
@@ -236,14 +293,14 @@ def dyadic_refine_step(
     """One halving step; also returns, per new cell, (parent index,
     parent translation lam) such that 2 * new_cell = parent + lam.
 
-    In integer period coordinates (see :func:`_period_coords`): the new
-    cells (u + k)/2, k in {0,1}^n, are exact at twice the scale, the
+    In integer period coordinates (see ``PeriodicComplex._coords``): the
+    new cells (u + k)/2, k in {0,1}^n, are exact at twice the scale, the
     canonical shift is a floor division, and translation keeps the vertex
     order, so each parent is sorted once by ambient image.  A J1 level j
     kept on c becomes j + 1.
     """
     n = c.dim
-    scale, coords = _period_coords(c)
+    scale, coords = c._coords
     g, rows = c.period.frame.g, c.period.frame.basis
     two_s = 2 * scale
     # (vertex count m, d) -> (the ambient image and the period coordinates
@@ -298,19 +355,19 @@ def dyadic_refine(c: PeriodicComplex, steps: int) -> PeriodicComplex:
 class _ContainmentIndex:
     """Which period translate of which cell of a complex holds a point.
 
-    Runs on the integer period coordinates of :func:`_period_coords`,
+    Runs on the integer period coordinates of ``PeriodicComplex._coords``,
     where the period lattice is ``scale * Z^n``: a translate is an
     integer vector k, and a query is first reduced into the unit cell
     [0, 1)^n by floor division.  The entries are the translates
     cells[i] + k whose coordinate box meets [0, 1]^n, the range of k
     per axis coming from the cell's own box; each is registered in every
-    bucket of a regular grid on the unit cell that its box meets.  Build
-    it through :func:`_containment_index`, which keeps it on the complex.
+    bucket of a regular grid on the unit cell that its box meets.  A
+    complex keeps its own as ``_index``.
     """
 
     def __init__(self, c: PeriodicComplex):
         n = c.dim
-        scale, coords = _period_coords(c)
+        scale, coords = c._coords
         self.period, self.scale = c.period, scale
         entries = []
         shapes: dict[tuple, tuple] = {}  # edges as matrix rows -> det_adj
@@ -409,13 +466,6 @@ class _ContainmentIndex:
         return hit[0], self.period.from_coords(hit[1])
 
 
-def _containment_index(c: PeriodicComplex) -> _ContainmentIndex:
-    """The containment index of c, built at most once and kept on c."""
-    if c._index is None:
-        object.__setattr__(c, "_index", _ContainmentIndex(c))
-    return c._index
-
-
 def is_refinement(fine: PeriodicComplex, coarse: PeriodicComplex) -> bool:
     """True iff every fine cell sits inside a coarse cell mod the period.
 
@@ -440,9 +490,9 @@ def _is_refinement_search(
     fine: PeriodicComplex, coarse: PeriodicComplex
 ) -> bool:
     """is_refinement by the containment index of coarse; any complexes."""
-    index = _containment_index(coarse)
+    index = coarse._index
     n = fine.dim
-    scale, coords = _period_coords(fine)
+    scale, coords = fine._coords
     return all(
         index.find_cell_containing_simplex(
             [w[k : k + n] for k in range(0, len(w), n)], scale
@@ -493,66 +543,10 @@ def adjacent_pairs(c: PeriodicComplex) -> tuple[AdjacentPair, ...]:
 
     In integer period coordinates, ordered by ambient image as in
     :func:`dyadic_refine_step`, with one normal per facet shape.  Kept on
-    the complex, with the certificate key of each pair,
+    the complex as ``_pairs``, with the certificate key of each pair,
     ``cell<i>[<shift_i>]|cell<j>[<shift_j>]``, the shift entries
     comma-separated as ``str`` gives them.
     """
-    if c._pairs is not None:
-        return c._pairs
-    n = c.dim
-    scale, coords = _period_coords(c)
-    g, rows = c.period.frame.g, c.period.frame.basis
-    t, images = _ambient_cells(c)
-    steps: dict[tuple, tuple] = {}  # k -> the ambient image of scale * k
-    buckets: dict[tuple, list] = {}
-    for i, (cell, amb) in enumerate(zip(coords, images)):
-        verts = sorted((a, cell[k * n : k * n + n], k) for k, a in enumerate(amb))
-        for drop in range(len(verts)):
-            face = [v for v in verts if v[2] != drop]
-            k = tuple(x // scale for x in face[0][1])
-            step = steps.get(k)
-            if step is None:
-                step = steps[k] = _ambient(rows, tuple(scale * x for x in k))
-            key = tuple(x for a, _, _ in face for x in map(sub, a, step))
-            buckets.setdefault(key, []).append((i, k, drop, step))
-    normals: dict[tuple, Vec] = {}  # facet edges -> normal of either sign
-    shifts: dict[tuple, tuple] = {}  # k -> (the period vector -k, its text)
-    points: dict[tuple, Vec] = {}  # ambient image -> vertex
-    pairs = []
-    for key in sorted(buckets):
-        entries = buckets[key]
-        if len(entries) != 2:
-            raise ComplexError(
-                f"facet orbit shared by {len(entries)} cells; tiling broken"
-            )
-        (i, ki, drop, step), (j, kj, _, _) = entries
-        face = [key[m : m + n] for m in range(0, len(key), n)]
-        edges = tuple(tuple(map(sub, a, face[0])) for a in face[1:])
-        nu = normals.get(edges)
-        if nu is None:
-            nu = normals[edges] = tuple(map(Fraction, null_vector(edges, n)))
-        opp = map(sub, images[i][drop], step)
-        side = sum(int(x) * (y - z) for x, y, z in zip(nu, opp, face[0]))
-        if side == 0:
-            raise ComplexError("degenerate face/opposite configuration")
-        for k in (ki, kj):
-            if k not in shifts:
-                v = tuple(Fraction(-x, g) for x in _ambient(rows, k))
-                shifts[k] = v, ",".join(map(str, v))
-        for a in face:
-            if a not in points:
-                points[a] = tuple(Fraction(x, t) for x in a)
-        (si, text_i), (sj, text_j) = shifts[ki], shifts[kj]
-        pairs.append(AdjacentPair(
-            i=i,
-            j=j,
-            shift_i=si,
-            shift_j=sj,
-            face=tuple(points[a] for a in face),
-            normal=nu if side > 0 else vscale(Fraction(-1), nu),
-            key=f"cell{i}[{text_i}]|cell{j}[{text_j}]",
-        ))
-    object.__setattr__(c, "_pairs", tuple(pairs))
     return c._pairs
 
 
@@ -574,7 +568,7 @@ def check_common_faces(c: PeriodicComplex) -> None:
     from .measures import _clip_simplex
 
     n = c.dim
-    scale, coords = _period_coords(c)
+    scale, coords = c._coords
     boxes = [_coord_box(w, n) for w in coords]
     for i, a in enumerate(c.cells):
         for j in range(i, len(c.cells)):
@@ -639,11 +633,18 @@ def unfold_with_shifts(
         m = [sum(map(mul, row, w)) // (det_k * s) for row in adj]
         return [s * sum(map(mul, m, row)) for row in zip(*kcols)]
 
-    reps = {
-        tuple(map(sub, k, shift(k, 1)))
-        for k in product(range(det_k), repeat=n)
-    }
-    scale, coords = _period_coords(c)
+    # the det(K) classes: 0 closed under the unit steps, each reduced
+    reps = {(0,) * n}
+    todo = [(0,) * n]
+    while todo:
+        k = todo.pop()
+        for j in range(n):
+            u = k[:j] + (k[j] + 1,) + k[j + 1 :]
+            r = tuple(map(sub, u, shift(u, 1)))
+            if r not in reps:
+                reps.add(r)
+                todo.append(r)
+    scale, coords = c._coords
     rows = c.period.frame.basis
     cells: dict[tuple, tuple] = {}  # ambient image -> (coordinates, i, lam)
     for i, (cell, amb) in enumerate(zip(coords, _ambient_cells(c)[1])):

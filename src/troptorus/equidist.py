@@ -60,6 +60,7 @@ class ExperimentError(TroptorusError):
 
 
 MAX_LEVEL = 6  # the finest test and witness complex level
+SAMPLES = 100_000  # the default Monte Carlo sample count of a collapse
 
 
 @dataclass(frozen=True)
@@ -321,7 +322,7 @@ def collapse_experiment(
     d_face: Simplex,
     copies: int,
     delta_sequence: tuple[Fraction, ...],
-    samples: int = 100_000,
+    samples: int = SAMPLES,
     seed: int = 0,
 ) -> ExperimentReport:
     """Difference-map collapse of a diagonal face, with box-mass decay.

@@ -9,7 +9,8 @@ parallelotope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from operator import mul
@@ -58,10 +59,6 @@ class Lattice:
     """Full-rank lattice in R^n; ``generators`` are the basis columns."""
 
     generators: tuple[Vec, ...]
-    # the Frame of the basis; see frame
-    _frame: Frame | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         n = len(self.generators)
@@ -74,19 +71,15 @@ class Lattice:
     def dim(self) -> int:
         return len(self.generators)
 
-    @property
+    @cached_property
     def matrix(self) -> Mat:
         return from_columns(self.generators)
 
-    @property
+    @cached_property
     def frame(self) -> Frame:
-        """The integer forms of the basis, built at most once per lattice."""
-        if self._frame is None:
-            inv = inverse(self.matrix)
-            object.__setattr__(self, "_frame", Frame(
-                inv, *integer_matrix(self.matrix), *integer_matrix(inv)
-            ))
-        return self._frame
+        """The integer forms of the basis."""
+        inv = inverse(self.matrix)
+        return Frame(inv, *integer_matrix(self.matrix), *integer_matrix(inv))
 
     def from_coords(self, coords: Vec) -> Vec:
         """Point with the given coordinates w.r.t. the basis."""
@@ -104,6 +97,8 @@ class Lattice:
         """(d, ws): the period coordinates of a sequence of rational points
         on one integer scale, ws yielding d * coords(p) for each point p in
         turn.  d is q times the least common denominator of the points."""
+        if any(len(p) != self.dim for p in points):
+            raise DimensionMismatchError("integer_coords: wrong point length")
         den = math.lcm(*{x.denominator for p in points for x in p})
         inv = self.frame.inv
 

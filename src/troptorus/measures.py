@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from operator import add, mul, sub
 
@@ -18,14 +19,13 @@ from .complexes import (
     Simplex,
     _ambient,
     _ambient_cells,
-    _containment_index,
     _from_coords,
-    _period_coords,
     simplex_volume,
     unfold,
 )
 from .lattice import Lattice, box_translates, covolume, sup_distances
 from .linalg import (
+    DimensionMismatchError,
     Mat,
     TroptorusError,
     Vec,
@@ -92,12 +92,6 @@ class PolytopalMeasure:
 
     lattice: Lattice
     atoms: tuple[tuple[Simplex, Fraction], ...]
-    # mass per atom; see _atom_masses
-    _masses: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    # barycenter per atom; see _atom_barycenters
-    _barys: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    # (complex over the lattice, densities) of the atoms
-    _cells: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __getattr__(self, name):
         # reached only for the unbuilt atoms of a measure of _measure
@@ -115,13 +109,37 @@ class PolytopalMeasure:
             raise MeasureError("atoms must share a common dimension")
         if any(d <= 0 for _, d in self.atoms):
             raise MeasureError("densities must be positive")
-        cells = PeriodicComplex(self.lattice, tuple(s for s, _ in self.atoms))
-        object.__setattr__(self, "_cells", (cells, tuple(d for _, d in self.atoms)))
 
     @property
     def dim(self) -> int:
         c = self._cells[0]
-        return len(_period_coords(c)[1][0]) // c.dim - 1
+        return len(c._coords[1][0]) // c.dim - 1
+
+    @cached_property
+    def _cells(self) -> tuple[PeriodicComplex, tuple[Fraction, ...]]:
+        """(complex over the lattice, densities) of the atoms; seeded by
+        :func:`_measure`."""
+        cells = PeriodicComplex(self.lattice, tuple(s for s, _ in self.atoms))
+        return cells, tuple(d for _, d in self.atoms)
+
+    @cached_property
+    def _masses(self) -> tuple[Fraction, ...]:
+        """d * vol(s) per atom (s, d)."""
+        c, dens = self._cells
+        return tuple(map(mul, dens, _volumes(*_ambient_cells(c))))
+
+    @cached_property
+    def _barys(self) -> tuple[Vec, ...]:
+        """The barycenter g L s / ((k + 1) g scale) per atom, s the sum of
+        its vertices' period coordinates; only integrate reads it."""
+        c = self._cells[0]
+        n, (scale, coords) = c.dim, c._coords
+        g, rows = c.period.frame.g, c.period.frame.basis
+        den = len(coords[0]) // n * g * scale
+        sums = ([sum(w[m::n]) for m in range(n)] for w in coords)
+        return tuple(
+            tuple(Fraction(x, den) for x in _ambient(rows, s)) for s in sums
+        )
 
 
 def _measure(lat: Lattice, c: PeriodicComplex, densities) -> PolytopalMeasure:
@@ -142,29 +160,6 @@ def _volumes(t: int, cells):
             s = Simplex(((0,) * len(a0),) + edges)
             shapes[edges] = simplex_k_volume(s) / t ** len(edges)
         yield shapes[edges]
-
-
-def _atom_masses(mu: PolytopalMeasure) -> tuple[Fraction, ...]:
-    """d * vol(s) per atom (s, d), computed at most once and kept."""
-    if mu._masses is None:
-        c, dens = mu._cells
-        masses = tuple(map(mul, dens, _volumes(*_ambient_cells(c))))
-        object.__setattr__(mu, "_masses", masses)
-    return mu._masses
-
-
-def _atom_barycenters(mu: PolytopalMeasure) -> tuple[Vec, ...]:
-    """The barycenter g L s / ((k + 1) g scale) per atom, s the sum of its
-    vertices' period coordinates; built when integrate first reads it, kept."""
-    if mu._barys is None:
-        c = mu._cells[0]
-        n, (scale, coords) = c.dim, _period_coords(c)
-        g, rows = c.period.frame.g, c.period.frame.basis
-        den = len(coords[0]) // n * g * scale
-        sums = ([sum(w[m::n]) for m in range(n)] for w in coords)
-        barys = tuple(tuple(Fraction(x, den) for x in _ambient(rows, s)) for s in sums)
-        object.__setattr__(mu, "_barys", barys)
-    return mu._barys
 
 
 @dataclass(frozen=True)
@@ -244,7 +239,7 @@ def integrate(t: TestFunction, mu: PolytopalMeasure) -> Fraction:
         # in t's period, inside a translate cells[i] + L k of t, where t is
         # (m, c - m . L k); the first atom in no cell sends it to branch 2
         period = t.complex.period
-        find = _containment_index(t.complex).find_cell_containing_simplex
+        find = t.complex._index.find_cell_containing_simplex
         ta, cells = _ambient_cells(atoms)
         den, inv = period.frame.q * ta, period.frame.inv
         hits = []
@@ -267,14 +262,14 @@ def integrate(t: TestFunction, mu: PolytopalMeasure) -> Fraction:
             n = period.dim
             if mu.dim != n:
                 raise NoCommonRefinementError("flat atoms hold no test cell")
-            find = _containment_index(atoms).find_cell_containing_simplex
-            scale, coords = _period_coords(t.complex)
+            find = atoms._index.find_cell_containing_simplex
+            scale, coords = t.complex._coords
             hits = [find(list(zip(*[iter(w)] * n)), scale) for w in coords]
             if None in hits:
                 raise NoCommonRefinementError("test cell not inside one atom")
             mu = _measure(period, t.complex, [dens[i] for i, _ in hits])
     total = Fraction(0)
-    for w, bc, (m, c) in zip(_atom_masses(mu), _atom_barycenters(mu), pieces):
+    for w, bc, (m, c) in zip(mu._masses, mu._barys, pieces):
         if c or any(m):
             total += w * (dot(m, bc) + c)
     return total
@@ -294,7 +289,7 @@ def empirical_averages(
     base = tests[0].complex
     if any(t.complex is not base and t.complex != base for t in tests):
         return tuple(empirical_averages((t,), e)[0] for t in tests)
-    index = _containment_index(base)
+    index = base._index
     # aggregate per cell translate: the per-point work is then
     # independent of the number of tests
     counts: dict[tuple, int] = {}
@@ -368,7 +363,7 @@ def pushforward(mu, a: IntegralAffineMap):
         coords.append(tuple(x - y for _, w in verts for x, y in zip(w, k)))
         images.append(tuple(v for v, _ in verts))
     densities = []
-    for w, vol in zip(_atom_masses(mu), _volumes(lat.frame.g * scale, images)):
+    for w, vol in zip(mu._masses, _volumes(lat.frame.g * scale, images)):
         if not vol:
             raise NonInjectiveAtomError(
                 "map collapses an atom; use monte_carlo_pushforward"
@@ -396,7 +391,7 @@ def monte_carlo_pushforward(
     """
     if samples <= 0:
         raise MeasureError("samples must be positive")
-    masses = _atom_masses(mu)
+    masses = mu._masses
     total = sum(masses, Fraction(0))
     quotas = [m / total * samples for m in masses]
     counts = [math.floor(q) for q in quotas]
@@ -513,8 +508,10 @@ def mass_near(mu, center: Vec, delta: Fraction) -> Fraction:
     if delta <= 0:
         raise MeasureError("delta must be positive")
     lat = mu.lattice
-    _wrap_guard(lat, delta)
     n = lat.dim
+    if len(center) != n:
+        raise DimensionMismatchError("mass_near: wrong center length")
+    _wrap_guard(lat, delta)
     _, g, rows, q, inv = lat.frame
     empirical_case = isinstance(mu, EmpiricalMeasure)
     if empirical_case:

@@ -10,8 +10,9 @@ are the exact counterparts of the ample-model construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import mul, sub
 from typing import Optional
 
@@ -21,8 +22,6 @@ from .complexes import (
     _ambient,
     _ambient_cells,
     _cell_vertices,
-    _containment_index,
-    _period_coords,
     adjacent_pairs,
     dyadic_refine_step,
     unfold_with_shifts,
@@ -77,14 +76,32 @@ class CocycleFunction:
     pieces: tuple[Piece, ...]  # parallel to complex.cells
     cocycle: Cocycle
     linear_scale: Fraction = Fraction(1)
-    # the one-step Tate successor; see tate_iterate
-    _next: CocycleFunction | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         if len(self.pieces) != self.complex.size:
             raise PafError("one affine piece per maximal cell required")
+
+    @cached_property
+    def _next(self) -> CocycleFunction:
+        """f_1 of :func:`tate_iterate`: one step, on the dyadic refinement."""
+        refined, parents = dyadic_refine_step(self.complex)
+        terms: dict[Vec, tuple[Vec, Fraction]] = {}  # per distinct lam
+        pieces = []
+        for (pi, lam) in parents:
+            t = terms.get(lam)
+            if t is None:
+                t = terms[lam] = _translate_terms(self, lam)
+            m, c = self.pieces[pi]
+            pieces.append((
+                tuple((x + y) / 2 for x, y in zip(m, t[0])),
+                (c - dot(m, lam) + t[1]) / 4,
+            ))
+        return CocycleFunction(
+            complex=refined,
+            pieces=tuple(pieces),
+            cocycle=self.cocycle,
+            linear_scale=self.linear_scale / 2,
+        )
 
 
 @dataclass(frozen=True)
@@ -93,12 +110,23 @@ class TestFunction:
 
     complex: PeriodicComplex
     pieces: tuple[Piece, ...]
-    # sup |t|; see test_sup_abs
-    _sup: Fraction | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.pieces) != self.complex.size:
             raise PafError("one affine piece per maximal cell required")
+
+    @cached_property
+    def _sup(self) -> Fraction:
+        """sup |t|; see :func:`test_sup_abs`."""
+        best = Fraction(0)
+        for cell, (m, c) in zip(self.complex.cells, self.pieces):
+            if not (c or any(m)):
+                continue
+            for v in cell.vertices:
+                val = abs(dot(m, v) + c)
+                if val > best:
+                    best = val
+        return best
 
 
 @dataclass(frozen=True)
@@ -173,7 +201,7 @@ def _model_values(c: PeriodicComplex, z: Cocycle) -> list[list[tuple]]:
     of half-integer period coordinates of v, its barycentric depth."""
     if c.level != 0:
         raise NotBarycentricError("model functions live on the level-0 complex")
-    scale, coords = _period_coords(c)
+    scale, coords = c._coords
     if scale > 2:
         raise NotBarycentricError(
             "vertex is not on the half-integer grid of the period basis"
@@ -267,7 +295,7 @@ def check_strongly_convex(f: CocycleFunction) -> ConvexityCertificate:
 def locate_cell(c: PeriodicComplex, u: Vec) -> tuple[int, Vec]:
     """(cell index i, period vector lam) with u - lam in cells[i], for
     any rational u; answered by the complex's containment index."""
-    hit = _containment_index(c).locate((u,))
+    hit = c._index.locate((u,))
     if hit is None:
         raise PafError(f"point {u} not covered by the complex")
     return hit
@@ -286,46 +314,22 @@ def tate_iterate(f0: CocycleFunction, i: int) -> CocycleFunction:
 
     Gradients scale by 1/2 and constants by 1/4 per step; the effective
     linear coefficient halves, so the cocycle law keeps holding exactly.
-    Each function keeps its one-step successor, so iterating the same f0
-    again reuses the steps already taken.
+    Each function keeps its one-step successor ``_next``, so iterating
+    the same f0 again reuses the steps already taken.
     """
     if i < 0:
         raise PafError("iteration count must be >= 0")
     f = f0
     for _ in range(i):
-        if f._next is None:
-            object.__setattr__(f, "_next", _tate_step(f))
         f = f._next
     return f
-
-
-def _tate_step(f: CocycleFunction) -> CocycleFunction:
-    """f_1 of :func:`tate_iterate`: one step, on the dyadic refinement."""
-    refined, parents = dyadic_refine_step(f.complex)
-    terms: dict[Vec, tuple[Vec, Fraction]] = {}  # per distinct lam
-    pieces = []
-    for (pi, lam) in parents:
-        t = terms.get(lam)
-        if t is None:
-            t = terms[lam] = _translate_terms(f, lam)
-        m, c = f.pieces[pi]
-        pieces.append((
-            tuple((x + y) / 2 for x, y in zip(m, t[0])),
-            (c - dot(m, lam) + t[1]) / 4,
-        ))
-    return CocycleFunction(
-        complex=refined,
-        pieces=tuple(pieces),
-        cocycle=f.cocycle,
-        linear_scale=f.linear_scale / 2,
-    )
 
 
 def _test_piece_at(t: TestFunction, points) -> Piece:
     """Affine piece of the periodic extension of t on a cell translate
     of t's complex that holds every one of the points; so t is affine on
     their convex hull.  PafError if no cell translate holds them all."""
-    hit = _containment_index(t.complex).locate(points)
+    hit = t.complex._index.locate(points)
     if hit is None:
         shown = ", ".join(f"({', '.join(map(str, p))})" for p in points)
         raise PafError(f"no cell of the test complex holds {shown}")
@@ -342,18 +346,8 @@ def evaluate_test(t: TestFunction, u: Vec) -> Fraction:
 
 def test_sup_abs(t: TestFunction) -> Fraction:
     """sup |t|; attained at cell vertices since t is affine per cell.
-    Pieces with m = 0 and c = 0 are 0 and skipped.  Computed at most once
-    per test and kept on it."""
-    if t._sup is None:
-        best = Fraction(0)
-        for cell, (m, c) in zip(t.complex.cells, t.pieces):
-            if not (c or any(m)):
-                continue
-            for v in cell.vertices:
-                val = abs(dot(m, v) + c)
-                if val > best:
-                    best = val
-        object.__setattr__(t, "_sup", best)
+    Pieces with m = 0 and c = 0 are 0 and skipped.  Kept on the test as
+    ``_sup``."""
     return t._sup
 
 
@@ -382,7 +376,7 @@ def _orbit_keys(c: PeriodicComplex) -> tuple[tuple[Vec, ...], list]:
     sorted, and per cell the index in orbits of each vertex.  The period
     coordinates are reduced by floor-mod and sorted by ambient image."""
     n = c.dim
-    scale, coords = _period_coords(c)
+    scale, coords = c._coords
     cells = [
         [tuple(x % scale for x in w[k : k + n]) for k in range(0, len(w), n)]
         for w in coords
@@ -493,7 +487,7 @@ class _Gap:
     def __init__(self, f: CocycleFunction):
         c = f.complex
         self.n = c.dim
-        scale, self.coords = _period_coords(c)
+        scale, self.coords = c._coords
         g, self.rows = c.period.frame.g, c.period.frame.basis
         self.t = t = g * scale
         self.r, self.gram = integer_matrix(f.cocycle.polarization.gram)

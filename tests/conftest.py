@@ -29,12 +29,7 @@ from troptorus import (
     quadratic,
 )
 from troptorus.paf import piece_on_translate
-from troptorus.complexes import (
-    ComplexError,
-    Simplex,
-    _containment_index,
-    _period_coords,
-)
+from troptorus.complexes import ComplexError, Simplex
 from troptorus.lattice import covolume, reduce_mod
 from troptorus.linalg import (
     SingularMatrixError,
@@ -218,7 +213,7 @@ def dense_integrate(t, mu):
             ),
             Fraction(0),
         )
-    index = _containment_index(t.complex)
+    index = t.complex._index
     total = Fraction(0)
     for s, d in mu.atoms:
         hit = index.locate(s.vertices)
@@ -231,8 +226,8 @@ def dense_integrate(t, mu):
         return total
     n = mu.lattice.dim
     atoms = PeriodicComplex(period=mu.lattice, cells=tuple(s for s, _ in mu.atoms))
-    index = _containment_index(atoms)
-    scale, coords = _period_coords(t.complex)
+    index = atoms._index
+    scale, coords = t.complex._coords
     total = Fraction(0)
     for cell, w, (m, c) in zip(t.complex.cells, coords, t.pieces):
         hit = index.find_cell_containing_simplex(

@@ -22,9 +22,9 @@ from troptorus.complexes import (
     AdjacentPair,
     IncompatiblePeriodsError,
     PeriodicComplex,
+    _from_coords,
     _inner_normal,
     _is_refinement_search,
-    _period_coords,
     barycentric_triangulation,
     dyadic_refine_step,
     unfold_with_shifts,
@@ -200,6 +200,63 @@ def test_unfold_rejects_non_sublattice(line_setup):
         unfold(c, Lattice(((F(1, 3),),)))
 
 
+def test_unfold_over_3z4_enumerates_classes_not_the_box():
+    """The level-0 Z^4 complex over 3 Z^4: 81 classes, so 81 * 384 cells;
+    each source cell appears once per class, and a sampled new cell is its
+    source cell moved by the returned shift."""
+    from tests.conftest import base_complex
+
+    _, _, _, c = base_complex(4)
+    sub = Lattice(tuple(
+        tuple(F(3 if i == j else 0) for i in range(4)) for j in range(4)
+    ))
+    unfolded, mapping = unfold_with_shifts(c, sub)
+    assert unfolded.period == sub and unfolded.size == len(mapping) == 81 * 384
+    classes: dict[int, set] = {}
+    for i, lam in mapping:
+        assert all(x.denominator == 1 for x in lam)
+        classes.setdefault(i, set()).add(tuple(int(x) % 3 for x in lam))
+    assert sorted(classes) == list(range(384))
+    assert all(len(ks) == 81 for ks in classes.values())
+    scale, coords = unfolded._coords
+    for j in range(0, len(coords), 97):
+        w = coords[j]
+        verts = tuple(
+            sub.from_coords(tuple(F(x, scale) for x in w[k : k + 4]))
+            for k in range(0, len(w), 4)
+        )
+        assert all(0 <= x < scale for x in w[:4])  # canonical in sub
+        i, lam = mapping[j]
+        assert verts == c.cells[i].translate(lam).vertices
+
+
+def test_derived_state_is_outside_equality_hash_and_repr(plane_setup):
+    """Reading the cached frame, index and pairs changes no ==, hash or
+    repr; the coordinates a builder seeds are returned as they are."""
+    lat, _, _, c = plane_setup
+    fresh_lat = Lattice(lat.generators)
+    before = hash(fresh_lat), repr(fresh_lat)
+    assert "frame" not in vars(fresh_lat)
+    fresh_lat.frame
+    assert before == (hash(fresh_lat), repr(fresh_lat))
+    fresh = barycentric_triangulation(lat.generators, fresh_lat)
+    before += hash(fresh), repr(fresh)
+    assert not {"_index", "_pairs"} & set(vars(fresh))
+    seeded = vars(fresh)["_coords"]
+    fresh._index, adjacent_pairs(fresh)
+    assert fresh._coords is seeded
+    assert {"_index", "_pairs"} <= set(vars(fresh))
+    assert fresh_lat == lat and fresh == c
+    assert before == (hash(fresh_lat), repr(fresh_lat), hash(fresh), repr(fresh))
+    assert before == (hash(lat), repr(lat), hash(c), repr(c))
+    coords = ((0, 0, 1, 0, 1, 1), (0, 0, 0, 1, 1, 1))
+    built = _from_coords(lat, 1, coords, 0)
+    assert built._coords[1] is coords and built._coords is built._coords
+    hand = PeriodicComplex(lat, built.cells)
+    assert "_coords" not in vars(hand)
+    assert hand._coords == built._coords and hand == built
+
+
 def test_simplex_volume_unit():
     s = Simplex(((F(0), F(0)), (F(1), F(0)), (F(0), F(1))))
     assert simplex_volume(s) == F(1, 2)
@@ -335,14 +392,14 @@ def test_recorded_levels_answer_without_an_index(n):
     fine, _ = dyadic_refine_step(coarse)
     assert not is_refinement(coarse, fine)
     assert is_refinement(fine, coarse)
-    assert coarse._index is None and fine._index is None
+    assert "_index" not in vars(coarse) and "_index" not in vars(fine)
     # the coarse side of each call as an unrecorded copy
     fine_copy = make_complex(prime, fine.cells)
     coarse_copy = make_complex(prime, coarse.cells)
     assert fine_copy._j1 is None and coarse_copy._j1 is None
     assert not is_refinement(coarse, fine_copy)
     assert is_refinement(fine, coarse_copy)
-    assert fine_copy._index is not None and coarse_copy._index is not None
+    assert "_index" in vars(fine_copy) and "_index" in vars(coarse_copy)
 
 
 def fraction_adjacent_pairs(c):
@@ -456,7 +513,7 @@ def builder_cases(draw):
 def _assert_same_complex(built, oracle):
     """Equal cells in equal order, level and J1 level, and kept integer
     coordinates equal to those computed from the Fraction cells."""
-    assert built._coords == _period_coords(oracle)
+    assert built._coords == oracle._coords
     assert built.size == len(oracle.cells)
     assert built.cells == oracle.cells
     assert (built.level, built._j1) == (oracle.level, oracle._j1)

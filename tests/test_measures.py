@@ -36,6 +36,7 @@ from troptorus.equidist import (
 )
 from troptorus.lattice import Lattice, covolume, reduce_mod, standard_lattice
 from troptorus.linalg import (
+    DimensionMismatchError,
     det,
     dot,
     from_columns,
@@ -50,7 +51,7 @@ from troptorus import measures
 from troptorus import test_sup_abs as sup_abs
 from troptorus.measures import _clip_simplex, _wrap_guard
 from troptorus.paf import TestFunction as PiecewiseTest
-from troptorus.paf import interpolate_test, vertex_orbits
+from troptorus.paf import interpolate_test, locate_cell, vertex_orbits
 from tests.conftest import (
     barycentric_coords,
     base_complex,
@@ -725,7 +726,7 @@ def test_n_volume_matches_the_gram_path(n, data):
     assert simplex_k_volume(s) == simplex_k_volume(flipped) == gram_k_volume(s)
 
 
-def test_atom_masses_are_built_once_per_measure(plane_setup, monkeypatch):
+def test_masses_are_built_once_per_measure(plane_setup, monkeypatch):
     lat, _, _, c = plane_setup
     calls = []
     real = measures.simplex_k_volume
@@ -767,13 +768,51 @@ def test_barycenters_are_built_only_where_read(plane_setup):
     monte_carlo_pushforward(mu, ident, samples=8, seed=0)
     pushforward(mu, ident)
     mass_near(mu, (F(1, 3), F(0)), F(1, 8))
-    assert mu._masses is not None and mu._barys is None
+    assert "_masses" in vars(mu) and "_barys" not in vars(mu)
     hats = hat_test_functions(c)
     integrate(hats[0], mu)
     barys = mu._barys
     assert barys == tuple(s.barycenter() for s, _ in mu.atoms)
     integrate(hats[1], mu)
     assert mu._barys is barys
+
+
+def test_measure_derived_state_is_outside_equality_hash_and_repr(plane_setup):
+    """Masses, barycenters and the atoms' complex change no ==, hash or
+    repr of a measure; the complex _measure seeds is returned as it is."""
+    lat, _, _, c = plane_setup
+    mu, other = haar(lat, c), haar(lat, c)
+    before = hash(mu), repr(mu)
+    assert mu._cells[0] is c
+    mu._masses, mu._barys
+    assert {"_masses", "_barys"} <= set(vars(mu))
+    assert not {"_masses", "_barys"} & set(vars(other))
+    assert mu == other
+    assert before == (hash(mu), repr(mu)) == (hash(other), repr(other))
+    hand = PolytopalMeasure(lat, mu.atoms)
+    assert "_cells" not in vars(hand)
+    assert hand == mu and hand._masses == mu._masses and hand._barys == mu._barys
+    assert before == (hash(hand), repr(hand))
+
+
+def test_points_of_the_wrong_length_are_rejected(plane_setup):
+    """A point or box center whose length is not the lattice dimension
+    raises DimensionMismatchError on every path that reads one."""
+    lat, _, _, c = plane_setup
+    grid = torsion_grid(lat, 8)
+    mu = haar(lat, c)
+    assert mass_near(grid, (F(0), F(0)), F(1, 8)) == F(9, 64)
+    for bad in ((F(1, 3),), (F(0),), (F(0), F(0), F(5))):
+        with pytest.raises(DimensionMismatchError):
+            lat.integer_coords([bad])
+        with pytest.raises(DimensionMismatchError):
+            empirical(lat, [bad])
+        with pytest.raises(DimensionMismatchError):
+            locate_cell(c, bad)
+        with pytest.raises(DimensionMismatchError):
+            mass_near(grid, bad, F(1, 8))
+        with pytest.raises(DimensionMismatchError):
+            mass_near(mu, bad, F(1, 8))
 
 
 @st.composite
