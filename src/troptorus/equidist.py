@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from operator import mul
 from typing import Optional
 
 from .complexes import (
@@ -30,7 +31,6 @@ from .lattice import (
 from .linalg import (
     TroptorusError,
     Vec,
-    dot,
     mat_vec,
     vsub,
     zero_vec,
@@ -49,7 +49,6 @@ from .paf import (
     TestFunction,
     hat_test_functions,
     interpolate_test,
-    locate_cell,
     test_sup_abs,
     vertex_orbits,
 )
@@ -248,6 +247,8 @@ def fixed_denominator_obstruction(
     if b is None:
         b = identity_polarization(lat.dim)
     grid = _grid_points_mod(lat, e_denominator)
+    s, ws = lat.integer_coords(grid)
+    ws = list(ws)
     for level in range(witness_level, MAX_LEVEL + 1):
         c = standard_test_complex(lat, b, level)
         orbits = vertex_orbits(c)
@@ -263,16 +264,21 @@ def fixed_denominator_obstruction(
         candidates = [v for d, v in ranked if d > 0]
         if not candidates:
             continue
+        # the grid point w / s lies in cells[i] + k, where the witness is
+        # (P.(w / s - k) + C) / den: it vanishes iff P.(w - s k) + s C = 0
+        find = c._index.find_cell_containing_simplex
         locs = []
-        for g in grid:
-            i, lam = locate_cell(c, g)
-            locs.append((i, vsub(g, lam)))
+        for w in ws:
+            i, k = find((w,), s)
+            locs.append((i, [x - s * y for x, y in zip(w, k)]))
         mu = haar(lat, c)
         for v in candidates:
             values = {o: Fraction(1 if o == v else 0) for o in orbits}
             witness = interpolate_test(c, values)
+            rows = witness._form[1]
             if any(
-                dot(witness.pieces[i][0], u) + witness.pieces[i][1] != 0
+                rows[i] is not None
+                and sum(map(mul, rows[i][0], u)) + s * rows[i][1] != 0
                 for i, u in locs
             ):
                 continue

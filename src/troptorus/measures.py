@@ -129,17 +129,12 @@ class PolytopalMeasure:
         return tuple(map(mul, dens, _volumes(*_ambient_cells(c))))
 
     @cached_property
-    def _barys(self) -> tuple[Vec, ...]:
-        """The barycenter g L s / ((k + 1) g scale) per atom, s the sum of
-        its vertices' period coordinates; only integrate reads it."""
-        c = self._cells[0]
-        n, (scale, coords) = c.dim, c._coords
-        g, rows = c.period.frame.g, c.period.frame.basis
-        den = len(coords[0]) // n * g * scale
-        sums = ([sum(w[m::n]) for m in range(n)] for w in coords)
-        return tuple(
-            tuple(Fraction(x, den) for x in _ambient(rows, s)) for s in sums
-        )
+    def _mass_classes(self) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
+        """(masses, ids): the distinct values of ``_masses``, and per atom
+        the index of its own; integrate sums its integer values per class."""
+        pos: dict[Fraction, int] = {}
+        ids = tuple(pos.setdefault(w, len(pos)) for w in self._masses)
+        return tuple(pos), ids
 
 
 def _measure(lat: Lattice, c: PeriodicComplex, densities) -> PolytopalMeasure:
@@ -229,50 +224,73 @@ def integrate(t: TestFunction, mu: PolytopalMeasure) -> Fraction:
     is inside a single cell of t, or every cell of t is inside a single
     atom, up to the period.  Both are decided by containment indexes.
     An affine integrand over a simplex integrates to volume times the
-    barycenter value; the atom masses and barycenters are kept on the
-    measure, and pieces with m = 0 and c = 0 add nothing.
+    barycenter value.  In t's integer form, (P.x + C) / den at period
+    coordinates x, that value is an integer over the common denominator
+    (k + 1) s den, s the scale of the vertices' period coordinates and
+    their sum S: P.S + (k + 1) s C.  The atom masses are kept on the
+    measure, each distinct mass multiplies its summed values once, and
+    zero pieces add nothing.
     """
     atoms, dens = mu._cells
-    pieces = t.pieces
+    den, rows = t._form
     if atoms is not t.complex:
         # branch 1: each atom, by the integer coordinates of its vertices
-        # in t's period, inside a translate cells[i] + L k of t, where t is
-        # (m, c - m . L k); the first atom in no cell sends it to branch 2
+        # in t's period, inside a translate cells[i] + k of t, where t is
+        # (P.x + C - P.k) / den; the first atom in no cell sends it to
+        # branch 2
         period = t.complex.period
         find = t.complex._index.find_cell_containing_simplex
         ta, cells = _ambient_cells(atoms)
-        den, inv = period.frame.q * ta, period.frame.inv
-        hits = []
+        scale, inv = period.frame.q * ta, period.frame.inv
+        nums = []
         for cell in cells:
-            hit = find([_ambient(inv, a) for a in cell], den)
+            ws = [_ambient(inv, a) for a in cell]
+            hit = find(ws, scale)
             if hit is None:
                 break
-            hits.append(hit)
-        if len(hits) == len(cells):
-            pieces = []
-            for i, k in hits:
-                m, c = t.pieces[i]
-                pieces.append((m, c - dot(m, period.from_coords(k)) if any(m) else c))
-        else:
-            # branch 2: t's cells refine the atoms; each takes its atom's density
-            if period != mu.lattice:
-                raise NoCommonRefinementError(
-                    "test complex period differs from the measure lattice"
-                )
-            n = period.dim
-            if mu.dim != n:
-                raise NoCommonRefinementError("flat atoms hold no test cell")
-            find = atoms._index.find_cell_containing_simplex
-            scale, coords = t.complex._coords
-            hits = [find(list(zip(*[iter(w)] * n)), scale) for w in coords]
-            if None in hits:
-                raise NoCommonRefinementError("test cell not inside one atom")
-            mu = _measure(period, t.complex, [dens[i] for i, _ in hits])
-    total = Fraction(0)
-    for w, bc, (m, c) in zip(mu._masses, mu._barys, pieces):
-        if c or any(m):
-            total += w * (dot(m, bc) + c)
-    return total
+            r = rows[hit[0]]
+            if r is None:
+                nums.append(0)
+                continue
+            p, c = r
+            c -= sum(map(mul, p, hit[1]))
+            nums.append(sum(map(mul, p, map(sum, zip(*ws)))) + len(ws) * scale * c)
+        if len(nums) == len(cells):
+            return _mass_sum(mu, nums, len(cells[0]) * scale * den)
+        # branch 2: t's cells refine the atoms; each takes its atom's density
+        if period != mu.lattice:
+            raise NoCommonRefinementError(
+                "test complex period differs from the measure lattice"
+            )
+        n = period.dim
+        if mu.dim != n:
+            raise NoCommonRefinementError("flat atoms hold no test cell")
+        find = atoms._index.find_cell_containing_simplex
+        scale, coords = t.complex._coords
+        hits = [find(list(zip(*[iter(w)] * n)), scale) for w in coords]
+        if None in hits:
+            raise NoCommonRefinementError("test cell not inside one atom")
+        mu = _measure(period, t.complex, [dens[i] for i, _ in hits])
+    n = t.complex.dim
+    scale, coords = t.complex._coords
+    m = len(coords[0]) // n
+    nums = [
+        0 if r is None
+        else sum(sum(w[j::n]) * x for j, x in enumerate(r[0])) + m * scale * r[1]
+        for w, r in zip(coords, rows)
+    ]
+    return _mass_sum(mu, nums, m * scale * den)
+
+
+def _mass_sum(mu: PolytopalMeasure, nums, den: int) -> Fraction:
+    """sum_i mass_i * nums[i] / den over the atoms of mu, with one
+    multiplication per distinct mass."""
+    masses, ids = mu._mass_classes
+    acc = [0] * len(masses)
+    for k, x in zip(ids, nums):
+        if x:
+            acc[k] += x
+    return sum(map(mul, masses, acc), Fraction(0)) / den
 
 
 def integrate_empirical(t: TestFunction, e: EmpiricalMeasure) -> Fraction:
@@ -305,25 +323,27 @@ def empirical_averages(
         counts[key] = counts.get(key, 0) + 1
         acc = coord_sums.get(key)
         coord_sums[key] = w if acc is None else list(map(add, acc, w))
-    sums = [Fraction(0)] * len(tests)
+    # in each test's integer form (P.x + C) / den, the cnt points w / d of
+    # a translate k sum to (P.(S - cnt d k) + cnt d C) / (d den), S their
+    # coordinate sum: one integer per test, one Fraction at the end
+    forms = [t._form for t in tests]
+    sums = [0] * len(tests)
     live: dict[int, list] = {}  # cell -> the tests nonzero on it
     for (i, k), cnt in counts.items():
         pieces = live.get(i)
         if pieces is None:
             pieces = live[i] = [
-                (j, m, c)
-                for j, (m, c) in enumerate(t.pieces[i] for t in tests)
-                if c or any(m)
+                (j, rows[i]) for j, (_, rows) in enumerate(forms)
+                if rows[i] is not None
             ]
         if not pieces:
             continue
-        # the sum of the points, each minus its translation by k periods
-        vsum = base.period.from_coords(tuple(
-            Fraction(x, d) - cnt * y for x, y in zip(coord_sums[i, k], k)
-        ))
-        for j, m, c in pieces:
-            sums[j] += dot(m, vsum) + c * cnt
-    return tuple(s / len(e.coords) for s in sums)
+        cd = cnt * d
+        s = [x - cd * y for x, y in zip(coord_sums[i, k], k)]
+        for j, (p, c) in pieces:
+            sums[j] += sum(map(mul, p, s)) + cd * c
+    size = d * len(e.coords)
+    return tuple(Fraction(s, size * den) for s, (den, _) in zip(sums, forms))
 
 
 def _atom_images(mu: PolytopalMeasure, a: IntegralAffineMap):

@@ -20,7 +20,6 @@ from .complexes import (
     AdjacentPair,
     PeriodicComplex,
     _ambient,
-    _ambient_cells,
     _cell_vertices,
     adjacent_pairs,
     dyadic_refine_step,
@@ -32,6 +31,7 @@ from .lattice import (
     quadratic,
 )
 from .linalg import (
+    DimensionMismatchError,
     SingularMatrixError,
     TroptorusError,
     Vec,
@@ -78,8 +78,7 @@ class CocycleFunction:
     linear_scale: Fraction = Fraction(1)
 
     def __post_init__(self):
-        if len(self.pieces) != self.complex.size:
-            raise PafError("one affine piece per maximal cell required")
+        _check_pieces(self.complex, self.pieces)
 
     @cached_property
     def _next(self) -> CocycleFunction:
@@ -106,27 +105,69 @@ class CocycleFunction:
 
 @dataclass(frozen=True)
 class TestFunction:
-    """A period-periodic piecewise-affine function (zero cocycle)."""
+    """A period-periodic piecewise-affine function (zero cocycle).  A test
+    of :func:`_built_test` makes its ``pieces`` from ``_form`` on first
+    access."""
 
     complex: PeriodicComplex
     pieces: tuple[Piece, ...]
 
+    def __getattr__(self, name):
+        # reached only for the unbuilt pieces of a test of _built_test
+        if name != "pieces":
+            raise AttributeError(name)
+        den, rows = self._form
+        frame = self.complex.period.frame
+        zero = (zero_vec(self.complex.dim), Fraction(0))
+        object.__setattr__(self, "pieces", tuple(
+            zero if r is None else _fraction_piece(frame, *r, den) for r in rows
+        ))
+        return self.pieces
+
     def __post_init__(self):
-        if len(self.pieces) != self.complex.size:
-            raise PafError("one affine piece per maximal cell required")
+        _check_pieces(self.complex, self.pieces)
+
+    @cached_property
+    def _form(self) -> tuple[int, tuple]:
+        """(den, rows): the pieces as integers over one denominator.
+        ``rows[i]`` is None where the piece is zero, and otherwise (P, C)
+        with t = (P.x + C) / den at the period coordinates x of
+        ``complex.period``.  Seeded by the builders; from the Fraction
+        pieces (m, c), with gL the period frame's basis, P = (gL)^T M and
+        C = g C' for the integer rows (M, C') = D (m, c), and den = g D."""
+        d, rows = integer_matrix([(*m, c) for m, c in self.pieces])
+        g, basis = self.complex.period.frame.g, self.complex.period.frame.basis
+        cols = tuple(zip(*basis))
+        return g * d, tuple(
+            (_ambient(cols, r[:-1]), g * r[-1]) if any(r) else None for r in rows
+        )
 
     @cached_property
     def _sup(self) -> Fraction:
         """sup |t|; see :func:`test_sup_abs`."""
-        best = Fraction(0)
-        for cell, (m, c) in zip(self.complex.cells, self.pieces):
-            if not (c or any(m)):
+        den, rows = self._form
+        n = self.complex.dim
+        scale, coords = self.complex._coords
+        best = 0
+        for w, r in zip(coords, rows):
+            if r is None:
                 continue
-            for v in cell.vertices:
-                val = abs(dot(m, v) + c)
+            p, c = r[0], scale * r[1]
+            for k in range(0, len(w), n):
+                val = abs(sum(map(mul, p, w[k : k + n])) + c)
                 if val > best:
                     best = val
-        return best
+        return Fraction(best, scale * den)
+
+
+def _check_pieces(c: PeriodicComplex, pieces) -> None:
+    """Raise unless there is one piece per cell of c, each gradient of
+    length c.dim."""
+    if len(pieces) != c.size:
+        raise PafError("one affine piece per maximal cell required")
+    n = c.dim
+    if any(len(m) != n for m, _ in pieces):
+        raise DimensionMismatchError("piece gradient length is not the dimension")
 
 
 @dataclass(frozen=True)
@@ -139,44 +180,72 @@ class ConvexityCertificate:
 
 
 def _cell_frames(c: PeriodicComplex) -> tuple[int, list]:
-    """(t, frames): per cell of c, (a_0, det, adj) for the integer images
-    a_k = t*v_k of its vertices (see complexes._ambient), where det and
-    adj are the determinant and adjugate of the matrix whose columns are
-    the edges a_k - a_0, computed once per cell shape."""
-    t, cells = _ambient_cells(c)
+    """(scale, frames): per cell of c, (w_0, det, adj) for the integer
+    period coordinates w_k = scale * x_k of its vertices (``c._coords``),
+    where det and adj are the determinant and adjugate of the matrix whose
+    columns are the edges w_k - w_0, computed once per cell shape."""
+    n = c.dim
+    scale, coords = c._coords
     shapes: dict[tuple, tuple] = {}
     frames = []
-    for a0, *rest in cells:
-        edges = tuple(tuple(map(sub, a, a0)) for a in rest)
+    for w in coords:
+        w0 = w[:n]
+        edges = tuple(
+            tuple(map(sub, w[k : k + n], w0)) for k in range(n, len(w), n)
+        )
         shape = shapes.get(edges)
         if shape is None:
             shape = shapes[edges] = det_adj(tuple(zip(*edges)))
             if shape[0] == 0:
                 raise SingularMatrixError("flat cell")
-        frames.append((a0, *shape))
-    return t, frames
+        frames.append((w0, *shape))
+    return scale, frames
 
 
-def _interpolate_piece(t: int, frame, values) -> Piece:
-    """The unique affine (m, c) with m*v + c = values[k] at the vertices
-    v_k of a cell with frame (a_0, det, adj) of :func:`_cell_frames`.
+def _interpolate_piece(scale: int, frame, values) -> tuple[tuple, int, int]:
+    """(P, C, den): the unique affine function with (P.x + C) / den =
+    values[k] at the period coordinates x_k = w_k / scale of the vertices
+    of a cell with frame (w_0, det, adj) of :func:`_cell_frames`.
 
-    With the values y_k = Y_k / d over one denominator d, the gradient is
-    m = t N / (det d), N = sum_k (Y_k - Y_0) adj[k-1], and
-    c = y_0 - m.v_0 = (Y_0 det - N.a_0) / (det d).
+    With the values y_k = Y_k / d over one denominator d and
+    N = sum_k (Y_k - Y_0) adj[k-1], the gradient is scale N / (det d) and
+    the constant y_0 - (scale N / (det d)).x_0 = (Y_0 det - N.w_0) / (det d).
     """
-    a0, det, adj = frame
+    w0, det, adj = frame
     d = math.lcm(*(y.denominator for y in values))
     y0, *ys = (y.numerator * (d // y.denominator) for y in values)
-    nums = [0] * len(a0)
+    nums = [0] * len(w0)
     for y, row in zip(ys, adj):
         if y != y0:
             nums = [x + (y - y0) * z for x, z in zip(nums, row)]
-    den = det * d
     return (
-        tuple(Fraction(t * x, den) for x in nums),
-        Fraction(y0 * det - sum(map(mul, nums, a0)), den),
+        tuple(scale * x for x in nums),
+        y0 * det - sum(map(mul, nums, w0)),
+        det * d,
     )
+
+
+def _fraction_piece(frame, p, c: int, den: int) -> Piece:
+    """The ambient Fraction piece (m, c / den) of the function
+    (p.x + c) / den of the period coordinates x: m = L^-T p / den, read
+    off the integer inverse q L^-1 of the period ``frame``."""
+    q, cols = frame.q, zip(*frame.inv)
+    return tuple(Fraction(x, q * den) for x in _ambient(cols, p)), Fraction(c, den)
+
+
+def _built_test(c: PeriodicComplex, pieces) -> TestFunction:
+    """The test on c whose piece on ``c.cells[i]`` is the (P, C, den_i) of
+    :func:`_interpolate_piece` in ``pieces[i]``, or zero where that is None:
+    its ``_form`` on the least common denominator, pieces on access."""
+    den = math.lcm(*(p[2] for p in pieces if p is not None))
+    rows = tuple(
+        None if p is None or not (p[1] or any(p[0]))
+        else (tuple(x * (den // p[2]) for x in p[0]), p[1] * (den // p[2]))
+        for p in pieces
+    )
+    t = object.__new__(TestFunction)
+    t.__dict__.update(complex=c, _form=(den, rows))
+    return t
 
 
 def _translate_terms(f: CocycleFunction, lam: Vec) -> tuple[Vec, Fraction]:
@@ -230,9 +299,12 @@ def build_model_function(
     """
     values = _model_values(c, z)
     eps = Fraction(eps)
-    t, frames = _cell_frames(c)
+    scale, frames = _cell_frames(c)
+    period = c.period.frame
     pieces = [
-        _interpolate_piece(t, frame, [y + eps * p for y, p in vals])
+        _fraction_piece(
+            period, *_interpolate_piece(scale, frame, [y + eps * p for y, p in vals])
+        )
         for vals, frame in zip(values, frames)
     ]
     return CocycleFunction(
@@ -255,8 +327,7 @@ def face_slacks(
     den = D r g and the cocycle term, once per distinct shift pair, is
     D n.R(g shift_i - g shift_j).
     """
-    d = math.lcm(*(x.denominator for m, _ in pieces for x in m))
-    grads = [[x.numerator * (d // x.denominator) for x in m] for m, _ in pieces]
+    d, grads = integer_matrix([m for m, _ in pieces])
     e = 1
     if gram is not None:
         g = c.period.frame.g
@@ -359,7 +430,7 @@ def interpolate_test(
     Keys are vertices reduced mod the period; values extend periodically.
     """
     orbits, keys = _orbit_keys(c)
-    t, frames = _cell_frames(c)
+    scale, frames = _cell_frames(c)
     pieces = []
     for ks, frame in zip(keys, frames):
         vals = []
@@ -367,8 +438,8 @@ def interpolate_test(
             if orbits[k] not in vertex_values:
                 raise PafError(f"missing vertex value at {orbits[k]}")
             vals.append(vertex_values[orbits[k]])
-        pieces.append(_interpolate_piece(t, frame, vals))
-    return TestFunction(complex=c, pieces=tuple(pieces))
+        pieces.append(_interpolate_piece(scale, frame, vals))
+    return _built_test(c, pieces)
 
 
 def _orbit_keys(c: PeriodicComplex) -> tuple[tuple[Vec, ...], list]:
@@ -399,15 +470,14 @@ def hat_test_functions(c: PeriodicComplex) -> tuple[TestFunction, ...]:
     in o and 0 at the others; cells the orbit misses get the zero piece.
     """
     orbits, keys = _orbit_keys(c)
-    zero = (zero_vec(c.dim), Fraction(0))
-    pieces = [[zero] * c.size for _ in orbits]
-    t, frames = _cell_frames(c)
+    pieces = [[None] * c.size for _ in orbits]
+    scale, frames = _cell_frames(c)
     for i, (ks, frame) in enumerate(zip(keys, frames)):
         for o in set(ks):
             pieces[o][i] = _interpolate_piece(
-                t, frame, [int(k == o) for k in ks]
+                scale, frame, [int(k == o) for k in ks]
             )
-    return tuple(TestFunction(complex=c, pieces=tuple(p)) for p in pieces)
+    return tuple(_built_test(c, p) for p in pieces)
 
 
 def choose_twist_bound(
@@ -492,19 +562,11 @@ class _Gap:
         self.t = t = g * scale
         self.r, self.gram = integer_matrix(f.cocycle.polarization.gram)
         lin = vscale(f.linear_scale, f.cocycle.linear)
-        self.d = d = math.lcm(
-            *(x.denominator for m, c0 in f.pieces for x in (*m, c0)),
-            *(x.denominator for x in lin),
+        self.d, (*rows, self.lin) = integer_matrix(
+            [(*m, c0) for m, c0 in f.pieces] + [lin]
         )
-        self.lin = [x.numerator * (d // x.denominator) for x in lin]
-        self.pieces = [
-            (
-                [x.numerator * (d // x.denominator) for x in m],
-                c0.numerator * (d // c0.denominator),
-            )
-            for m, c0 in f.pieces
-        ]
-        self.den = 2 * t * t * d * self.r  # h = H / den
+        self.pieces = [(r[:-1], r[-1]) for r in rows]
+        self.den = 2 * t * t * self.d * self.r  # h = H / den
         self.quad: dict[tuple, tuple] = {}  # a -> (R a, Q(a))
         # cell shape, the edges e_k = a_k - a_0 -> (det, adjugate) of
         # G' = [e_k.R e_l], with det >= 0
@@ -614,9 +676,15 @@ def _epsilon_lines(c: PeriodicComplex, z: Cocycle) -> tuple[list, int, list]:
     eps times the second; and per pair of adjacent_pairs(c) the integers
     (a, b) with face slack (a + b*eps) / den at every eps."""
     values = _model_values(c, z)
-    t, frames = _cell_frames(c)
+    scale, frames = _cell_frames(c)
+    period = c.period.frame
     parts = [
-        tuple(_interpolate_piece(t, frame, [v[k] for v in vals]) for k in (0, 1))
+        tuple(
+            _fraction_piece(
+                period, *_interpolate_piece(scale, frame, [v[k] for v in vals])
+            )
+            for k in (0, 1)
+        )
         for vals, frame in zip(values, frames)
     ]
     da, a = face_slacks(c, [p for p, _ in parts], z.polarization.gram)

@@ -29,7 +29,12 @@ from troptorus.equidist import (
 from troptorus.lattice import Lattice, Polarization, covolume, reduce_mod
 from troptorus.linalg import det, from_columns
 from troptorus import paf
-from tests.conftest import base_complex, dense_averages, dense_sup_abs
+from tests.conftest import (
+    base_complex,
+    dense_averages,
+    dense_integrate,
+    dense_sup_abs,
+)
 
 F = Fraction
 
@@ -89,8 +94,8 @@ def test_sup_abs_is_computed_once_per_test(plane_setup, monkeypatch):
     tests = hat_test_functions(c)
     mu = haar(lat, c)
     calls = []
-    real = paf.dot  # test_sup_abs evaluates the pieces with it
-    monkeypatch.setattr(paf, "dot", lambda u, v: calls.append(1) or real(u, v))
+    real = paf.mul  # test_sup_abs evaluates the integer pieces with it
+    monkeypatch.setattr(paf, "mul", lambda u, v: calls.append(1) or real(u, v))
     discrepancy(torsion_grid(lat, 3), mu, tests)
     first = len(calls)
     assert first > 0
@@ -298,3 +303,37 @@ def test_collapse_needs_a_halving(line_setup, deltas):
     face = Simplex(((F(0), F(0)), (F(1, 2), F(1, 2))))
     with pytest.raises(ExperimentError, match="delta / 2"):
         collapse_experiment(lat, face, 2, deltas, samples=10, seed=0)
+
+
+def test_equidistribution_builds_no_fraction_pieces(monkeypatch):
+    """run_equidistribution on problems/n2.json reads each hat test's
+    integer form only: no test builds its Fraction pieces.  Read, they give
+    the discrepancies of the dense Fraction oracles."""
+    import json
+    from pathlib import Path
+
+    from troptorus import equidist
+
+    built = []
+    real = equidist.hat_test_functions
+    monkeypatch.setattr(
+        equidist, "hat_test_functions", lambda c: built.append(real(c)) or built[-1]
+    )
+    raw = json.loads(
+        (Path(__file__).resolve().parent.parent / "problems" / "n2.json")
+        .read_text()
+    )
+    lat = Lattice(tuple(tuple(map(F, g)) for g in raw["lattice"]))
+    b = Polarization(tuple(tuple(map(F, r)) for r in raw["gram"]))
+    cfg = ExperimentConfig(lattice=lat, polarization=b, grid_orders=(8, 16))
+    report = run_equidistribution(cfg)
+    (tests,) = built
+    assert len(tests) == report.details["tests"] > 0
+    assert not any("pieces" in vars(t) for t in tests)
+    mu = haar(lat, tests[0].complex)
+    exact = [(dense_integrate(t, mu), 1 + dense_sup_abs(t)) for t in tests]
+    for m, d, _ in report.entries:
+        e = torsion_grid(lat, m)
+        assert d == max(
+            abs(a - i) / w for a, (i, w) in zip(dense_averages(tests, e), exact)
+        )

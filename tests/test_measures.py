@@ -59,6 +59,7 @@ from tests.conftest import (
     dense_integrate,
     dense_sup_abs,
     fraction_pushforward,
+    fraction_solve,
     gram_k_volume,
     warn_slow_examples,
 )
@@ -636,6 +637,36 @@ def rational_lattices(draw):
     ))
 
 
+@given(lat=rational_lattices(), level=st.integers(0, 1), data=st.data())
+@settings(max_examples=30, deadline=None)
+@warn_slow_examples(lambda lat, **_: lat.generators)
+def test_integer_test_forms_match_the_fraction_solve(lat, level, data):
+    """Every hat and the interpolant of random vertex values are built as
+    integer pieces over one denominator and build no Fraction pieces until
+    read.  Read, the piece on each cell is the Fraction solve of rows
+    [v | 1] at the cell's vertices, and zero on cells a hat misses."""
+    c = dyadic_refine(barycentric_triangulation(lat.generators, lat), level)
+    orbits = vertex_orbits(c)
+    value = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+    values = {o: data.draw(value) for o in orbits}
+    hats = hat_test_functions(c)
+    t = interpolate_test(c, values)
+    assert not any("pieces" in vars(u) for u in hats + (t,))
+    n = c.dim
+    zero = ((F(0),) * n, F(0))
+    for i, cell in enumerate(c.cells):
+        rows = tuple(v + (F(1),) for v in cell.vertices)
+        keys = [reduce_mod(v, lat) for v in cell.vertices]
+        sol = fraction_solve(rows, [values[k] for k in keys])
+        assert t.pieces[i] == (sol[:n], sol[n])
+        for o, hat in zip(orbits, hats):
+            if o in keys:
+                sol = fraction_solve(rows, [F(int(k == o)) for k in keys])
+                assert hat.pieces[i] == (sol[:n], sol[n])
+            else:
+                assert hat.pieces[i] == zero
+
+
 @given(lat=rational_lattices(), data=st.data())
 @settings(max_examples=40, deadline=None)
 @warn_slow_examples(lambda lat, **_: lat.generators)
@@ -754,44 +785,35 @@ def test_masses_are_built_once_per_measure(plane_setup, monkeypatch):
     assert len(calls) == 2 * len(shapes)
 
 
-def test_barycenters_are_built_only_where_read(plane_setup):
-    """Monte Carlo, pushforward and box masses read no barycenter; the
-    first integrate builds them from the integer images and keeps them."""
-    lat, _, _, c = plane_setup
-    mu = haar(lat, c)
-    ident = IntegralAffineMap(
-        matrix=((F(1), F(0)), (F(0), F(1))),
-        offset=(F(0), F(0)),
-        source=lat,
-        target=lat,
-    )
-    monte_carlo_pushforward(mu, ident, samples=8, seed=0)
-    pushforward(mu, ident)
-    mass_near(mu, (F(1, 3), F(0)), F(1, 8))
-    assert "_masses" in vars(mu) and "_barys" not in vars(mu)
-    hats = hat_test_functions(c)
-    integrate(hats[0], mu)
-    barys = mu._barys
-    assert barys == tuple(s.barycenter() for s, _ in mu.atoms)
-    integrate(hats[1], mu)
-    assert mu._barys is barys
+def test_integrate_reads_only_integer_state():
+    """integrate reads the kept masses, the integer vertex coordinates and
+    the tests' integer forms: in branch 1 and on the test's own cells it
+    builds no atoms, no cells and no Fraction pieces."""
+    lat, _, _, c = base_complex(2)
+    mu, own = haar(lat, c), haar(c.period, c)
+    hats = hat_test_functions(c)[:2]
+    values = [(integrate(t, mu), integrate(t, own)) for t in hats]
+    assert not {"atoms", "cells"} & (set(vars(mu)) | set(vars(own)))
+    assert "cells" not in vars(c) and "cells" not in vars(mu._cells[0])
+    assert not any("pieces" in vars(t) for t in hats)
+    assert values == [(dense_integrate(t, mu), dense_integrate(t, own)) for t in hats]
 
 
 def test_measure_derived_state_is_outside_equality_hash_and_repr(plane_setup):
-    """Masses, barycenters and the atoms' complex change no ==, hash or
-    repr of a measure; the complex _measure seeds is returned as it is."""
+    """Masses and the atoms' complex change no ==, hash or repr of a
+    measure; the complex _measure seeds is returned as it is."""
     lat, _, _, c = plane_setup
     mu, other = haar(lat, c), haar(lat, c)
     before = hash(mu), repr(mu)
     assert mu._cells[0] is c
-    mu._masses, mu._barys
-    assert {"_masses", "_barys"} <= set(vars(mu))
-    assert not {"_masses", "_barys"} & set(vars(other))
+    mu._masses
+    assert "_masses" in vars(mu)
+    assert "_masses" not in vars(other)
     assert mu == other
     assert before == (hash(mu), repr(mu)) == (hash(other), repr(other))
     hand = PolytopalMeasure(lat, mu.atoms)
     assert "_cells" not in vars(hand)
-    assert hand == mu and hand._masses == mu._masses and hand._barys == mu._barys
+    assert hand == mu and hand._masses == mu._masses
     assert before == (hash(hand), repr(hand))
 
 

@@ -43,6 +43,7 @@ from troptorus.lattice import (
     superlattice,
 )
 from troptorus.linalg import (
+    DimensionMismatchError,
     SingularMatrixError,
     det,
     dot,
@@ -52,12 +53,14 @@ from troptorus.linalg import (
     vscale,
     vsub,
 )
+from troptorus.paf import TestFunction as PiecewiseTest
 from troptorus.paf import (
     CocycleFunction,
     ConvexityCertificate,
     _Gap,
     _cell_frames,
     _epsilon_lines,
+    _fraction_piece,
     _interpolate_piece,
     face_slacks,
     locate_cell,
@@ -766,15 +769,17 @@ def test_epsilon_lines_match_the_fraction_slacks(problem):
 @settings(max_examples=60, deadline=None)
 def test_integer_interpolation_matches_solve(f):
     """Per cell, the per-shape integer interpolant of the values of f at
-    the vertices is the Fraction solve of rows [v | 1]."""
+    the vertices, made a Fraction piece as the model builders make it, is
+    the Fraction solve of rows [v | 1]."""
     c = f.complex
     n = c.dim
-    t, frames = _cell_frames(c)
+    scale, frames = _cell_frames(c)
     for cell, frame, (m, c0) in zip(c.cells, frames, f.pieces):
         values = [dot(m, v) + c0 for v in cell.vertices]
         rows = tuple(v + (F(1),) for v in cell.vertices)
         sol = fraction_solve(rows, values)
-        assert _interpolate_piece(t, frame, values) == (sol[:n], sol[n])
+        piece = _interpolate_piece(scale, frame, values)
+        assert _fraction_piece(c.period.frame, *piece) == (sol[:n], sol[n])
 
 
 def test_tate_iterate_reuses_each_step():
@@ -788,3 +793,22 @@ def test_tate_iterate_reuses_each_step():
     assert tate_iterate(f0, 3) is tate_iterate(f2, 1)
     fresh = build_model_function(c, z, F(1, 8))
     assert tate_iterate(fresh, 3) == tate_iterate(f0, 3)
+
+
+def test_gradients_of_the_wrong_length_are_rejected():
+    """On the level-0 complex of Z^2 with gram ((2,1),(1,2)), pieces with
+    1-component gradients got a convexity certificate (face_slacks zipped
+    them short): a cocycle function or test with any gradient whose length
+    is not the dimension raises DimensionMismatchError."""
+    gram = ((F(2), F(1)), (F(1), F(2)))
+    _, b, _, c = base_complex(2, gram)
+    z = Cocycle(polarization=b, linear=(F(0), F(0)))
+    right = ((F(1), F(0)), F(0))
+    for m in ((F(0),), (F(0),) * 3):
+        for pieces in (((m, F(0)),) * c.size, (right,) * (c.size - 1) + ((m, F(0)),)):
+            with pytest.raises(DimensionMismatchError):
+                CocycleFunction(complex=c, pieces=pieces, cocycle=z)
+            with pytest.raises(DimensionMismatchError):
+                PiecewiseTest(complex=c, pieces=pieces)
+    CocycleFunction(complex=c, pieces=(right,) * c.size, cocycle=z)
+    PiecewiseTest(complex=c, pieces=(right,) * c.size)
