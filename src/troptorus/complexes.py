@@ -141,9 +141,23 @@ class PeriodicComplex:
     @cached_property
     def _pairs(self) -> tuple[AdjacentPair, ...]:
         """The adjacent cell pairs; see :func:`adjacent_pairs`."""
+        return self._adjacency[0]
+
+    @cached_property
+    def _pair_coords(self) -> tuple[tuple, ...]:
+        """Per pair of ``_pairs``, (i, j, N, dk) in period coordinates: the
+        inner normal nu as the integer covector N = q L^-1 nu, q of the
+        period's frame, so that nu.m = N.P / q for m = L^-T P; and the
+        integer coordinates dk of shift_i - shift_j."""
+        return self._adjacency[1]
+
+    @cached_property
+    def _adjacency(self) -> tuple[tuple, tuple]:
+        """(``_pairs``, ``_pair_coords``), built in one pass."""
         n = self.dim
         scale, coords = self._coords
         g, rows = self.period.frame.g, self.period.frame.basis
+        inv = self.period.frame.inv
         t, images = _ambient_cells(self)
         steps: dict[tuple, tuple] = {}  # k -> the ambient image of scale * k
         buckets: dict[tuple, list] = {}
@@ -157,10 +171,11 @@ class PeriodicComplex:
                     step = steps[k] = _ambient(rows, tuple(scale * x for x in k))
                 key = tuple(x for a, _, _ in face for x in map(sub, a, step))
                 buckets.setdefault(key, []).append((i, k, drop, step))
-        normals: dict[tuple, Vec] = {}  # facet edges -> normal of either sign
+        # facet edges -> a normal of either sign and its N
+        normals: dict[tuple, tuple] = {}
         shifts: dict[tuple, tuple] = {}  # k -> (the period vector -k, its text)
         points: dict[tuple, Vec] = {}  # ambient image -> vertex
-        pairs = []
+        pairs, coords = [], []
         for key in sorted(buckets):
             entries = buckets[key]
             if len(entries) != 2:
@@ -170,13 +185,16 @@ class PeriodicComplex:
             (i, ki, drop, step), (j, kj, _, _) = entries
             face = [key[m : m + n] for m in range(0, len(key), n)]
             edges = tuple(tuple(map(sub, a, face[0])) for a in face[1:])
-            nu = normals.get(edges)
-            if nu is None:
-                nu = normals[edges] = tuple(map(Fraction, null_vector(edges, n)))
-            opp = map(sub, images[i][drop], step)
-            side = sum(int(x) * (y - z) for x, y, z in zip(nu, opp, face[0]))
+            normal = normals.get(edges)
+            if normal is None:
+                nu = null_vector(edges, n)
+                normal = normals[edges] = nu, _ambient(inv, nu)
+            (nu, pn), opp = normal, map(sub, images[i][drop], step)
+            side = sum(x * (y - z) for x, y, z in zip(nu, opp, face[0]))
             if side == 0:
                 raise ComplexError("degenerate face/opposite configuration")
+            if side < 0:
+                nu, pn = [-x for x in nu], [-x for x in pn]
             for k in (ki, kj):
                 if k not in shifts:
                     v = tuple(Fraction(-x, g) for x in _ambient(rows, k))
@@ -191,10 +209,11 @@ class PeriodicComplex:
                 shift_i=si,
                 shift_j=sj,
                 face=tuple(points[a] for a in face),
-                normal=nu if side > 0 else vscale(Fraction(-1), nu),
+                normal=tuple(map(Fraction, nu)),
                 key=f"cell{i}[{text_i}]|cell{j}[{text_j}]",
             ))
-        return tuple(pairs)
+            coords.append((i, j, pn, tuple(map(sub, kj, ki))))
+        return tuple(pairs), tuple(coords)
 
 
 def _from_coords(period, scale, coords, level, j1=None) -> PeriodicComplex:

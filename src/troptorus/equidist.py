@@ -116,10 +116,19 @@ def _discrepancy_against(
     mu: PolytopalMeasure, tests: tuple[TestFunction, ...]
 ):
     """The map e -> discrepancy(e, mu, tests); the exact integrals and
-    normalizers, which do not depend on e, are computed once."""
+    normalizers, which do not depend on e, are computed once.  Each
+    integral is kept on mu, by the identity of the test, which is held
+    there too so that its id is not reused; the test is never hashed,
+    since that would build its Fraction pieces."""
     if not tests:
         raise ExperimentError("test family must be nonempty")
-    exact = [(integrate(t, mu), 1 + test_sup_abs(t)) for t in tests]
+    kept = mu._integrals
+    exact = []
+    for t in tests:
+        hit = kept.get(id(t))
+        if hit is None:
+            hit = kept[id(t)] = t, integrate(t, mu)
+        exact.append((hit[1], 1 + test_sup_abs(t)))
 
     def disc(e: EmpiricalMeasure) -> Fraction:
         best = Fraction(0)

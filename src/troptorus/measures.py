@@ -136,6 +136,12 @@ class PolytopalMeasure:
         ids = tuple(pos.setdefault(w, len(pos)) for w in self._masses)
         return tuple(pos), ids
 
+    @cached_property
+    def _integrals(self) -> dict[int, tuple]:
+        """id(t) -> (t, the integral of t against self): the integrals
+        that ``equidist.discrepancy`` keeps."""
+        return {}
+
 
 def _measure(lat: Lattice, c: PeriodicComplex, densities) -> PolytopalMeasure:
     """The measure whose atoms are the cells of c, c.period = lat."""

@@ -10,6 +10,7 @@ are the exact counterparts of the ample-model construction.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -20,7 +21,6 @@ from .complexes import (
     AdjacentPair,
     PeriodicComplex,
     _ambient,
-    _cell_vertices,
     adjacent_pairs,
     dyadic_refine_step,
     unfold_with_shifts,
@@ -71,49 +71,16 @@ class Cocycle:
 
 
 @dataclass(frozen=True)
-class CocycleFunction:
+class _Piecewise:
+    """Affine pieces (m, c), one per cell of ``complex``, kept as the
+    integer ``_form``.  A function of :func:`_built` makes its ``pieces``
+    from ``_form`` on first access."""
+
     complex: PeriodicComplex
     pieces: tuple[Piece, ...]  # parallel to complex.cells
-    cocycle: Cocycle
-    linear_scale: Fraction = Fraction(1)
-
-    def __post_init__(self):
-        _check_pieces(self.complex, self.pieces)
-
-    @cached_property
-    def _next(self) -> CocycleFunction:
-        """f_1 of :func:`tate_iterate`: one step, on the dyadic refinement."""
-        refined, parents = dyadic_refine_step(self.complex)
-        terms: dict[Vec, tuple[Vec, Fraction]] = {}  # per distinct lam
-        pieces = []
-        for (pi, lam) in parents:
-            t = terms.get(lam)
-            if t is None:
-                t = terms[lam] = _translate_terms(self, lam)
-            m, c = self.pieces[pi]
-            pieces.append((
-                tuple((x + y) / 2 for x, y in zip(m, t[0])),
-                (c - dot(m, lam) + t[1]) / 4,
-            ))
-        return CocycleFunction(
-            complex=refined,
-            pieces=tuple(pieces),
-            cocycle=self.cocycle,
-            linear_scale=self.linear_scale / 2,
-        )
-
-
-@dataclass(frozen=True)
-class TestFunction:
-    """A period-periodic piecewise-affine function (zero cocycle).  A test
-    of :func:`_built_test` makes its ``pieces`` from ``_form`` on first
-    access."""
-
-    complex: PeriodicComplex
-    pieces: tuple[Piece, ...]
 
     def __getattr__(self, name):
-        # reached only for the unbuilt pieces of a test of _built_test
+        # reached only for the unbuilt pieces of a function of _built
         if name != "pieces":
             raise AttributeError(name)
         den, rows = self._form
@@ -130,17 +97,73 @@ class TestFunction:
     @cached_property
     def _form(self) -> tuple[int, tuple]:
         """(den, rows): the pieces as integers over one denominator.
-        ``rows[i]`` is None where the piece is zero, and otherwise (P, C)
-        with t = (P.x + C) / den at the period coordinates x of
-        ``complex.period``.  Seeded by the builders; from the Fraction
-        pieces (m, c), with gL the period frame's basis, P = (gL)^T M and
-        C = g C' for the integer rows (M, C') = D (m, c), and den = g D."""
+        ``rows[i]`` is (P, C) with f = (P.x + C) / den at the period
+        coordinates x of ``complex.period``, or None where a built test is
+        zero.  Seeded by the builders; from the Fraction pieces (m, c),
+        with gL the period frame's basis, P = (gL)^T M and C = g C' for the
+        integer rows (M, C') = D (m, c), and den = g D."""
         d, rows = integer_matrix([(*m, c) for m, c in self.pieces])
         g, basis = self.complex.period.frame.g, self.complex.period.frame.basis
         cols = tuple(zip(*basis))
-        return g * d, tuple(
-            (_ambient(cols, r[:-1]), g * r[-1]) if any(r) else None for r in rows
+        return g * d, tuple((_ambient(cols, r[:-1]), g * r[-1]) for r in rows)
+
+
+@dataclass(frozen=True)
+class CocycleFunction(_Piecewise):
+    cocycle: Cocycle
+    linear_scale: Fraction = Fraction(1)
+
+    @cached_property
+    def _next(self) -> CocycleFunction:
+        """f_1 of :func:`tate_iterate`: one step, on the dyadic refinement.
+
+        The new cell 2u in parent + lam takes the parent's piece on that
+        translate, halved in u: ((m + G lam) / 2, (c - m.lam + s ell(lam)
+        - q(lam)) / 4).  In the integer form over den, with lam = L k,
+        B = L^T G L = R / r and s L^T ell = l / e (see
+        :func:`_period_cocycle`), (P, C) becomes (P + den B k) / 2 and
+        (C - P.k + den (l.k / e - k.Bk / 2)) / 4, written over 4 u den for
+        u = lcm(2r, e): 2 u P + 2 (u / r) den R k and
+        u (C - P.k) + den ((u / e) l.k - (u / 2r) k.Rk), the den terms
+        once per distinct k.
+        """
+        c = self.complex
+        refined, parents = dyadic_refine_step(c)
+        den, rows = self._form
+        R, r, lin, e = _period_cocycle(c, self.cocycle, self.linear_scale)
+        u = math.lcm(2 * r, e)
+        inverse = c.period.frame.inverse
+        terms: dict[Vec, tuple] = {}  # lam -> (k, gradient term, constant term)
+        pieces = []
+        for pi, lam in parents:
+            t = terms.get(lam)
+            if t is None:
+                k = [int(x) for x in mat_vec(inverse, lam)]
+                rk = _ambient(R, k)
+                t = terms[lam] = (
+                    k,
+                    [2 * (u // r) * den * x for x in rk],
+                    den * ((u // e) * sum(map(mul, lin, k))
+                           - (u // (2 * r)) * sum(map(mul, k, rk))),
+                )
+            k, gp, gc = t
+            p, cp = rows[pi]
+            pieces.append((
+                tuple(2 * u * x + y for x, y in zip(p, gp)),
+                u * (cp - sum(map(mul, p, k))) + gc,
+            ))
+        return _built(
+            CocycleFunction,
+            (4 * u * den, tuple(pieces)),
+            complex=refined,
+            cocycle=self.cocycle,
+            linear_scale=self.linear_scale / 2,
         )
+
+
+@dataclass(frozen=True)
+class TestFunction(_Piecewise):
+    """A period-periodic piecewise-affine function (zero cocycle)."""
 
     @cached_property
     def _sup(self) -> Fraction:
@@ -158,6 +181,31 @@ class TestFunction:
                 if val > best:
                     best = val
         return Fraction(best, scale * den)
+
+
+def _built(cls, form, **fields):
+    """The function of class cls with these init fields but ``pieces``, and
+    with the integer form ``form``; pieces on access."""
+    f = object.__new__(cls)
+    f.__dict__.update(fields, _form=form)
+    return f
+
+
+def _period_cocycle(c: PeriodicComplex, z: Cocycle, s: Fraction) -> tuple:
+    """(R, r, l, e): the cocycle z with linear scale s in the period basis
+    L of c, as integers: the gram B = L^T G L = R / r and the linear part
+    s L^T ell = l / e.  From the frame's basis gL, B = (gL)^T G (gL) / g^2
+    and s L^T ell = (gL)^T (s ell) / g."""
+    frame = c.period.frame
+    cols = tuple(zip(*frame.basis))  # the columns of gL
+    r, gram = integer_matrix(z.polarization.gram)
+    e, (lin,) = integer_matrix([vscale(s, z.linear)])
+    return (
+        tuple(tuple(sum(map(mul, u, _ambient(gram, v))) for v in cols) for u in cols),
+        r * frame.g ** 2,
+        tuple(sum(map(mul, u, lin)) for u in cols),
+        e * frame.g,
+    )
 
 
 def _check_pieces(c: PeriodicComplex, pieces) -> None:
@@ -233,41 +281,51 @@ def _fraction_piece(frame, p, c: int, den: int) -> Piece:
     return tuple(Fraction(x, q * den) for x in _ambient(cols, p)), Fraction(c, den)
 
 
-def _built_test(c: PeriodicComplex, pieces) -> TestFunction:
-    """The test on c whose piece on ``c.cells[i]`` is the (P, C, den_i) of
-    :func:`_interpolate_piece` in ``pieces[i]``, or zero where that is None:
-    its ``_form`` on the least common denominator, pieces on access."""
+def _on_one_denominator(pieces, d: int = 1) -> tuple[int, tuple]:
+    """(den, rows): the functions (P, C, den_i) / d of
+    :func:`_interpolate_piece`, or None, as integer rows (P, C) or None
+    over their least common denominator den."""
     den = math.lcm(*(p[2] for p in pieces if p is not None))
-    rows = tuple(
-        None if p is None or not (p[1] or any(p[0]))
+    return d * den, tuple(
+        None if p is None
         else (tuple(x * (den // p[2]) for x in p[0]), p[1] * (den // p[2]))
         for p in pieces
     )
-    t = object.__new__(TestFunction)
-    t.__dict__.update(complex=c, _form=(den, rows))
-    return t
 
 
-def _translate_terms(f: CocycleFunction, lam: Vec) -> tuple[Vec, Fraction]:
-    """(G lam, s*ell(lam) - q(lam)): what the cocycle law adds to the
-    gradient and, less m*lam, to the constant of a piece moved by lam."""
-    z = f.cocycle
-    return (
-        mat_vec(z.polarization.gram, lam),
-        f.linear_scale * dot(z.linear, lam) - quadratic(z.polarization, lam),
-    )
+def _built_test(c: PeriodicComplex, pieces) -> TestFunction:
+    """The test on c whose piece on ``c.cells[i]`` is the (P, C, den_i) of
+    :func:`_interpolate_piece` in ``pieces[i]``, or zero where that is None:
+    its ``_form`` on the least common denominator, zero rows None, pieces
+    on access."""
+    den, rows = _on_one_denominator(pieces)
+    rows = tuple(None if r is None or not (r[1] or any(r[0])) else r for r in rows)
+    return _built(TestFunction, (den, rows), complex=c)
 
 
 def piece_on_translate(f: CocycleFunction, i: int, lam: Vec) -> Piece:
-    """Affine piece of f on cells[i] + lam, derived from the cocycle law."""
+    """Affine piece of f on cells[i] + lam, derived from the cocycle law:
+    the gradient gains G lam and the constant s*ell(lam) - q(lam) - m*lam."""
     m, c = f.pieces[i]
-    glam, const = _translate_terms(f, lam)
-    return vadd(m, glam), c - dot(m, lam) + const
+    z = f.cocycle
+    return (
+        vadd(m, mat_vec(z.polarization.gram, lam)),
+        c - dot(m, lam) + f.linear_scale * dot(z.linear, lam)
+        - quadratic(z.polarization, lam),
+    )
 
 
-def _model_values(c: PeriodicComplex, z: Cocycle) -> list[list[tuple]]:
-    """Per cell, per vertex v: (q(v) + ell(v), 1 - 2^-k), k the number
-    of half-integer period coordinates of v, its barycentric depth."""
+def _model_parts(c: PeriodicComplex, z: Cocycle) -> tuple[tuple, tuple]:
+    """The integer forms of the interpolants of q + ell and of the vertex
+    perturbation 1 - 2^-k, k the number of half-integer period
+    coordinates of the vertex, its barycentric depth: the model function
+    at eps is the first plus eps times the second.
+
+    At the vertex x = w / scale in period coordinates, q + ell is
+    x.Bx / 2 + l.x / e = (e w.Rw + 2 r scale l.w) / (2 r e scale^2) for
+    the (R, r, l, e) of :func:`_period_cocycle`, and 1 - 2^-k is
+    (2^n - 2^(n-k)) / 2^n; each distinct vertex is evaluated once.
+    """
     if c.level != 0:
         raise NotBarycentricError("model functions live on the level-0 complex")
     scale, coords = c._coords
@@ -275,17 +333,50 @@ def _model_values(c: PeriodicComplex, z: Cocycle) -> list[list[tuple]]:
         raise NotBarycentricError(
             "vertex is not on the half-integer grid of the period basis"
         )
-    n, out = c.dim, {}
-    cells = _cell_vertices(c)
-    for vs, w in zip(cells, coords):
-        for k, v in enumerate(vs):
-            if v not in out:
-                depth = sum(x % scale for x in w[k * n : k * n + n])
-                out[v] = (
-                    quadratic(z.polarization, v) + dot(z.linear, v),
-                    1 - Fraction(1, 2 ** depth),
+    n = c.dim
+    R, r, lin, e = _period_cocycle(c, z, Fraction(1))
+    out: dict[tuple, tuple] = {}  # period coordinates -> values
+    values = []
+    for w in coords:
+        vals = []
+        for k in range(0, len(w), n):
+            x = w[k : k + n]
+            v = out.get(x)
+            if v is None:
+                v = out[x] = (
+                    e * sum(map(mul, x, _ambient(R, x)))
+                    + 2 * r * scale * sum(map(mul, lin, x)),
+                    (1 << n) - (1 << (n - sum(y % scale for y in x))),
                 )
-    return [[out[v] for v in vs] for vs in cells]
+            vals.append(v)
+        values.append(vals)
+    _, frames = _cell_frames(c)
+    return tuple(
+        _on_one_denominator(
+            [
+                _interpolate_piece(scale, frame, [v[part] for v in vals])
+                for vals, frame in zip(values, frames)
+            ],
+            d,
+        )
+        for part, d in ((0, 2 * r * e * scale * scale), (1, 1 << n))
+    )
+
+
+def _model_at(c: PeriodicComplex, z: Cocycle, parts, eps: Fraction):
+    """The model function on c at eps: the first of the integer forms
+    ``parts`` of :func:`_model_parts` plus eps times the second; pieces on
+    access."""
+    (d0, rows0), (d1, rows1) = parts
+    den = math.lcm(d0, d1 * eps.denominator)
+    a, b = den // d0, eps.numerator * (den // (d1 * eps.denominator))
+    rows = tuple(
+        (tuple(a * x + b * y for x, y in zip(p0, p1)), a * c0 + b * c1)
+        for (p0, c0), (p1, c1) in zip(rows0, rows1)
+    )
+    return _built(
+        CocycleFunction, (den, rows), complex=c, cocycle=z, linear_scale=Fraction(1)
+    )
 
 
 def build_model_function(
@@ -295,64 +386,49 @@ def build_model_function(
 
     A vertex at barycentric depth k (k halved directions away from the
     superlattice) receives q + ell + eps*(1 - 2^-k); depth-0 vertices
-    are left exact so the cocycle law holds with linear scale 1.
+    are left exact so the cocycle law holds with linear scale 1.  Built
+    in integers (see :func:`_model_parts`); pieces on access.
     """
-    values = _model_values(c, z)
-    eps = Fraction(eps)
-    scale, frames = _cell_frames(c)
-    period = c.period.frame
-    pieces = [
-        _fraction_piece(
-            period, *_interpolate_piece(scale, frame, [y + eps * p for y, p in vals])
-        )
-        for vals, frame in zip(values, frames)
-    ]
-    return CocycleFunction(
-        complex=c, pieces=tuple(pieces), cocycle=z, linear_scale=Fraction(1)
-    )
+    return _model_at(c, z, _model_parts(c, z), Fraction(eps))
 
 
 def face_slacks(
-    c: PeriodicComplex, pieces, gram=None
+    c: PeriodicComplex, form, gram=None
 ) -> tuple[int, list[int]]:
-    """(den, nums): under the pieces, one per cell of c, the slack
-    n*(m_delta - m_sigma) at the face of the k-th pair of
-    adjacent_pairs(c) is nums[k] / den, with den > 0.
+    """(den, nums): under the function of integer form (den', rows) on c
+    (see ``_form``), the slack n*(m_delta - m_sigma) at the face of the
+    k-th pair of adjacent_pairs(c) is nums[k] / den, with den > 0.
 
-    With a gram G the gradients on the two cell copies differ from the
-    stored ones by G shift (cocycle law), which adds n*G(shift_i -
-    shift_j); without one, the pieces are periodic.  In integers: the
-    gradients are M = D m over their least common denominator D, G = R/r,
-    and g*shift is integer for the g of the period's frame, so
-    den = D r g and the cocycle term, once per distinct shift pair, is
-    D n.R(g shift_i - g shift_j).
+    With a gram (R, r) in the period basis, B = R / r of
+    :func:`_period_cocycle`, the gradients on the two cell copies differ
+    from the stored ones by G shift (cocycle law), which adds
+    n*G(shift_i - shift_j); without one, the function is periodic.  In
+    the period terms of ``c._pair_coords``, a gradient m = L^-T P / den'
+    gives n*m = N.P / (q den') and n*G(L dk) = N.B dk / q, so
+    den = q den' r and the numerator is r N.(P_i - P_j) + den' N.R dk,
+    with R dk once per distinct dk.
     """
-    d, grads = integer_matrix([m for m, _ in pieces])
-    e = 1
-    if gram is not None:
-        g = c.period.frame.g
-        r, rows = integer_matrix(gram)
-        e = r * g
-    terms: dict[tuple, list] = {}  # (shift_i, shift_j) -> D R g(shift_i - shift_j)
+    d, rows = form
+    R, r = gram if gram is not None else (None, 1)
+    terms: dict[tuple, list] = {}  # dk -> den' R dk
     nums = []
-    for p in adjacent_pairs(c):
-        nu = [x.numerator for x in p.normal]
-        s = e * sum(map(mul, nu, map(sub, grads[p.i], grads[p.j])))
-        if gram is not None and p.shift_i != p.shift_j:
-            key = (p.shift_i, p.shift_j)
-            w = terms.get(key)
+    for i, j, pn, dk in c._pair_coords:
+        s = r * sum(map(mul, pn, map(sub, rows[i][0], rows[j][0])))
+        if R is not None and any(dk):
+            w = terms.get(dk)
             if w is None:
-                gs = [int((x - y) * g) for x, y in zip(*key)]
-                w = terms[key] = [d * sum(map(mul, row, gs)) for row in rows]
-            s += sum(map(mul, nu, w))
+                w = terms[dk] = [d * x for x in _ambient(R, dk)]
+            s += sum(map(mul, pn, w))
         nums.append(s)
-    return d * e, nums
+    return c.period.frame.q * d * r, nums
 
 
 def check_strongly_convex(f: CocycleFunction) -> ConvexityCertificate:
     """Exact slack n*(m_delta - m_sigma) per face orbit; pass iff all > 0."""
-    pairs = adjacent_pairs(f.complex)
-    den, nums = face_slacks(f.complex, f.pieces, f.cocycle.polarization.gram)
+    c = f.complex
+    pairs = adjacent_pairs(c)
+    gram = _period_cocycle(c, f.cocycle, f.linear_scale)[:2]
+    den, nums = face_slacks(c, f._form, gram)
     bad = next((k for k, s in enumerate(nums) if s <= 0), None)
     return ConvexityCertificate(
         passed=bad is None,
@@ -558,14 +634,20 @@ class _Gap:
         c = f.complex
         self.n = c.dim
         scale, self.coords = c._coords
-        g, self.rows = c.period.frame.g, c.period.frame.basis
-        self.t = t = g * scale
+        frame = c.period.frame
+        self.rows = frame.basis
+        self.t = t = frame.g * scale
         self.r, self.gram = integer_matrix(f.cocycle.polarization.gram)
-        lin = vscale(f.linear_scale, f.cocycle.linear)
-        self.d, (*rows, self.lin) = integer_matrix(
-            [(*m, c0) for m, c0 in f.pieces] + [lin]
-        )
-        self.pieces = [(r[:-1], r[-1]) for r in rows]
+        e, (lin,) = integer_matrix([vscale(f.linear_scale, f.cocycle.linear)])
+        # f's form (P.x + C) / den is m = (qL^-1)^T P / (q den), c = C / den
+        den, rows = f._form
+        self.d = d = math.lcm(frame.q * den, e)
+        a, cols = d // (frame.q * den), tuple(zip(*frame.inv))
+        self.pieces = [
+            (tuple(a * x for x in _ambient(cols, p)), a * frame.q * c0)
+            for p, c0 in rows
+        ]
+        self.lin = tuple(d // e * x for x in lin)
         self.den = 2 * t * t * self.d * self.r  # h = H / den
         self.quad: dict[tuple, tuple] = {}  # a -> (R a, Q(a))
         # cell shape, the edges e_k = a_k - a_0 -> (det, adjugate) of
@@ -670,26 +752,33 @@ def sup_distance_to_quadratic(f: CocycleFunction) -> Fraction:
     return max(best, Fraction(-least, gap.den))
 
 
-def _epsilon_lines(c: PeriodicComplex, z: Cocycle) -> tuple[list, int, list]:
+class _FractionPairs(Sequence):
+    """Per cell, the Fraction pieces of two integer forms on one complex,
+    made when read; ``forms`` holds the forms."""
+
+    def __init__(self, c: PeriodicComplex, forms):
+        self.frame, self.forms = c.period.frame, forms
+
+    def __len__(self):
+        return len(self.forms[0][1])
+
+    def __getitem__(self, i):
+        return tuple(
+            _fraction_piece(self.frame, *rows[i], d) for d, rows in self.forms
+        )
+
+
+def _epsilon_lines(c: PeriodicComplex, z: Cocycle) -> tuple:
     """(parts, den, lines): per cell, the pieces of q + ell and of the
     vertex perturbation, so the model piece at eps is the first plus
-    eps times the second; and per pair of adjacent_pairs(c) the integers
+    eps times the second (``parts.forms``: the integer forms of
+    :func:`_model_parts`); and per pair of adjacent_pairs(c) the integers
     (a, b) with face slack (a + b*eps) / den at every eps."""
-    values = _model_values(c, z)
-    scale, frames = _cell_frames(c)
-    period = c.period.frame
-    parts = [
-        tuple(
-            _fraction_piece(
-                period, *_interpolate_piece(scale, frame, [v[k] for v in vals])
-            )
-            for k in (0, 1)
-        )
-        for vals, frame in zip(values, frames)
-    ]
-    da, a = face_slacks(c, [p for p, _ in parts], z.polarization.gram)
-    db, b = face_slacks(c, [q for _, q in parts])
-    return parts, da * db, [(x * db, y * da) for x, y in zip(a, b)]
+    forms = _model_parts(c, z)
+    da, a = face_slacks(c, forms[0], _period_cocycle(c, z, Fraction(1))[:2])
+    db, b = face_slacks(c, forms[1])
+    lines = [(x * db, y * da) for x, y in zip(a, b)]
+    return _FractionPairs(c, forms), da * db, lines
 
 
 def auto_epsilon(
@@ -712,14 +801,7 @@ def auto_epsilon(
             f"no certified epsilon within {max_halvings} halvings"
         )
     eps = Fraction(1, 2 ** k)
-    f = CocycleFunction(
-        complex=c,
-        pieces=tuple(
-            (vadd(m0, vscale(eps, m1)), c0 + eps * c1)
-            for (m0, c0), (m1, c1) in parts
-        ),
-        cocycle=z,
-    )
+    f = _model_at(c, z, parts.forms, eps)
     cert = check_strongly_convex(f)
     if not cert.passed:
         raise PafError(

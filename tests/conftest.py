@@ -28,8 +28,8 @@ from troptorus import (
     evaluate_test,
     quadratic,
 )
-from troptorus.paf import piece_on_translate
-from troptorus.complexes import ComplexError, Simplex
+from troptorus.paf import CocycleFunction, piece_on_translate
+from troptorus.complexes import ComplexError, Simplex, dyadic_refine_step
 from troptorus.lattice import covolume, reduce_mod
 from troptorus.linalg import (
     SingularMatrixError,
@@ -371,14 +371,33 @@ def fraction_refine_step(c):
     return fine, tuple(children[k][1:] for k in keys)
 
 
+def hermite_diagonal(k):
+    """The diagonal of the lower triangular Hermite normal form of the
+    integer matrix k, whose columns span a lattice: column operations,
+    Euclid's algorithm on each row in turn.  The integer points of the box
+    [0, h_1) x ... x [0, h_n) are one representative of each class of
+    Z^n modulo that lattice."""
+    cols = [list(col) for col in zip(*k)]
+    n = len(cols)
+    for i in range(n):
+        for j in range(i + 1, n):
+            while cols[j][i]:
+                q = cols[i][i] // cols[j][i]
+                cols[i] = [a - q * b for a, b in zip(cols[i], cols[j])]
+                cols[i], cols[j] = cols[j], cols[i]
+    return [abs(col[i]) for i, col in enumerate(cols)]
+
+
 def fraction_unfold_with_shifts(c, lat):
     """The cells of c translated by coset representatives reduced by
     reduce_mod, put in canonical form by make_complex, and each new cell's
     source and shift from canonical_cell: the oracle of the integer
-    complexes.unfold_with_shifts."""
+    complexes.unfold_with_shifts.  The representatives are the det(K)
+    points of the Hermite box of K = L_c^-1 L_lat (hermite_diagonal)."""
     index = int(covolume(lat) / covolume(c.period))
+    kmat = tuple(zip(*(map(int, c.period.coords(g)) for g in lat.generators)))
     reps = set()
-    for k in product(range(index), repeat=c.dim):
+    for k in product(*map(range, hermite_diagonal(kmat))):
         reps.add(reduce_mod(c.period.from_coords(tuple(map(Fraction, k))), lat))
     assert len(reps) == index
     unfolded = make_complex(
@@ -393,6 +412,53 @@ def fraction_unfold_with_shifts(c, lat):
         canon, shift = canonical_cell(cell.vertices, c.period)
         mapping.append((originals[canon.vertices], shift))
     return unfolded, tuple(mapping)
+
+
+def fraction_model_function(c, z, eps):
+    """The model function on the level-0 complex c with Fraction pieces:
+    per cell, the Fraction solve of rows [v | 1] for the values
+    q(v) + ell(v) + eps (1 - 2^-k) at its vertices v, k the number of
+    half-integer period coordinates of v: the oracle of the integer
+    paf.build_model_function."""
+    n = c.dim
+    pieces = []
+    for cell in c.cells:
+        values = []
+        for v in cell.vertices:
+            depth = sum(x.denominator == 2 for x in c.period.coords(v))
+            values.append(
+                quadratic(z.polarization, v)
+                + dot(z.linear, v)
+                + eps * (1 - Fraction(1, 2 ** depth))
+            )
+        sol = fraction_solve(tuple(v + (Fraction(1),) for v in cell.vertices), values)
+        pieces.append((sol[:n], sol[n]))
+    return CocycleFunction(complex=c, pieces=tuple(pieces), cocycle=z)
+
+
+def fraction_tate_step(f):
+    """One Tate step in Fractions: on the dyadic refinement, the new cell
+    2u in parent + lam takes the parent's piece (m, c) on that translate,
+    halved in u, ((m + G lam) / 2, (c - m.lam + s ell(lam) - q(lam)) / 4),
+    with linear scale s / 2: the oracle of the integer
+    CocycleFunction._next."""
+    refined, parents = dyadic_refine_step(f.complex)
+    z = f.cocycle
+    pieces = []
+    for i, lam in parents:
+        m, c = f.pieces[i]
+        glam = mat_vec(z.polarization.gram, lam)
+        const = f.linear_scale * dot(z.linear, lam) - quadratic(z.polarization, lam)
+        pieces.append((
+            tuple((x + y) / 2 for x, y in zip(m, glam)),
+            (c - dot(m, lam) + const) / 4,
+        ))
+    return CocycleFunction(
+        complex=refined,
+        pieces=tuple(pieces),
+        cocycle=z,
+        linear_scale=f.linear_scale / 2,
+    )
 
 
 def base_complex(n, gram=None):

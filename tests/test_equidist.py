@@ -106,6 +106,36 @@ def test_sup_abs_is_computed_once_per_test(plane_setup, monkeypatch):
     assert all(t._sup == dense_sup_abs(t) for t in tests)
 
 
+def test_discrepancy_keeps_each_integral_on_the_measure(plane_setup, monkeypatch):
+    """A second discrepancy against the same measure and tests integrates
+    nothing: each integral is kept on the measure by the test's identity,
+    with the test held there, and no test is hashed (which would build
+    its Fraction pieces).  Another measure integrates again."""
+    from troptorus import equidist
+
+    lat, b, _, _ = plane_setup
+    c = standard_test_complex(lat, b, 1)
+    tests = hat_test_functions(c)
+    mu = haar(lat, c)
+    calls = []
+    real = equidist.integrate
+    monkeypatch.setattr(
+        equidist, "integrate", lambda t, m: calls.append(t) or real(t, m)
+    )
+    first = discrepancy(torsion_grid(lat, 3), mu, tests)
+    assert len(calls) == len(tests)
+    assert discrepancy(torsion_grid(lat, 3), mu, tests) == first
+    discrepancy(torsion_grid(lat, 5), mu, tests[:2])
+    assert len(calls) == len(tests)
+    assert all(mu._integrals[id(t)][0] is t for t in tests)
+    other = haar(lat, c)
+    assert discrepancy(torsion_grid(lat, 3), other, tests) == first
+    assert len(calls) == 2 * len(tests)
+    assert not any("pieces" in vars(t) for t in tests)
+    monkeypatch.undo()
+    assert all(mu._integrals[id(t)][1] == dense_integrate(t, mu) for t in tests)
+
+
 def test_discrepancy_needs_tests(line_setup):
     lat, b, _, _ = line_setup
     c = standard_test_complex(lat, b, 1)

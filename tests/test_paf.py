@@ -69,11 +69,15 @@ from troptorus.paf import (
 from tests.conftest import (
     barycentric_coords,
     base_complex,
+    fraction_model_function,
     fraction_solve,
+    fraction_tate_step,
     pair_key,
     verify_continuity,
     verify_periodicity,
+    warn_slow_examples,
 )
+from tests.test_lattice import rational_lattices
 
 F = Fraction
 
@@ -812,3 +816,85 @@ def test_gradients_of_the_wrong_length_are_rejected():
                 PiecewiseTest(complex=c, pieces=pieces)
     CocycleFunction(complex=c, pieces=(right,) * c.size, cocycle=z)
     PiecewiseTest(complex=c, pieces=(right,) * c.size)
+
+
+# --- the integer cocycle form against its Fraction oracles -------------------
+
+# Tate steps drawn per dimension, as the cells grow by 2^n a step; the
+# Fraction certificate and sup-distance, which take every face and clamp
+# every cell, are compared up to FRACTION_CELLS cells
+TATE_STEPS = {1: 3, 2: 2, 3: 1}
+FRACTION_CELLS = 64
+
+
+@given(lat=rational_lattices(), data=st.data())
+@settings(max_examples=30, deadline=None)
+@warn_slow_examples(lambda lat, **_: lat.generators)
+def test_integer_cocycle_forms_match_the_fraction_oracles(lat, data):
+    """The model function and its Tate iterates, built as integer pieces
+    over one denominator, against the Fraction model and the Fraction Tate
+    step of tests/conftest.py: a random positive definite gram and linear
+    part, eps 0, 2^-k or any rational, and up to three steps.  Each
+    iterate gives the certificate and sup-distance of the oracle's Fraction
+    pieces, through their derived form and, on small complexes, through
+    the Fraction references, before it builds its pieces; read, the pieces
+    are the oracle's and so are the values at random points.  A Tate step
+    from the oracle's Fraction pieces goes through the derived form and
+    agrees too."""
+    n = lat.dim
+    point = st.tuples(*[small_rationals] * n)
+    b = Polarization(_positive_definite(data.draw, n))
+    z = Cocycle(polarization=b, linear=data.draw(point))
+    _, prime = superlattice(orthogonalize(lat, b), lat)
+    c = barycentric_triangulation(prime.generators, prime)
+    eps = data.draw(st.one_of(
+        st.just(F(0)),
+        st.integers(0, 8).map(lambda k: F(1, 2 ** k)),
+        st.fractions(-2, 2, max_denominator=24),
+    ))
+    f = build_model_function(c, z, eps)
+    oracle = fraction_model_function(c, z, eps)
+    for i in range(data.draw(st.integers(0, TATE_STEPS[n])) + 1):
+        if i:
+            f = tate_iterate(f, 1)
+            derived = tate_iterate(oracle, 1)
+            oracle = fraction_tate_step(oracle)
+            assert derived.pieces == oracle.pieces
+        cert = check_strongly_convex(f)
+        d = sup_distance_to_quadratic(f)
+        assert cert == check_strongly_convex(oracle)
+        assert d == sup_distance_to_quadratic(oracle)
+        if f.complex.size <= FRACTION_CELLS:
+            assert cert == fraction_certificate(oracle)
+            assert d == fraction_sup_distance(oracle)
+        assert "pieces" not in vars(f)
+        assert f.pieces == oracle.pieces
+        assert f == oracle
+        for u in data.draw(st.lists(point, min_size=1, max_size=3)):
+            assert evaluate(f, u) == evaluate(oracle, u)
+
+
+def test_certify_and_tate_build_no_fraction_pieces():
+    """auto_epsilon on problems/n2.json, then tate_iterate to i = 3 with a
+    certificate and a sup-distance at each step, read the integer forms
+    only: no function builds its Fraction pieces.  Read, the pieces give
+    the certificates and sup-distances of the Fraction references."""
+    import json
+    from pathlib import Path
+
+    from troptorus.equidist import barycentric_complex
+
+    raw = json.loads(
+        (Path(__file__).resolve().parent.parent / "problems" / "n2.json")
+        .read_text()
+    )
+    lat = Lattice(tuple(tuple(map(F, g)) for g in raw["lattice"]))
+    b = Polarization(tuple(tuple(map(F, r)) for r in raw["gram"]))
+    z = Cocycle(polarization=b, linear=tuple(map(F, raw["linear"])))
+    _, f0, _ = auto_epsilon(barycentric_complex(lat, b, 0), z)
+    fs = [tate_iterate(f0, i) for i in range(4)]
+    found = [(check_strongly_convex(f), sup_distance_to_quadratic(f)) for f in fs]
+    assert not any("pieces" in vars(f) for f in fs)
+    for f, (cert, d) in zip(fs[:3], found):
+        assert cert == fraction_certificate(f)
+        assert d == fraction_sup_distance(f)
