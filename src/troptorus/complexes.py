@@ -3,11 +3,13 @@
 Cells are stored as canonical representatives modulo the period lattice:
 vertex lists sorted lexicographically and translated so the smallest
 vertex has period-basis coordinates in [0, 1)^n.  A complex the library
-builds keeps integer period coordinates and builds its cells on access.
+builds keeps integer period coordinates, and its cells are a
+:class:`LazyTuple` of them.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -37,6 +39,62 @@ class ComplexError(TroptorusError):
 
 class IncompatiblePeriodsError(ComplexError):
     pass
+
+
+class LazyTuple(Sequence):
+    """The tuple (item(0), ..., item(size - 1)), no item None.  ``len``
+    builds nothing; an index or a slice builds the items it reads and
+    keeps them; the rest reads the whole tuple, made once by ``bulk()``
+    (default: item by item) with the kept items in their places.  It
+    pickles and copies as that tuple."""
+
+    __slots__ = ("_item", "_bulk", "_kept")
+
+    def __init__(self, size: int, item, bulk=None):
+        self._item, self._bulk, self._kept = item, bulk, [None] * size
+
+    def __len__(self):
+        return len(self._kept)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(*i.indices(len(self)))))
+        x = self._kept[i]
+        if x is None:
+            x = self._kept[i] = self._item(i % len(self))
+        return x
+
+    def _tuple(self) -> tuple:
+        if isinstance(self._kept, list):
+            made = self._bulk() if self._bulk else map(self._item, range(len(self)))
+            self._kept = tuple(y if x is None else x for x, y in zip(self._kept, made))
+        return self._kept
+
+    def __iter__(self):
+        return iter(self._tuple())
+
+    def __eq__(self, other):
+        return self._tuple() == other
+
+    def __hash__(self):
+        return hash(self._tuple())
+
+    def __repr__(self):
+        return repr(self._tuple())
+
+    def __reduce__(self):
+        return tuple, (self._tuple(),)
+
+
+class lazy_field(cached_property):
+    """A dataclass init field that an instance a builder made without it
+    computes on first read and keeps; the class holds no default, so the
+    field stays required."""
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            raise AttributeError(self.attrname)
+        return super().__get__(obj, cls)
 
 
 @dataclass(frozen=True)
@@ -95,12 +153,10 @@ class PeriodicComplex:
     # that builder and dyadic_refine_step; see is_refinement
     _j1: int | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __getattr__(self, name):
-        # reached only for the unbuilt cells of a complex of _from_coords
-        if name != "cells":
-            raise AttributeError(name)
-        object.__setattr__(self, "cells", tuple(map(Simplex, _cell_vertices(self))))
-        return self.cells
+    @lazy_field
+    def cells(self) -> LazyTuple:
+        """The cells of a complex of :func:`_from_coords`, from ``_coords``."""
+        return _rational_view(self.period, *self._coords, Simplex)
 
     @property
     def dim(self) -> int:
@@ -224,31 +280,39 @@ def _from_coords(period, scale, coords, level, j1=None) -> PeriodicComplex:
     return c
 
 
-def _vertex_images(c: PeriodicComplex) -> tuple[int, list, dict]:
-    """(t, cells, images): per cell, the period coordinates w of its
-    vertices, as tuples; and the image a = t v (see :func:`_ambient`)
-    of each distinct w, for the vertex v = L w / scale; t = g scale."""
-    n, (scale, coords) = c.dim, c._coords
+def _vertex_images(period: Lattice, scale: int, coords) -> tuple[int, list, dict]:
+    """(t, cells, images): per flat tuple of ``coords``, as a complex over
+    period keeps them in ``_coords``, the period coordinates w of its
+    vertices, as tuples; and the image a = t v (see :func:`_ambient`) of
+    each distinct w, for the vertex v = L w / scale; t = g scale."""
+    n, rows = period.dim, period.frame.basis
     cells = [tuple(zip(*[iter(w)] * n)) for w in coords]
-    rows = c.period.frame.basis
     images = {w: _ambient(rows, w) for w in set().union(*cells)}
-    return c.period.frame.g * scale, cells, images
+    return period.frame.g * scale, cells, images
 
 
 def _ambient_cells(c: PeriodicComplex) -> tuple[int, list]:
     """(t, cells): ``cells[i]`` lists the images a = t v of the vertices
     v of ``c.cells[i]``, as :func:`_vertex_images` gives them."""
-    t, cells, images = _vertex_images(c)
+    t, cells, images = _vertex_images(c.period, *c._coords)
     return t, [tuple(map(images.get, cell)) for cell in cells]
 
 
-def _cell_vertices(c: PeriodicComplex) -> list[tuple[Vec, ...]]:
-    """The rational vertex tuples of the cells of c, made from its
-    integer form without building a Simplex."""
-    t, cells, images = _vertex_images(c)
-    fracs = {x: Fraction(x, t) for x in {x for a in images.values() for x in a}}
-    verts = {w: tuple(map(fracs.get, a)) for w, a in images.items()}
-    return [tuple(map(verts.get, cell)) for cell in cells]
+def _rational_view(period: Lattice, scale: int, coords, make) -> LazyTuple:
+    """The LazyTuple of make(the rational vertices) per flat tuple of
+    ``coords`` (see :func:`_vertex_images`): a complex's cells, or the
+    points of an empirical measure, one vertex each.  One Fraction is made
+    per distinct coordinate of the tuples read at once."""
+
+    def made(ws):
+        t, cells, images = _vertex_images(period, scale, ws)
+        fracs = {x: Fraction(x, t) for x in {x for a in images.values() for x in a}}
+        verts = {w: tuple(map(fracs.get, a)) for w, a in images.items()}
+        return [make(tuple(map(verts.get, cell))) for cell in cells]
+
+    return LazyTuple(
+        len(coords), lambda i: made(coords[i : i + 1])[0], lambda: made(coords)
+    )
 
 
 def _ambient(rows, w: tuple) -> tuple[int, ...]:

@@ -12,14 +12,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from operator import add, mul, sub
+from operator import add, itemgetter, mul, sub
 
 from .complexes import (
+    LazyTuple,
     PeriodicComplex,
     Simplex,
     _ambient,
     _ambient_cells,
     _from_coords,
+    _rational_view,
+    lazy_field,
     simplex_volume,
     unfold,
 )
@@ -87,19 +90,19 @@ def simplex_k_volume(s: Simplex) -> Fraction:
 
 @dataclass(frozen=True)
 class PolytopalMeasure:
-    """Atoms (simplex, density) modulo the lattice.  A measure of
-    :func:`_measure` builds its ``atoms`` from its complex on first access."""
+    """Atoms (simplex, density) modulo the lattice."""
 
     lattice: Lattice
     atoms: tuple[tuple[Simplex, Fraction], ...]
 
-    def __getattr__(self, name):
-        # reached only for the unbuilt atoms of a measure of _measure
-        if name != "atoms":
-            raise AttributeError(name)
+    @lazy_field
+    def atoms(self) -> LazyTuple:
+        """The atoms of a measure of :func:`_measure`: each cell of its
+        complex, as the complex keeps it, with its density."""
         c, dens = self._cells
-        object.__setattr__(self, "atoms", tuple(zip(c.cells, dens)))
-        return self.atoms
+        return LazyTuple(
+            len(dens), lambda i: (c.cells[i], dens[i]), lambda: zip(c.cells, dens)
+        )
 
     def __post_init__(self):
         if not self.atoms:
@@ -175,15 +178,15 @@ class EmpiricalMeasure:
     def __post_init__(self):
         if not self.coords:
             raise MeasureError("empirical measure needs at least one point")
+        if self.scale < 1:
+            raise MeasureError(f"empirical scale {self.scale} is not positive")
+        if set(map(len, self.coords)) != {self.lattice.dim}:
+            raise DimensionMismatchError("empirical coordinates of the wrong length")
 
-    @property
-    def points(self) -> tuple[Vec, ...]:
-        """The points as rational vectors, built on each access."""
-        g, rows = self.lattice.frame.g, self.lattice.frame.basis
-        return tuple(
-            tuple(Fraction(a, g * self.scale) for a in _ambient(rows, w))
-            for w in self.coords
-        )
+    @cached_property
+    def points(self) -> LazyTuple:
+        """The points as rational vectors."""
+        return _rational_view(self.lattice, self.scale, self.coords, itemgetter(0))
 
 
 def empirical(lat: Lattice, points) -> EmpiricalMeasure:

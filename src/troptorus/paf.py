@@ -10,19 +10,20 @@ are the exact counterparts of the ample-model construction.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from operator import mul, sub
 from typing import Optional
 
 from .complexes import (
     AdjacentPair,
+    LazyTuple,
     PeriodicComplex,
     _ambient,
     adjacent_pairs,
     dyadic_refine_step,
+    lazy_field,
     unfold_with_shifts,
 )
 from .lattice import (
@@ -73,23 +74,19 @@ class Cocycle:
 @dataclass(frozen=True)
 class _Piecewise:
     """Affine pieces (m, c), one per cell of ``complex``, kept as the
-    integer ``_form``.  A function of :func:`_built` makes its ``pieces``
-    from ``_form`` on first access."""
+    integer ``_form``."""
 
     complex: PeriodicComplex
     pieces: tuple[Piece, ...]  # parallel to complex.cells
 
-    def __getattr__(self, name):
-        # reached only for the unbuilt pieces of a function of _built
-        if name != "pieces":
-            raise AttributeError(name)
-        den, rows = self._form
-        frame = self.complex.period.frame
+    @lazy_field
+    def pieces(self) -> LazyTuple:
+        """The pieces of a function of :func:`_built`, made from ``_form``."""
+        (den, rows), frame = self._form, self.complex.period.frame
         zero = (zero_vec(self.complex.dim), Fraction(0))
-        object.__setattr__(self, "pieces", tuple(
-            zero if r is None else _fraction_piece(frame, *r, den) for r in rows
+        return LazyTuple(len(rows), lambda i: (
+            zero if rows[i] is None else _fraction_piece(frame, *rows[i], den)
         ))
-        return self.pieces
 
     def __post_init__(self):
         _check_pieces(self.complex, self.pieces)
@@ -619,6 +616,10 @@ def twist(f: CocycleFunction, t: TestFunction, tau: Fraction) -> CocycleFunction
     )
 
 
+# orders fractions num / den, den > 0, given as (num, den), by cross-multiplying
+_by_value = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
+
+
 class _Gap:
     """h = f - q - s*ell on the cells of f, in integers.
 
@@ -672,11 +673,11 @@ class _Gap:
         h = 2 * t * self.r * (sum(map(mul, m, a)) + t * c)
         return h - self._quad(a)[1]
 
-    def interior_max(self, verts, piece) -> Optional[Fraction]:
-        """max of h over the simplex with ambient images verts, in
-        closed form when the critical point t* of h in simplex
-        coordinates lies in the simplex; None when it does not (or the
-        simplex is flat).
+    def interior_max(self, verts, piece) -> Optional[tuple[int, int]]:
+        """max of h over the simplex with ambient images verts, as
+        (num, den) with den > 0, in closed form when the critical point t*
+        of h in simplex coordinates lies in the simplex; None when it does
+        not (or the simplex is flat).
 
         With edges e_k = a_k - a_0, G' = [e_k.R e_l], the integer
         gradient g = r t (M - L) - D R a_0 and p_k = e_k.g, the point is
@@ -703,13 +704,14 @@ class _Gap:
         y = [sum(map(mul, row, p)) for row in adj]
         if min(y, default=0) < 0 or sum(y) > det_s * d:
             return None
-        return Fraction(
+        return (
             self.value(a0, piece) * d * det_s + sum(map(mul, p, y)),
             self.den * d * det_s,
         )
 
-    def cell_max(self, verts, piece) -> Fraction:
-        """Exact max of h over the simplex with ambient images verts.
+    def cell_max(self, verts, piece) -> tuple[int, int]:
+        """Exact max of h over the simplex with ambient images verts, as
+        the (num, den) of :meth:`interior_max`.
 
         h is concave: when its critical point is not in the simplex, the
         max is on a facet, which is searched the same way.
@@ -717,8 +719,9 @@ class _Gap:
         over = self.interior_max(verts, piece)
         if over is None:
             over = max(
-                self.cell_max(verts[:k] + verts[k + 1 :], piece)
-                for k in range(len(verts))
+                (self.cell_max(verts[:k] + verts[k + 1 :], piece)
+                 for k in range(len(verts))),
+                key=_by_value,
             )
         return over
 
@@ -734,51 +737,38 @@ def sup_distance_to_quadratic(f: CocycleFunction) -> Fraction:
     faces (see :class:`_Gap`).
     """
     gap = _Gap(f)
-    best = Fraction(0)
+    maxima = [(0, 1)]  # the max of h per cell, as (num, den)
     least = 0  # the least H over the vertices: -least / den is the max of -h
     seen = set()
     n = gap.n
     for w, piece in zip(gap.coords, gap.pieces):
         verts = [_ambient(gap.rows, w[k : k + n]) for k in range(0, len(w), n)]
-        over = gap.cell_max(verts, piece)
-        if over > best:
-            best = over
+        maxima.append(gap.cell_max(verts, piece))
         for a in verts:
             if a not in seen:
                 seen.add(a)
                 h = gap.value(a, piece)
                 if h < least:
                     least = h
-    return max(best, Fraction(-least, gap.den))
+    return Fraction(*max(maxima + [(-least, gap.den)], key=_by_value))
 
 
-class _FractionPairs(Sequence):
-    """Per cell, the Fraction pieces of two integer forms on one complex,
-    made when read; ``forms`` holds the forms."""
-
-    def __init__(self, c: PeriodicComplex, forms):
-        self.frame, self.forms = c.period.frame, forms
-
-    def __len__(self):
-        return len(self.forms[0][1])
-
-    def __getitem__(self, i):
-        return tuple(
-            _fraction_piece(self.frame, *rows[i], d) for d, rows in self.forms
-        )
-
-
-def _epsilon_lines(c: PeriodicComplex, z: Cocycle) -> tuple:
+def _epsilon_lines(c: PeriodicComplex, z: Cocycle, forms=None) -> tuple:
     """(parts, den, lines): per cell, the pieces of q + ell and of the
     vertex perturbation, so the model piece at eps is the first plus
-    eps times the second (``parts.forms``: the integer forms of
-    :func:`_model_parts`); and per pair of adjacent_pairs(c) the integers
+    eps times the second, made from their integer ``forms`` of
+    :func:`_model_parts`; and per pair of adjacent_pairs(c) the integers
     (a, b) with face slack (a + b*eps) / den at every eps."""
-    forms = _model_parts(c, z)
+    forms = _model_parts(c, z) if forms is None else forms
     da, a = face_slacks(c, forms[0], _period_cocycle(c, z, Fraction(1))[:2])
     db, b = face_slacks(c, forms[1])
     lines = [(x * db, y * da) for x, y in zip(a, b)]
-    return _FractionPairs(c, forms), da * db, lines
+    frame = c.period.frame
+    parts = LazyTuple(
+        c.size,
+        lambda i: tuple(_fraction_piece(frame, *rows[i], d) for d, rows in forms),
+    )
+    return parts, da * db, lines
 
 
 def auto_epsilon(
@@ -792,7 +782,8 @@ def auto_epsilon(
     the search, on the integers 2^k a + b, needs no rebuild.  The
     certificate is then computed once, exactly, at the eps found.
     """
-    parts, _, lines = _epsilon_lines(c, z)
+    forms = _model_parts(c, z)
+    _, _, lines = _epsilon_lines(c, z, forms)
     for k in range(max_halvings):
         if all((a << k) + b > 0 for a, b in lines):
             break
@@ -801,7 +792,7 @@ def auto_epsilon(
             f"no certified epsilon within {max_halvings} halvings"
         )
     eps = Fraction(1, 2 ** k)
-    f = _model_at(c, z, parts.forms, eps)
+    f = _model_at(c, z, forms, eps)
     cert = check_strongly_convex(f)
     if not cert.passed:
         raise PafError(

@@ -11,7 +11,7 @@ import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
-from .complexes import PeriodicComplex, _vertex_images
+from .complexes import LazyTuple, PeriodicComplex, _vertex_images
 from .linalg import Mat, TroptorusError, Vec
 
 _RATIONAL = re.compile(r"^(-?\d+)/(\d+)$")
@@ -72,6 +72,8 @@ def _text(obj, nl: str) -> str:
         return int.__repr__(obj)
     if isinstance(obj, PeriodicComplex):
         return _complex_text(obj, nl)
+    if isinstance(obj, LazyTuple):  # last: its abstract base checks slowly
+        return _text(tuple(obj), nl)
     raise SerializationError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -87,7 +89,7 @@ def _complex_text(c: PeriodicComplex, nl: str) -> str:
     """The text of {"cells": [{"vertices": ...}], "level", "period":
     {"generators"}} for c, written from the integer images a = t v of its
     vertices: one "p/q" per distinct integer, one block per vertex."""
-    t, cells, images = _vertex_images(c)
+    t, cells, images = _vertex_images(c.period, *c._coords)
     i1, i3 = nl + "  ", nl + "      "
     head, tail = f'{{{i3}"vertices": ', nl + "    }"
     nums = {x for a in images.values() for x in a}

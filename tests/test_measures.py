@@ -49,7 +49,7 @@ from troptorus.linalg import (
 )
 from troptorus import measures
 from troptorus import test_sup_abs as sup_abs
-from troptorus.measures import _clip_simplex, _wrap_guard
+from troptorus.measures import EmpiricalMeasure, _clip_simplex, _wrap_guard
 from troptorus.paf import TestFunction as PiecewiseTest
 from troptorus.paf import interpolate_test, locate_cell, vertex_orbits
 from tests.conftest import (
@@ -835,6 +835,21 @@ def test_points_of_the_wrong_length_are_rejected(plane_setup):
             mass_near(grid, bad, F(1, 8))
         with pytest.raises(DimensionMismatchError):
             mass_near(mu, bad, F(1, 8))
+
+
+def test_malformed_empirical_coordinates_are_rejected(plane_setup):
+    """Coordinates of a length other than the lattice dimension raise
+    DimensionMismatchError, and a scale below 1 raises MeasureError,
+    when the measure is made, not when its points are read."""
+    lat = plane_setup[0]
+    e = EmpiricalMeasure(lat, 2, ((0, 1), (1, 0)))
+    assert e.points[1] == lat.from_coords((F(1, 2), F(0)))
+    for bad in (((0, 0, 0),), ((0,),), ((0, 0), (1,)), ((1, 1), (0, 0, 1))):
+        with pytest.raises(DimensionMismatchError):
+            EmpiricalMeasure(lat, 2, bad)
+    for scale in (0, -1):
+        with pytest.raises(MeasureError):
+            EmpiricalMeasure(lat, scale, ((0, 0),))
 
 
 @st.composite

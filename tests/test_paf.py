@@ -555,13 +555,14 @@ def test_sup_distance_per_shape_matches_the_clamping_oracle():
         ):
             verts = [_ambient(gap.rows, w[k : k + n]) for k in range(0, len(w), n)]
             want = max_affine_minus_quadratic(cell.vertices, m, c, gram, lin)
-            assert gap.cell_max(verts, piece) == want
+            num, den = gap.cell_max(verts, piece)
+            assert den > 0 and F(num, den) == want
             inside = gap.interior_max(verts, piece)
             if t0 is not None:
                 in_simplex = min(t0) >= 0 and sum(t0) <= 1
                 assert (inside is not None) == in_simplex
             if inside is not None:
-                assert inside == want
+                assert inside[1] > 0 and F(*inside) == want
             branches.add(inside is None)
         assert sup_distance_to_quadratic(f) == fraction_sup_distance(f)
 
