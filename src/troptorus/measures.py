@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from operator import add, itemgetter, mul, sub
 
 from .complexes import (
@@ -42,7 +42,7 @@ from .linalg import (
     vscale,
     zero_vec,
 )
-from .paf import TestFunction
+from .paf import TestFunction, _restrict
 
 
 class MeasureError(TroptorusError):
@@ -190,11 +190,14 @@ class EmpiricalMeasure:
 
 
 def empirical(lat: Lattice, points) -> EmpiricalMeasure:
-    """The empirical measure of rational points, each reduced modulo lat."""
+    """The empirical measure of rational points, each reduced modulo lat,
+    on the least scale."""
     d, ws = lat.integer_coords(tuple(points))
-    return EmpiricalMeasure(
-        lattice=lat, scale=d, coords=tuple(tuple(x % d for x in w) for w in ws)
-    )
+    ws = tuple([tuple([x % d for x in w]) for w in ws])
+    e = math.gcd(d, *chain.from_iterable(ws))
+    if e > 1:
+        d, ws = d // e, tuple(tuple(x // e for x in w) for w in ws)
+    return EmpiricalMeasure(lattice=lat, scale=d, coords=ws)
 
 
 @dataclass(frozen=True)
@@ -231,57 +234,40 @@ def integrate(t: TestFunction, mu: PolytopalMeasure) -> Fraction:
 
     One side's decomposition must refine the other's: either every atom
     is inside a single cell of t, or every cell of t is inside a single
-    atom, up to the period.  Both are decided by containment indexes.
+    atom, up to the period; both are decided by containment indexes.
     An affine integrand over a simplex integrates to volume times the
-    barycenter value.  In t's integer form, (P.x + C) / den at period
-    coordinates x, that value is an integer over the common denominator
-    (k + 1) s den, s the scale of the vertices' period coordinates and
-    their sum S: P.S + (k + 1) s C.  The atom masses are kept on the
-    measure, each distinct mass multiplies its summed values once, and
-    zero pieces add nothing.
+    barycenter value.  For t's integer form (P.x + C) / den at period
+    coordinates x on the cells summed over (its own, or ``paf._restrict``
+    on the atoms), s the scale of a cell's k + 1 vertices and S their sum,
+    that value is (P.S + (k + 1) s C) / ((k + 1) s den).  Each distinct
+    atom mass multiplies its summed values once, and zero pieces add
+    nothing.
     """
     atoms, dens = mu._cells
-    den, rows = t._form
-    if atoms is not t.complex:
-        # branch 1: each atom, by the integer coordinates of its vertices
-        # in t's period, inside a translate cells[i] + k of t, where t is
-        # (P.x + C - P.k) / den; the first atom in no cell sends it to
-        # branch 2
-        period = t.complex.period
-        find = t.complex._index.find_cell_containing_simplex
-        ta, cells = _ambient_cells(atoms)
-        scale, inv = period.frame.q * ta, period.frame.inv
-        nums = []
-        for cell in cells:
-            ws = [_ambient(inv, a) for a in cell]
-            hit = find(ws, scale)
-            if hit is None:
-                break
-            r = rows[hit[0]]
-            if r is None:
-                nums.append(0)
-                continue
-            p, c = r
-            c -= sum(map(mul, p, hit[1]))
-            nums.append(sum(map(mul, p, map(sum, zip(*ws)))) + len(ws) * scale * c)
-        if len(nums) == len(cells):
-            return _mass_sum(mu, nums, len(cells[0]) * scale * den)
+    c, form = t.complex, t._form
+    if atoms is not c:
+        # branch 1: each atom inside a cell translate of t, which is then
+        # affine on it; the first atom in no cell sends it to branch 2
+        restricted = _restrict(t, atoms.period, *atoms._coords)
+        if restricted is not None:
+            c, form = atoms, restricted
         # branch 2: t's cells refine the atoms; each takes its atom's density
-        if period != mu.lattice:
+        elif c.period != mu.lattice:
             raise NoCommonRefinementError(
                 "test complex period differs from the measure lattice"
             )
-        n = period.dim
-        if mu.dim != n:
+        elif mu.dim != c.dim:
             raise NoCommonRefinementError("flat atoms hold no test cell")
-        find = atoms._index.find_cell_containing_simplex
-        scale, coords = t.complex._coords
-        hits = [find(list(zip(*[iter(w)] * n)), scale) for w in coords]
-        if None in hits:
-            raise NoCommonRefinementError("test cell not inside one atom")
-        mu = _measure(period, t.complex, [dens[i] for i, _ in hits])
-    n = t.complex.dim
-    scale, coords = t.complex._coords
+        else:
+            find = atoms._index.find_cell_containing_simplex
+            scale, coords = c._coords
+            hits = [find(list(zip(*[iter(w)] * c.dim)), scale) for w in coords]
+            if None in hits:
+                raise NoCommonRefinementError("test cell not inside one atom")
+            mu = _measure(c.period, c, [dens[i] for i, _ in hits])
+    n = c.dim
+    den, rows = form
+    scale, coords = c._coords
     m = len(coords[0]) // n
     nums = [
         0 if r is None

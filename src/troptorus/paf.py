@@ -26,22 +26,16 @@ from .complexes import (
     lazy_field,
     unfold_with_shifts,
 )
-from .lattice import (
-    Lattice,
-    Polarization,
-    quadratic,
-)
+from .lattice import Lattice, Polarization
 from .linalg import (
     DimensionMismatchError,
     SingularMatrixError,
     TroptorusError,
     Vec,
     det_adj,
-    dot,
     integer_matrix,
+    mat_mul,
     mat_vec,
-    vadd,
-    vsub,
     vscale,
     zero_vec,
 )
@@ -115,43 +109,14 @@ class CocycleFunction(_Piecewise):
         """f_1 of :func:`tate_iterate`: one step, on the dyadic refinement.
 
         The new cell 2u in parent + lam takes the parent's piece on that
-        translate, halved in u: ((m + G lam) / 2, (c - m.lam + s ell(lam)
-        - q(lam)) / 4).  In the integer form over den, with lam = L k,
-        B = L^T G L = R / r and s L^T ell = l / e (see
-        :func:`_period_cocycle`), (P, C) becomes (P + den B k) / 2 and
-        (C - P.k + den (l.k / e - k.Bk / 2)) / 4, written over 4 u den for
-        u = lcm(2r, e): 2 u P + 2 (u / r) den R k and
-        u (C - P.k) + den ((u / e) l.k - (u / 2r) k.Rk), the den terms
-        once per distinct k.
+        translate (:func:`_on_translates`), halved in u: at the period
+        coordinates 2x, (P.x + C) / d becomes (2P.x + C) / 4d.
         """
-        c = self.complex
-        refined, parents = dyadic_refine_step(c)
-        den, rows = self._form
-        R, r, lin, e = _period_cocycle(c, self.cocycle, self.linear_scale)
-        u = math.lcm(2 * r, e)
-        inverse = c.period.frame.inverse
-        terms: dict[Vec, tuple] = {}  # lam -> (k, gradient term, constant term)
-        pieces = []
-        for pi, lam in parents:
-            t = terms.get(lam)
-            if t is None:
-                k = [int(x) for x in mat_vec(inverse, lam)]
-                rk = _ambient(R, k)
-                t = terms[lam] = (
-                    k,
-                    [2 * (u // r) * den * x for x in rk],
-                    den * ((u // e) * sum(map(mul, lin, k))
-                           - (u // (2 * r)) * sum(map(mul, k, rk))),
-                )
-            k, gp, gc = t
-            p, cp = rows[pi]
-            pieces.append((
-                tuple(2 * u * x + y for x, y in zip(p, gp)),
-                u * (cp - sum(map(mul, p, k))) + gc,
-            ))
+        refined, parents = dyadic_refine_step(self.complex)
+        den, rows = _on_translates(self, parents, 2)
         return _built(
             CocycleFunction,
-            (4 * u * den, tuple(pieces)),
+            (4 * den, rows),
             complex=refined,
             cocycle=self.cocycle,
             linear_scale=self.linear_scale / 2,
@@ -202,6 +167,87 @@ def _period_cocycle(c: PeriodicComplex, z: Cocycle, s: Fraction) -> tuple:
         r * frame.g ** 2,
         tuple(sum(map(mul, u, lin)) for u in cols),
         e * frame.g,
+    )
+
+
+def _on_translates(f: CocycleFunction, pairs, grad: int = 1) -> tuple[int, tuple]:
+    """(D, rows): per (i, lam) of pairs, the piece of f on cells[i] + lam
+    by the cocycle law, as the row (grad P', C') with f = (P'.x + C') / D
+    at the period coordinates x of f's period.
+
+    For f's row (P, C) over den, lam = L k and the (R, r, l, e) of
+    :func:`_period_cocycle`, f(x + k) = f(x) + k.Rx / r + k.Rk / 2r + l.k / e;
+    over D = u den, u = lcm(2r, e): P' = u P + (u / r) den R k and
+    C' = u (C - P.k) + den ((u / e) l.k - (u / 2r) k.Rk), the den terms
+    once per distinct lam.
+    """
+    c = f.complex
+    den, rows = f._form
+    R, r, lin, e = _period_cocycle(c, f.cocycle, f.linear_scale)
+    u = math.lcm(2 * r, e)
+    inverse = c.period.frame.inverse
+    terms: dict[Vec, tuple] = {}  # lam -> (k, gradient term, constant term)
+    out = []
+    for i, lam in pairs:
+        t = terms.get(lam)
+        if t is None:
+            k = [int(x) for x in mat_vec(inverse, lam)]
+            rk = _ambient(R, k)
+            t = terms[lam] = (
+                k,
+                [grad * (u // r) * den * x for x in rk],
+                den * ((u // e) * sum(map(mul, lin, k))
+                       - (u // (2 * r)) * sum(map(mul, k, rk))),
+            )
+        k, gp, gc = t
+        p, cp = rows[i]
+        out.append((
+            tuple(grad * u * x + y for x, y in zip(p, gp)),
+            u * (cp - sum(map(mul, p, k))) + gc,
+        ))
+    return u * den, tuple(out)
+
+
+def _restrict(t: TestFunction, period: Lattice, scale: int, coords):
+    """(den, rows): per flat tuple of vertices w / scale in ``coords``, at
+    the period coordinates x of ``period`` (as ``PeriodicComplex._coords``),
+    the row (P, C), zero ones included, with t = (P.x + C) / den on the
+    cell translate of t's complex that holds them; None if none does.
+
+    With M = L_t^-1 L = M' / m, t's period coordinates are y = M x; on
+    cells[i] + k, where t's row is (P, C) over d,
+    t = (P.(y - k) + C) / d = (M'^T P.x + m (C - P.k)) / (m d).
+    """
+    n = period.dim
+    m, mi = integer_matrix(mat_mul(t.complex.period.frame.inverse, period.matrix))
+    cols = tuple(zip(*mi))
+    find = t.complex._index.find_cell_containing_simplex
+    d, rows = t._form
+    seen: dict[tuple, tuple] = {}  # (i, k) -> row
+    out = []
+    for w in coords:
+        hit = find([_ambient(mi, w[j : j + n]) for j in range(0, len(w), n)], m * scale)
+        if hit is None:
+            return None
+        row = seen.get(hit)
+        if row is None:
+            row = rows[hit[0]]
+            row = seen[hit] = ((0,) * n, 0) if row is None else (
+                _ambient(cols, row[0]),
+                m * (row[1] - sum(map(mul, row[0], hit[1]))),
+            )
+        out.append(row)
+    return m * d, tuple(out)
+
+
+def _plus(form, other, x: Fraction) -> tuple[int, tuple]:
+    """The integer form of f + x g from those, form and other, of f and g."""
+    (d0, rows0), (d1, rows1) = form, other
+    den = math.lcm(d0, d1 * x.denominator)
+    a, b = den // d0, x.numerator * (den // (d1 * x.denominator))
+    return den, tuple(
+        (tuple(a * y + b * z for y, z in zip(p0, p1)), a * c0 + b * c1)
+        for (p0, c0), (p1, c1) in zip(rows0, rows1)
     )
 
 
@@ -300,18 +346,6 @@ def _built_test(c: PeriodicComplex, pieces) -> TestFunction:
     return _built(TestFunction, (den, rows), complex=c)
 
 
-def piece_on_translate(f: CocycleFunction, i: int, lam: Vec) -> Piece:
-    """Affine piece of f on cells[i] + lam, derived from the cocycle law:
-    the gradient gains G lam and the constant s*ell(lam) - q(lam) - m*lam."""
-    m, c = f.pieces[i]
-    z = f.cocycle
-    return (
-        vadd(m, mat_vec(z.polarization.gram, lam)),
-        c - dot(m, lam) + f.linear_scale * dot(z.linear, lam)
-        - quadratic(z.polarization, lam),
-    )
-
-
 def _model_parts(c: PeriodicComplex, z: Cocycle) -> tuple[tuple, tuple]:
     """The integer forms of the interpolants of q + ell and of the vertex
     perturbation 1 - 2^-k, k the number of half-integer period
@@ -364,15 +398,9 @@ def _model_at(c: PeriodicComplex, z: Cocycle, parts, eps: Fraction):
     """The model function on c at eps: the first of the integer forms
     ``parts`` of :func:`_model_parts` plus eps times the second; pieces on
     access."""
-    (d0, rows0), (d1, rows1) = parts
-    den = math.lcm(d0, d1 * eps.denominator)
-    a, b = den // d0, eps.numerator * (den // (d1 * eps.denominator))
-    rows = tuple(
-        (tuple(a * x + b * y for x, y in zip(p0, p1)), a * c0 + b * c1)
-        for (p0, c0), (p1, c1) in zip(rows0, rows1)
-    )
     return _built(
-        CocycleFunction, (den, rows), complex=c, cocycle=z, linear_scale=Fraction(1)
+        CocycleFunction, _plus(*parts, eps), complex=c, cocycle=z,
+        linear_scale=Fraction(1),
     )
 
 
@@ -448,9 +476,9 @@ def locate_cell(c: PeriodicComplex, u: Vec) -> tuple[int, Vec]:
 def evaluate(f: CocycleFunction, u: Vec) -> Fraction:
     """Value of f at any u in R^n: the cocycle law gives the piece of f
     on the cell translate that holds u."""
-    i, lam = locate_cell(f.complex, u)
-    m, c = piece_on_translate(f, i, lam)
-    return dot(m, u) + c
+    den, ((p, c),) = _on_translates(f, (locate_cell(f.complex, u),))
+    d, (w,) = f.complex.period.integer_coords((u,))
+    return Fraction(sum(map(mul, p, w)) + d * c, d * den)
 
 
 def tate_iterate(f0: CocycleFunction, i: int) -> CocycleFunction:
@@ -469,23 +497,15 @@ def tate_iterate(f0: CocycleFunction, i: int) -> CocycleFunction:
     return f
 
 
-def _test_piece_at(t: TestFunction, points) -> Piece:
-    """Affine piece of the periodic extension of t on a cell translate
-    of t's complex that holds every one of the points; so t is affine on
-    their convex hull.  PafError if no cell translate holds them all."""
-    hit = t.complex._index.locate(points)
-    if hit is None:
-        shown = ", ".join(f"({', '.join(map(str, p))})" for p in points)
-        raise PafError(f"no cell of the test complex holds {shown}")
-    i, lam = hit
-    m, c = t.pieces[i]
-    # t(v) = m*(v - lam) + c on cells[i] + lam
-    return m, c - dot(m, lam)
-
-
 def evaluate_test(t: TestFunction, u: Vec) -> Fraction:
-    m, c = _test_piece_at(t, (u,))
-    return dot(m, u) + c
+    """Value of t at any u in R^n, from t's piece on the cell translate
+    that holds u (:func:`_restrict`)."""
+    d, (w,) = t.complex.period.integer_coords((u,))
+    form = _restrict(t, t.complex.period, d, (w,))
+    if form is None:
+        raise PafError(f"no cell of the test complex holds ({', '.join(map(str, u))})")
+    den, ((p, c),) = form
+    return Fraction(sum(map(mul, p, w)) + d * c, d * den)
 
 
 def test_sup_abs(t: TestFunction) -> Fraction:
@@ -553,64 +573,67 @@ def hat_test_functions(c: PeriodicComplex) -> tuple[TestFunction, ...]:
     return tuple(_built_test(c, p) for p in pieces)
 
 
+def _twist_base(f: CocycleFunction, t: TestFunction) -> tuple:
+    """change_period(f, t's period) and t's integer form on its cells."""
+    base = change_period(f, t.complex.period)
+    form = _restrict(t, base.complex.period, *base.complex._coords)
+    if form is None:
+        raise PafError("a cell of the function lies in no cell of the test complex")
+    return base, form
+
+
 def choose_twist_bound(
     f0: CocycleFunction, t: TestFunction
 ) -> Optional[Fraction]:
-    """min-slack(f0) / max-jump(t) over the face orbits of f0's complex.
+    """min-slack / max-jump of t over the face orbits of
+    change_period(f0, t's period), the function that :func:`twist` adds to.
 
     Any twist coefficient strictly below the bound keeps the twisted
-    function strongly convex.  Returns None when t never jumps (the
-    bound is infinite).  t must be affine on every cell of f0's complex;
-    PafError otherwise.
+    function strongly convex.  None when t never jumps (the bound is
+    infinite); PafError unless t is affine on every cell of f0's complex.
     """
-    cert = check_strongly_convex(f0)
+    base, form = _twist_base(f0, t)
+    cert = check_strongly_convex(base)
     if not cert.passed:
         raise NotCertifiedError("twist bound needs a certified convex base")
-    min_slack = cert.min_slack
-    max_jump = Fraction(0)
-    for p in adjacent_pairs(f0.complex):
-        delta = f0.complex.cells[p.i].translate(p.shift_i)
-        sigma = f0.complex.cells[p.j].translate(p.shift_j)
-        m_d, _ = _test_piece_at(t, delta.vertices)
-        m_s, _ = _test_piece_at(t, sigma.vertices)
-        jump = abs(dot(p.normal, vsub(m_d, m_s)))
-        if jump > max_jump:
-            max_jump = jump
-    if max_jump == 0:
-        return None
-    return min_slack / max_jump
+    den, jumps = face_slacks(base.complex, form)
+    top = max(map(abs, jumps), default=0)
+    return None if top == 0 else cert.min_slack * den / top
 
 
 def change_period(f: CocycleFunction, lat: Lattice) -> CocycleFunction:
-    """Re-express f over a sublattice of its period (cells unfold)."""
+    """Re-express f over a sublattice of its period (cells unfold).
+
+    Each new cell cells[i] + lam takes f's piece there
+    (:func:`_on_translates`); lat's coordinates x' are x = K x', K with
+    lat's generators in f's period basis as columns, so P' = K^T P.
+    """
     if lat == f.complex.period:
         return f
     unfolded, mapping = unfold_with_shifts(f.complex, lat)
-    pieces = tuple(piece_on_translate(f, i, shift) for i, shift in mapping)
-    return CocycleFunction(
+    den, rows = _on_translates(f, mapping)
+    kcols = [tuple(map(int, f.complex.period.coords(g))) for g in lat.generators]
+    return _built(
+        CocycleFunction,
+        (den, tuple((_ambient(kcols, p), c) for p, c in rows)),
         complex=unfolded,
-        pieces=pieces,
         cocycle=f.cocycle,
         linear_scale=f.linear_scale,
     )
 
 
 def twist(f: CocycleFunction, t: TestFunction, tau: Fraction) -> CocycleFunction:
-    """f + tau * t over the period lattice of t.
+    """f + tau * t over the period lattice of t: change_period(f, t's
+    period) plus tau times t on its cells, in integers.
 
-    t must be affine on every cell of f's complex (t's complex is a
-    coarsening from the same dyadic family): each cell must lie in one
-    cell translate of t's complex, which is decided exactly.
+    t must be affine on every cell of f's complex (t's complex a
+    coarsening from the same dyadic family): PafError otherwise.
     """
-    tau = Fraction(tau)
-    base = change_period(f, t.complex.period)
-    pieces = []
-    for cell, (m, c) in zip(base.complex.cells, base.pieces):
-        mt, ct = _test_piece_at(t, cell.vertices)
-        pieces.append((vadd(m, vscale(tau, mt)), c + tau * ct))
-    return CocycleFunction(
+    base, form = _twist_base(f, t)
+    return _built(
+        CocycleFunction,
+        _plus(base._form, form, Fraction(tau)),
         complex=base.complex,
-        pieces=tuple(pieces),
         cocycle=base.cocycle,
         linear_scale=base.linear_scale,
     )
@@ -753,22 +776,13 @@ def sup_distance_to_quadratic(f: CocycleFunction) -> Fraction:
     return Fraction(*max(maxima + [(-least, gap.den)], key=_by_value))
 
 
-def _epsilon_lines(c: PeriodicComplex, z: Cocycle, forms=None) -> tuple:
-    """(parts, den, lines): per cell, the pieces of q + ell and of the
-    vertex perturbation, so the model piece at eps is the first plus
-    eps times the second, made from their integer ``forms`` of
-    :func:`_model_parts`; and per pair of adjacent_pairs(c) the integers
-    (a, b) with face slack (a + b*eps) / den at every eps."""
-    forms = _model_parts(c, z) if forms is None else forms
+def _epsilon_lines(c: PeriodicComplex, z: Cocycle, forms) -> tuple:
+    """(den, lines): per pair of adjacent_pairs(c), the integers (a, b)
+    with face slack (a + b*eps) / den of the model function at every eps,
+    from the integer ``forms`` of :func:`_model_parts`."""
     da, a = face_slacks(c, forms[0], _period_cocycle(c, z, Fraction(1))[:2])
     db, b = face_slacks(c, forms[1])
-    lines = [(x * db, y * da) for x, y in zip(a, b)]
-    frame = c.period.frame
-    parts = LazyTuple(
-        c.size,
-        lambda i: tuple(_fraction_piece(frame, *rows[i], d) for d, rows in forms),
-    )
-    return parts, da * db, lines
+    return da * db, [(x * db, y * da) for x, y in zip(a, b)]
 
 
 def auto_epsilon(
@@ -783,7 +797,7 @@ def auto_epsilon(
     certificate is then computed once, exactly, at the eps found.
     """
     forms = _model_parts(c, z)
-    _, _, lines = _epsilon_lines(c, z, forms)
+    _, lines = _epsilon_lines(c, z, forms)
     for k in range(max_halvings):
         if all((a << k) + b > 0 for a, b in lines):
             break

@@ -25,11 +25,21 @@ from troptorus import (
     adjacent_pairs,
     bilinear,
     evaluate,
-    evaluate_test,
     quadratic,
 )
-from troptorus.paf import CocycleFunction, piece_on_translate
-from troptorus.complexes import ComplexError, Simplex, dyadic_refine_step
+from troptorus.paf import (
+    CocycleFunction,
+    ConvexityCertificate,
+    NotCertifiedError,
+    check_strongly_convex,
+    locate_cell,
+)
+from troptorus.complexes import (
+    ComplexError,
+    Simplex,
+    dyadic_refine_step,
+    unfold_with_shifts,
+)
 from troptorus.lattice import covolume, reduce_mod
 from troptorus.linalg import (
     SingularMatrixError,
@@ -252,13 +262,101 @@ def dense_sup_abs(t):
 
 def dense_averages(tests, e):
     """Each test evaluated at each rational point of e, the point located
-    anew per test by evaluate_test: the oracle of
+    anew per test by fraction_evaluate_test: the oracle of
     measures.empirical_averages."""
     pts = e.points
     return tuple(
-        sum((evaluate_test(t, p) for p in pts), Fraction(0)) / len(pts)
+        sum((fraction_evaluate_test(t, p) for p in pts), Fraction(0)) / len(pts)
         for t in tests
     )
+
+
+def piece_on_translate(f, i, lam):
+    """Affine piece of f on cells[i] + lam in Fractions, by the cocycle
+    law: the gradient gains G lam and the constant s*ell(lam) - q(lam) -
+    m*lam.  The oracle of paf._on_translates."""
+    m, c = f.pieces[i]
+    z = f.cocycle
+    return (
+        vadd(m, mat_vec(z.polarization.gram, lam)),
+        c - dot(m, lam) + f.linear_scale * dot(z.linear, lam)
+        - quadratic(z.polarization, lam),
+    )
+
+
+def fraction_test_piece_at(t, points):
+    """Affine piece, in Fractions, of the periodic extension of t on a
+    cell translate of t's complex that holds every one of the points;
+    PafError if none does.  The oracle of paf._restrict."""
+    hit = t.complex._index.locate(points)
+    if hit is None:
+        raise PafError("no cell of the test complex holds the points")
+    i, lam = hit
+    m, c = t.pieces[i]
+    return m, c - dot(m, lam)  # t(v) = m*(v - lam) + c on cells[i] + lam
+
+
+def fraction_evaluate(f, u):
+    """f(u) from the Fraction piece of the cell translate that holds u:
+    the oracle of paf.evaluate."""
+    i, lam = locate_cell(f.complex, u)
+    m, c = piece_on_translate(f, i, lam)
+    return dot(m, u) + c
+
+
+def fraction_evaluate_test(t, u):
+    """t(u) from the Fraction piece of the cell translate that holds u:
+    the oracle of paf.evaluate_test."""
+    m, c = fraction_test_piece_at(t, (u,))
+    return dot(m, u) + c
+
+
+def fraction_change_period(f, lat):
+    """f over the sublattice lat, each unfolded cell with the Fraction
+    piece of piece_on_translate: the oracle of paf.change_period."""
+    if lat == f.complex.period:
+        return f
+    unfolded, mapping = unfold_with_shifts(f.complex, lat)
+    return CocycleFunction(
+        complex=unfolded,
+        pieces=tuple(piece_on_translate(f, i, lam) for i, lam in mapping),
+        cocycle=f.cocycle,
+        linear_scale=f.linear_scale,
+    )
+
+
+def fraction_twist(f, t, tau):
+    """f + tau t over t's period, each cell of fraction_change_period with
+    the Fraction piece of t located by its vertices: the oracle of
+    paf.twist."""
+    base = fraction_change_period(f, t.complex.period)
+    pieces = []
+    for cell, (m, c) in zip(base.complex.cells, base.pieces):
+        mt, ct = fraction_test_piece_at(t, cell.vertices)
+        pieces.append((vadd(m, vscale(tau, mt)), c + tau * ct))
+    return CocycleFunction(
+        complex=base.complex,
+        pieces=tuple(pieces),
+        cocycle=base.cocycle,
+        linear_scale=base.linear_scale,
+    )
+
+
+def fraction_twist_bound(f, t):
+    """min slack / max |n.(m_delta - m_sigma)| of t's Fraction pieces over
+    the faces of fraction_change_period(f, t's period), each cell copy
+    located by its vertices: the oracle of paf.choose_twist_bound."""
+    base = fraction_change_period(f, t.complex.period)
+    cert = check_strongly_convex(base)
+    if not cert.passed:
+        raise NotCertifiedError("twist bound needs a certified convex base")
+    cells = base.complex.cells
+    max_jump = Fraction(0)
+    for p in adjacent_pairs(base.complex):
+        m_d, _ = fraction_test_piece_at(t, cells[p.i].translate(p.shift_i).vertices)
+        m_s, _ = fraction_test_piece_at(t, cells[p.j].translate(p.shift_j).vertices)
+        max_jump = max(max_jump, abs(dot(p.normal, vsub(m_d, m_s))))
+    return None if max_jump == 0 else cert.min_slack / max_jump
 
 
 def verify_continuity(f):
@@ -288,6 +386,34 @@ def verify_periodicity(f):
                 )
                 if lhs != rhs:
                     raise PafError("cocycle periodicity violated")
+
+
+def pair_slack(f, p):
+    """n*(m_delta - m_sigma) at the face of p, in Fractions: the gradients
+    on the two cell copies differ from the stored ones by G shift."""
+    gram = f.cocycle.polarization.gram
+    return dot(p.normal, vsub(f.pieces[p.i][0], f.pieces[p.j][0])) + dot(
+        p.normal, mat_vec(gram, vsub(p.shift_i, p.shift_j))
+    )
+
+
+def fraction_certificate(f):
+    """check_strongly_convex with one Fraction pair_slack per face."""
+    slacks, witness, witness_slack, min_slack = {}, None, None, None
+    for p in adjacent_pairs(f.complex):
+        s = pair_slack(f, p)
+        slacks[pair_key(p.i, p.shift_i, p.j, p.shift_j)] = s
+        if min_slack is None or s < min_slack:
+            min_slack = s
+        if s <= 0 and witness is None:
+            witness, witness_slack = p, s
+    return ConvexityCertificate(
+        passed=witness is None,
+        slacks=slacks,
+        min_slack=min_slack,
+        witness=witness,
+        witness_slack=witness_slack,
+    )
 
 
 def to_jsonable(obj):

@@ -155,6 +155,16 @@ def test_empirical_reduces_points(line_setup):
     assert e.points == ((F(1, 3),), (F(1, 3),))
 
 
+def test_empirical_keeps_the_least_scale():
+    """On (1/4)Z the points 0, 0 and 1/4 reduce to 0 three times: the
+    scale is 1, not the 4 of the points as given, and the measure of the
+    measure's own points is the same measure."""
+    lat = Lattice(((F(1, 4),),))
+    e = empirical(lat, [(F(0),), (F(0),), (F(1, 4),)])
+    assert (e.scale, e.coords) == (1, ((0,), (0,), (0,)))
+    assert empirical(lat, e.points) == e
+
+
 def test_empirical_needs_points(line_setup):
     lat, _, _, _ = line_setup
     with pytest.raises(MeasureError):

@@ -31,6 +31,7 @@ from troptorus.complexes import (
     adjacent_pairs,
     barycentric_triangulation,
     dyadic_refine,
+    unfold,
 )
 from troptorus.equidist import standard_test_complex
 from troptorus.lattice import (
@@ -53,15 +54,16 @@ from troptorus.linalg import (
     vscale,
     vsub,
 )
+from troptorus.measures import haar, integrate
 from troptorus.paf import TestFunction as PiecewiseTest
 from troptorus.paf import (
     CocycleFunction,
-    ConvexityCertificate,
     _Gap,
     _cell_frames,
     _epsilon_lines,
     _fraction_piece,
     _interpolate_piece,
+    _model_parts,
     face_slacks,
     locate_cell,
     vertex_orbits,
@@ -69,10 +71,17 @@ from troptorus.paf import (
 from tests.conftest import (
     barycentric_coords,
     base_complex,
+    dense_integrate,
+    fraction_certificate,
+    fraction_change_period,
+    fraction_evaluate,
+    fraction_evaluate_test,
     fraction_model_function,
     fraction_solve,
     fraction_tate_step,
-    pair_key,
+    fraction_twist,
+    fraction_twist_bound,
+    pair_slack,
     verify_continuity,
     verify_periodicity,
     warn_slow_examples,
@@ -291,6 +300,27 @@ def test_twist_needs_the_test_affine_on_each_cell():
     for t in hat_test_functions(standard_test_complex(lat, b, 0)):
         g = twist(f, t, F(1, 1000))
         assert evaluate(g, u) - evaluate(f, u) == F(1, 1000) * evaluate_test(t, u)
+
+
+def test_twist_bound_holds_for_a_test_over_a_sublattice():
+    """A test whose period is a proper sublattice of the function's is
+    bounded over the faces of the function re-periodized to the test's
+    period, where twist adds it.  The bound used to be taken over the
+    function's own faces: hats 7 and 10 got 1/192 and 5/64, and the twist
+    at 99/100 of either was not convex; hats 3, 4, 5, 6, 8 and 15 got
+    None, though their values jump across faces."""
+    lat = Lattice(SKEW_BASIS)
+    b = Polarization(((F(2), F(1)), (F(1), F(2))))
+    _, prime = superlattice(orthogonalize(lat, b), lat)
+    z = Cocycle(polarization=b, linear=(F(0), F(0)))
+    eps, f, _ = auto_epsilon(barycentric_triangulation(prime.generators, prime), z)
+    assert eps == F(1, 64)
+    hats = hat_test_functions(standard_test_complex(lat, b, 0))
+    assert len(hats) == 16 and all(t.complex.period == lat != prime for t in hats)
+    for t in hats:
+        bound = choose_twist_bound(f, t)
+        assert bound in (F(5, 1664), F(1, 384))
+        assert check_strongly_convex(twist(f, t, bound * F(99, 100))).passed
 
 
 def test_change_period_preserves_values(line_model):
@@ -646,34 +676,6 @@ def test_auto_epsilon_matches_the_halving_loop():
 # references -----------------------------------------------------------------
 
 
-def pair_slack(f, p):
-    """n*(m_delta - m_sigma) at the face of p, in Fractions: the gradients
-    on the two cell copies differ from the stored ones by G shift."""
-    gram = f.cocycle.polarization.gram
-    return dot(p.normal, vsub(f.pieces[p.i][0], f.pieces[p.j][0])) + dot(
-        p.normal, mat_vec(gram, vsub(p.shift_i, p.shift_j))
-    )
-
-
-def fraction_certificate(f):
-    """check_strongly_convex with one Fraction pair_slack per face."""
-    slacks, witness, witness_slack, min_slack = {}, None, None, None
-    for p in adjacent_pairs(f.complex):
-        s = pair_slack(f, p)
-        slacks[pair_key(p.i, p.shift_i, p.j, p.shift_j)] = s
-        if min_slack is None or s < min_slack:
-            min_slack = s
-        if s <= 0 and witness is None:
-            witness, witness_slack = p, s
-    return ConvexityCertificate(
-        passed=witness is None,
-        slacks=slacks,
-        min_slack=min_slack,
-        witness=witness,
-        witness_slack=witness_slack,
-    )
-
-
 SKEW_BASIS = ((F(1), F(0)), (F(1, 2), F(3, 2)))
 THIRDS_GRAM = ((F(3, 2), F(1, 3)), (F(1, 3), F(1)))
 
@@ -757,17 +759,17 @@ def test_face_slacks_match_the_fraction_certificate():
 @given(problem=model_problems())
 @settings(max_examples=60, deadline=None)
 def test_epsilon_lines_match_the_fraction_slacks(problem):
-    """The line (a + b*eps) / den of each face is pair_slack of the
-    unperturbed model plus eps times the normal jump of the perturbation."""
+    """The line (a + b*eps) / den of each face is the pair_slack of the
+    Fraction model oracle at eps = 0 (a / den) and at eps = 1
+    ((a + b) / den), so it is that slack at every eps."""
     c, z = problem
-    parts, den, lines = _epsilon_lines(c, z)
-    base = CocycleFunction(complex=c, pieces=tuple(p for p, _ in parts), cocycle=z)
+    den, lines = _epsilon_lines(c, z, _model_parts(c, z))
+    low, high = (fraction_model_function(c, z, F(eps)) for eps in (0, 1))
     pairs = adjacent_pairs(c)
     assert len(lines) == len(pairs)
     for p, (a, b) in zip(pairs, lines):
-        assert F(a, den) == pair_slack(base, p)
-        jump = vsub(parts[p.i][1][0], parts[p.j][1][0])
-        assert F(b, den) == dot(p.normal, jump)
+        assert F(a, den) == pair_slack(low, p)
+        assert F(a + b, den) == pair_slack(high, p)
 
 
 @given(f=slack_cases())
@@ -899,3 +901,114 @@ def test_certify_and_tate_build_no_fraction_pieces():
     for f, (cert, d) in zip(fs[:3], found):
         assert cert == fraction_certificate(f)
         assert d == fraction_sup_distance(f)
+
+
+# --- twist, change of period and evaluation against their Fraction oracles ---
+
+
+@st.composite
+def twist_problems(draw):
+    """(lat, sub, z, eps, steps, picks, tau, points): a rational basis,
+    the sublattice K Z^n of it for an upper triangular integer K with
+    diagonal 1 or 2, a cocycle whose gram is random or makes the basis
+    orthogonal (diag(d) in the basis, so that the model is certified at a
+    small eps), an eps, 0 or (n < 3) 1 Tate step, two picks of a hat,
+    a twist coefficient and points.  Drawn before anything is built."""
+    lat = draw(rational_lattices())
+    n = lat.dim
+    point = st.tuples(*[small_rationals] * n)
+    k = [
+        [draw(st.integers(1, 2)) if i == j else draw(st.integers(-1, 1)) * (i < j)
+         for j in range(n)]
+        for i in range(n)
+    ]
+    gens = lat.generators
+    sub = Lattice(tuple(
+        tuple(sum(k[i][j] * g[m] for i, g in enumerate(gens)) for m in range(n))
+        for j in range(n)
+    ))
+    if draw(st.booleans()):
+        gram = _positive_definite(draw, n)
+    else:
+        d = draw(st.tuples(*[st.fractions(F(1, 4), 3, max_denominator=4)] * n))
+        inv = lat.frame.inverse  # rows: the dual basis
+        gram = tuple(
+            tuple(sum(d[m] * inv[m][a] * inv[m][b] for m in range(n)) for b in range(n))
+            for a in range(n)
+        )
+    z = Cocycle(polarization=Polarization(gram), linear=draw(point))
+    eps = draw(st.sampled_from([F(1, 64), F(1, 8), F(0)]))
+    steps = draw(st.integers(0, int(n < 3)))
+    picks = draw(st.tuples(*[st.integers(0, 999)] * 2))
+    tau = draw(st.fractions(-2, 2, max_denominator=16))
+    points = draw(st.lists(point, min_size=1, max_size=3))
+    return lat, sub, z, eps, steps, picks, tau, points
+
+
+@given(problem=twist_problems())
+@settings(max_examples=30, deadline=None)
+@warn_slow_examples(lambda problem: problem[0].generators)
+def test_twist_and_evaluation_match_the_fraction_oracles(problem):
+    """The model function on the level-0 complex of a rational basis
+    (after a Tate step, perhaps), a sublattice of the basis' lattice, and
+    hat tests over the lattice and over the sublattice: change_period,
+    evaluate, evaluate_test, twist, choose_twist_bound and integrate's
+    branch 1 (each atom inside a test cell, the atoms over the test's
+    period, a sublattice or a superlattice of it) agree with the Fraction
+    bodies of tests/conftest.py.  The twist bound's oracle is taken over
+    change_period(f, t's period), where the twist adds t."""
+    lat, sub, z, eps, steps, picks, tau, points = problem
+    c0 = barycentric_triangulation(lat.generators, lat)
+    f = tate_iterate(build_model_function(c0, z, eps), steps)
+    g = change_period(f, sub)
+    assert "pieces" not in vars(g)
+    assert g.pieces == fraction_change_period(f, sub).pieces
+    for u in points:
+        assert evaluate(f, u) == fraction_evaluate(f, u) == evaluate(g, u)
+    for c, pick in zip((c0, unfold(c0, sub)), picks):
+        hats = hat_test_functions(c)
+        t = hats[pick % len(hats)]
+        for u in points:
+            assert evaluate_test(t, u) == fraction_evaluate_test(t, u)
+        assert twist(f, t, tau).pieces == fraction_twist(f, t, tau).pieces
+        try:
+            bound = choose_twist_bound(f, t)
+        except NotCertifiedError:
+            with pytest.raises(NotCertifiedError):
+                fraction_twist_bound(f, t)
+        else:
+            assert bound == fraction_twist_bound(f, t)
+        for mu in (haar(lat, f.complex), haar(sub, f.complex)):
+            assert integrate(t, mu) == dense_integrate(t, mu)
+
+
+def test_twist_and_evaluation_build_no_fraction_pieces():
+    """On problems/n2.json, the certified model, hat tests over the
+    lattice (a sublattice of the model's period) and over the model's own
+    period: change_period, twist, choose_twist_bound, evaluate and
+    evaluate_test read the integer forms only, so no function they read
+    or return builds its Fraction pieces, and no complex its cells."""
+    import json
+    from pathlib import Path
+
+    raw = json.loads(
+        (Path(__file__).resolve().parent.parent / "problems" / "n2.json")
+        .read_text()
+    )
+    lat = Lattice(tuple(tuple(map(F, g)) for g in raw["lattice"]))
+    b = Polarization(tuple(tuple(map(F, r)) for r in raw["gram"]))
+    z = Cocycle(polarization=b, linear=tuple(map(F, raw["linear"])))
+    _, prime = superlattice(orthogonalize(lat, b), lat)
+    _, f, _ = auto_epsilon(barycentric_triangulation(prime.generators, prime), z)
+    u = (F(1, 3), F(-5, 7))
+    seen = [f]
+    for c in (f.complex, standard_test_complex(lat, b, 0)):
+        for t in hat_test_functions(c)[:3]:
+            base = change_period(f, t.complex.period)
+            tau = choose_twist_bound(f, t) / 2
+            g = twist(f, t, tau)
+            assert evaluate(g, u) == evaluate(f, u) + tau * evaluate_test(t, u)
+            seen += [t, base, g]
+    assert len(seen) == 19
+    assert not any("pieces" in vars(h) for h in seen)
+    assert not any("cells" in vars(h.complex) for h in seen)

@@ -1,5 +1,5 @@
-"""The lazy tuple views: cells, atoms, pieces, points and the eps parts
-act as the tuples they stand for, and counting them builds nothing."""
+"""The lazy tuple views: cells, atoms, pieces and points act as the
+tuples they stand for, and counting them builds nothing."""
 import json
 import pickle
 from fractions import Fraction
@@ -8,7 +8,12 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from troptorus import measures, paf
-from troptorus.complexes import Simplex, barycentric_triangulation, dyadic_refine
+from troptorus.complexes import (
+    Simplex,
+    adjacent_pairs,
+    barycentric_triangulation,
+    dyadic_refine,
+)
 from troptorus.equidist import barycentric_complex, torsion_grid
 from troptorus.lattice import Lattice, Polarization, identity_polarization
 from troptorus.measures import PolytopalMeasure, empirical, haar
@@ -25,6 +30,7 @@ from tests.conftest import (
     fraction_model_function,
     fraction_refine_step,
     fraction_tate_step,
+    pair_slack,
     warn_slow_examples,
 )
 from tests.test_lattice import rational_lattices
@@ -51,11 +57,13 @@ def assert_is_tuple(view, want):
 @warn_slow_examples(lambda lat, **_: lat.generators)
 def test_each_view_is_its_tuple(lat, level, data):
     """Over a rational basis at level 0 or 1, the cells of the J1 complex,
-    the atoms of its Haar measure, the pieces of a model function, the
-    points of an empirical measure and the eps parts of the model each
-    act as the tuple the Fraction oracles of tests/conftest.py build; and
-    each owner is equal, with an equal hash and repr, to the one made by
-    hand from that tuple.  The points serialize as their tuple does."""
+    the atoms of its Haar measure, the pieces of a model function and the
+    points of an empirical measure each act as the tuple the Fraction
+    oracles of tests/conftest.py build; and each owner is equal, with an
+    equal hash and repr, to the one made by hand from that tuple.  The
+    points serialize as their tuple does and make the same empirical
+    measure again.  The eps lines of the model are the face slacks of the
+    Fraction model at eps = 0 and eps = 1."""
     gens, n = lat.generators, lat.dim
     c = dyadic_refine(barycentric_triangulation(gens, lat), level)
     oracle = fraction_barycentric(gens, lat)
@@ -81,13 +89,14 @@ def test_each_view_is_its_tuple(lat, level, data):
     assert_is_tuple(f.pieces, g.pieces)
     assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
 
-    low = fraction_model_function(fraction_barycentric(gens, lat), z, F(0))
-    high = fraction_model_function(fraction_barycentric(gens, lat), z, F(1))
-    parts = tuple(
-        (p, (tuple(x - y for x, y in zip(q[0], p[0])), q[1] - p[1]))
-        for p, q in zip(low.pieces, high.pieces)
+    low, high = (
+        fraction_model_function(fraction_barycentric(gens, lat), z, F(eps))
+        for eps in (0, 1)
     )
-    assert_is_tuple(_epsilon_lines(c0, z)[0], parts)
+    den, lines = _epsilon_lines(c0, z, paf._model_parts(c0, z))
+    pairs = adjacent_pairs(c0)
+    assert [F(a, den) for a, _ in lines] == [pair_slack(low, p) for p in pairs]
+    assert [F(a + b, den) for a, b in lines] == [pair_slack(high, p) for p in pairs]
 
     ks = data.draw(st.lists(
         st.tuples(*[st.integers(-9, 9)] * n), min_size=3, max_size=6
@@ -98,6 +107,7 @@ def test_each_view_is_its_tuple(lat, level, data):
         lat.from_coords(tuple(F(x, e.scale) for x in w)) for w in e.coords
     )
     assert_is_tuple(e.points, want)
+    assert empirical(lat, e.points) == e
     assert canonical_dumps(e.points) == canonical_dumps(want)
 
 
