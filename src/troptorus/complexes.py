@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations, product
-from operator import add, mul, sub
+from operator import add, eq, mul, sub
 
 from .lattice import Lattice, box_translates, covolume
 from .linalg import (
@@ -190,13 +190,31 @@ class PeriodicComplex:
         return den // e, cells
 
     @cached_property
+    def _ordered(self) -> tuple[tuple, tuple]:
+        """(images, coords): per cell, the flat integer images a = t v of
+        its vertices v (see :func:`_ambient_cells`) and their flat period
+        coordinates as in ``_coords``, both with the vertices in ambient
+        order.  ``barycentric_triangulation`` and ``dyadic_refine_step``
+        seed it, their ``coords`` being ``_coords``'s own; for any other
+        complex, one sort per cell.  :func:`dyadic_refine_step` and
+        :func:`unfold_with_shifts` read it."""
+        n = self.dim
+        images, coords = [], []
+        for cell, amb in zip(self._coords[1], _ambient_cells(self)[1]):
+            verts = sorted(zip(amb, (cell[k : k + n] for k in range(0, len(cell), n))))
+            images.append(tuple(x for a, _ in verts for x in a))
+            coords.append(tuple(x for _, w in verts for x in w))
+        return tuple(images), tuple(coords)
+
+    @cached_property
     def _index(self) -> _ContainmentIndex:
         """The containment index of the cells."""
         return _ContainmentIndex(self)
 
     @cached_property
-    def _pairs(self) -> tuple[AdjacentPair, ...]:
-        """The adjacent cell pairs; see :func:`adjacent_pairs`."""
+    def _pairs(self) -> LazyTuple:
+        """The adjacent cell pairs, each built on access; see
+        :func:`adjacent_pairs`."""
         return self._adjacency[0]
 
     @cached_property
@@ -208,8 +226,14 @@ class PeriodicComplex:
         return self._adjacency[1]
 
     @cached_property
-    def _adjacency(self) -> tuple[tuple, tuple]:
-        """(``_pairs``, ``_pair_coords``), built in one pass."""
+    def _pair_keys(self) -> tuple[str, ...]:
+        """Per pair of ``_pairs``, its certificate key, built without it."""
+        return self._adjacency[2]
+
+    @cached_property
+    def _adjacency(self) -> tuple[LazyTuple, tuple, tuple]:
+        """(``_pairs``, ``_pair_coords``, ``_pair_keys``), built in one
+        integer pass; a pair's Fractions are made when it is read."""
         n = self.dim
         scale, coords = self._coords
         g, rows = self.period.frame.g, self.period.frame.basis
@@ -230,8 +254,7 @@ class PeriodicComplex:
         # facet edges -> a normal of either sign and its N
         normals: dict[tuple, tuple] = {}
         shifts: dict[tuple, tuple] = {}  # k -> (the period vector -k, its text)
-        points: dict[tuple, Vec] = {}  # ambient image -> vertex
-        pairs, coords = [], []
+        faces, coords, keys = [], [], []
         for key in sorted(buckets):
             entries = buckets[key]
             if len(entries) != 2:
@@ -255,28 +278,36 @@ class PeriodicComplex:
                 if k not in shifts:
                     v = tuple(Fraction(-x, g) for x in _ambient(rows, k))
                     shifts[k] = v, ",".join(map(str, v))
-            for a in face:
-                if a not in points:
-                    points[a] = tuple(Fraction(x, t) for x in a)
             (si, text_i), (sj, text_j) = shifts[ki], shifts[kj]
-            pairs.append(AdjacentPair(
+            faces.append((si, sj, face, nu))
+            coords.append((i, j, pn, tuple(map(sub, kj, ki))))
+            keys.append(f"cell{i}[{text_i}]|cell{j}[{text_j}]")
+
+        def pair(m):
+            (i, j, _, _), (si, sj, face, nu) = coords[m], faces[m]
+            return AdjacentPair(
                 i=i,
                 j=j,
                 shift_i=si,
                 shift_j=sj,
-                face=tuple(points[a] for a in face),
+                face=tuple(tuple(Fraction(x, t) for x in a) for a in face),
                 normal=tuple(map(Fraction, nu)),
-                key=f"cell{i}[{text_i}]|cell{j}[{text_j}]",
-            ))
-            coords.append((i, j, pn, tuple(map(sub, kj, ki))))
-        return tuple(pairs), tuple(coords)
+                key=keys[m],
+            )
+
+        return LazyTuple(len(keys), pair), tuple(coords), tuple(keys)
 
 
-def _from_coords(period, scale, coords, level, j1=None) -> PeriodicComplex:
+def _from_coords(
+    period, scale, coords, level, j1=None, images=None
+) -> PeriodicComplex:
     """The complex with these ``_coords``, as an ``EmpiricalMeasure`` is
-    (lattice, scale, coords); cells on access."""
+    (lattice, scale, coords); cells on access.  With the ``images`` of
+    ``_ordered``, each cell's vertices in ambient order, that is kept."""
     c = object.__new__(PeriodicComplex)
     c.__dict__.update(period=period, level=level, _coords=(scale, coords), _j1=j1)
+    if images is not None:
+        c.__dict__["_ordered"] = images, coords
     return c
 
 
@@ -367,7 +398,8 @@ def barycentric_triangulation(
             step = _ambient(rows, k)
             key = tuple(x - y for a, _ in verts for x, y in zip(a, step))
             cells[key] = tuple(x - y for _, u in verts for x, y in zip(u, k))
-    return _from_coords(period, 2, tuple(cells[k] for k in sorted(cells)), 0, 0)
+    keys = tuple(sorted(cells))
+    return _from_coords(period, 2, tuple(map(cells.get, keys)), 0, 0, keys)
 
 
 def dyadic_refine_step(
@@ -379,52 +411,42 @@ def dyadic_refine_step(
     In integer period coordinates (see ``PeriodicComplex._coords``): the
     new cells (u + k)/2, k in {0,1}^n, are exact at twice the scale, the
     canonical shift is a floor division, and translation keeps the vertex
-    order, so each parent is sorted once by ambient image.  A J1 level j
-    kept on c becomes j + 1.
+    order, so each child is its parent's ``_ordered`` images and
+    coordinates moved by one step, and one sort orders all children.  A
+    J1 level j kept on c becomes j + 1.
     """
     n = c.dim
-    scale, coords = c._coords
+    scale = c._coords[0]
+    images, coords = c._ordered
     g, rows = c.period.frame.g, c.period.frame.basis
     two_s = 2 * scale
-    # (vertex count m, d) -> (the ambient image and the period coordinates
-    # of the step scale * d, each repeated m times; the parent translation
-    # sum(d_j b_j))
-    steps: dict[tuple, tuple] = {}
-    flat_parents = []
-    records: dict[tuple, tuple[int, tuple]] = {}
-    for i, (cell, amb) in enumerate(zip(coords, _ambient_cells(c)[1])):
-        m = len(amb)
-        verts = sorted(zip(amb, (cell[k : k + n] for k in range(0, m * n, n))))
-        amb = tuple(x for a, _ in verts for x in a)
-        flat_parents.append(tuple(x for _, w in verts for x in w))
-        # 2 * new = parent + sum(d_j b_j) for d = k - 2 * shift, k in
-        # {0,1}^n; the canonical shift takes the first vertex's period
-        # coordinates into [0, 1)
-        options = [
-            (-2 * (x // two_s), 1 - 2 * ((x + scale) // two_s))
-            for x in verts[0][1]
-        ]
+    # 2 * new = parent + sum(d_j b_j) for d = k - 2 * shift, k in {0,1}^n;
+    # the canonical shift takes the first vertex's period coordinates into
+    # [0, 1), so the parents with the same (length, options) share every d
+    groups: dict[tuple, list[int]] = {}
+    for i, w in enumerate(coords):
+        options = tuple(
+            (-2 * (x // two_s), 1 - 2 * ((x + scale) // two_s)) for x in w[:n]
+        )
+        groups.setdefault((len(w) // n, options), []).append(i)
+    keys, new_coords, parents = [], [], []
+    for (m, options), members in groups.items():
         for d in product(*options):
-            step = steps.get((m, d))
-            if step is None:
-                sd = tuple(scale * x for x in d)
-                step = steps[m, d] = (
-                    _ambient(rows, sd) * m,
-                    sd * m,
-                    tuple(Fraction(x, g) for x in _ambient(rows, d)),
-                )
-            records.setdefault(tuple(map(add, amb, step[0])), (i, step))
-    if len(records) != len(coords) * 2 ** n:
+            sd = tuple(scale * x for x in d)
+            sa, sd = _ambient(rows, sd) * m, sd * m
+            lam = tuple(Fraction(x, g) for x in _ambient(rows, d))
+            keys += [tuple(map(add, images[i], sa)) for i in members]
+            new_coords += [tuple(map(add, coords[i], sd)) for i in members]
+            parents += [(i, lam) for i in members]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    keys = tuple(map(keys.__getitem__, order))
+    if any(map(eq, keys, keys[1:])):
         raise ComplexError("dyadic refinement produced colliding cells")
-    new_coords = []
-    parents = []
-    for key in sorted(records):
-        i, (_, sd, lam) = records[key]
-        new_coords.append(tuple(map(add, flat_parents[i], sd)))
-        parents.append((i, lam))
+    new_coords = tuple(map(new_coords.__getitem__, order))
+    parents = tuple(map(parents.__getitem__, order))
     j1 = None if c._j1 is None else c._j1 + 1
-    refined = _from_coords(c.period, two_s, tuple(new_coords), c.level + 1, j1)
-    return refined, tuple(parents)
+    refined = _from_coords(c.period, two_s, new_coords, c.level + 1, j1, keys)
+    return refined, parents
 
 
 def dyadic_refine(c: PeriodicComplex, steps: int) -> PeriodicComplex:
@@ -614,7 +636,7 @@ def _inner_normal(face: tuple[Vec, ...], opposite: Vec) -> Vec:
     return nu if s > 0 else vscale(Fraction(-1), nu)
 
 
-def adjacent_pairs(c: PeriodicComplex) -> tuple[AdjacentPair, ...]:
+def adjacent_pairs(c: PeriodicComplex) -> LazyTuple:
     """All codim-1 adjacent cell pairs, one per period orbit.
 
     Facets are hashed by their canonical representative: the vertices
@@ -626,7 +648,9 @@ def adjacent_pairs(c: PeriodicComplex) -> tuple[AdjacentPair, ...]:
 
     In integer period coordinates, ordered by ambient image as in
     :func:`dyadic_refine_step`, with one normal per facet shape.  Kept on
-    the complex as ``_pairs``, with the certificate key of each pair,
+    the complex as ``_pairs``, a :class:`LazyTuple` that builds a pair's
+    Fraction face, normal and shifts when it is read, and as
+    ``_pair_keys``, the certificate key of each pair,
     ``cell<i>[<shift_i>]|cell<j>[<shift_j>]``, the shift entries
     comma-separated as ``str`` gives them.
     """
@@ -702,7 +726,8 @@ def unfold_with_shifts(
     cell index and the period shift lam with new_cell = cells[i] + lam.
     ``lat`` is K Z^n in the period basis: the cells are translated by the
     coset representatives of Z^n / K Z^n in integer period coordinates,
-    reduced mod K Z^n by floor division, and ordered by ambient image.
+    reduced mod K Z^n by floor division, and ordered by ambient image; each
+    cell's vertices are read in ambient order from ``_ordered``.
     """
     n = c.dim
     kcols = [c.period.coords(g) for g in lat.generators]
@@ -730,15 +755,13 @@ def unfold_with_shifts(
     scale, coords = c._coords
     rows = c.period.frame.basis
     cells: dict[tuple, tuple] = {}  # ambient image -> (coordinates, i, lam)
-    for i, (cell, amb) in enumerate(zip(coords, _ambient_cells(c)[1])):
-        verts = sorted(zip(amb, (cell[k : k + n] for k in range(0, len(cell), n))))
+    for i, (amb, cell) in enumerate(zip(*c._ordered)):
+        m = len(cell) // n
         for r in reps:
-            w0 = [x + scale * y for x, y in zip(verts[0][1], r)]
+            w0 = [x + scale * y for x, y in zip(cell, r)]
             k = [scale * x - y for x, y in zip(r, shift(w0, scale))]
-            step = _ambient(rows, k)
-            key = tuple(x + y for a, _ in verts for x, y in zip(a, step))
-            w = tuple(x + y for _, u in verts for x, y in zip(u, k))
-            cells[key] = w, i, tuple(x // scale for x in k)
+            key = tuple(map(add, amb, _ambient(rows, k) * m))
+            cells[key] = tuple(map(add, cell, k * m)), i, tuple(x // scale for x in k)
     if len(cells) != det_k * len(coords):
         raise ComplexError("unfolded cells collide")
     ordered = [cells[key] for key in sorted(cells)]

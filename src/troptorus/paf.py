@@ -122,6 +122,11 @@ class CocycleFunction(_Piecewise):
             linear_scale=self.linear_scale / 2,
         )
 
+    @cached_property
+    def _periods(self) -> dict[Lattice, CocycleFunction]:
+        """change_period(self, lat) per sublattice lat asked for so far."""
+        return {}
+
 
 @dataclass(frozen=True)
 class TestFunction(_Piecewise):
@@ -449,7 +454,9 @@ def face_slacks(
 
 
 def check_strongly_convex(f: CocycleFunction) -> ConvexityCertificate:
-    """Exact slack n*(m_delta - m_sigma) per face orbit; pass iff all > 0."""
+    """Exact slack n*(m_delta - m_sigma) per face orbit; pass iff all > 0.
+    Keyed by ``_pair_keys``: a passing certificate builds no
+    :class:`AdjacentPair`, a failing one only its witness."""
     c = f.complex
     pairs = adjacent_pairs(c)
     gram = _period_cocycle(c, f.cocycle, f.linear_scale)[:2]
@@ -457,7 +464,7 @@ def check_strongly_convex(f: CocycleFunction) -> ConvexityCertificate:
     bad = next((k for k, s in enumerate(nums) if s <= 0), None)
     return ConvexityCertificate(
         passed=bad is None,
-        slacks={p.key: Fraction(s, den) for p, s in zip(pairs, nums)},
+        slacks={key: Fraction(s, den) for key, s in zip(c._pair_keys, nums)},
         min_slack=Fraction(min(nums), den) if nums else None,
         witness=None if bad is None else pairs[bad],
         witness_slack=None if bad is None else Fraction(nums[bad], den),
@@ -607,19 +614,24 @@ def change_period(f: CocycleFunction, lat: Lattice) -> CocycleFunction:
     Each new cell cells[i] + lam takes f's piece there
     (:func:`_on_translates`); lat's coordinates x' are x = K x', K with
     lat's generators in f's period basis as columns, so P' = K^T P.
+    Kept on f per lat (``_periods``), so a twist bound and the twist
+    unfold f once.
     """
     if lat == f.complex.period:
         return f
-    unfolded, mapping = unfold_with_shifts(f.complex, lat)
-    den, rows = _on_translates(f, mapping)
-    kcols = [tuple(map(int, f.complex.period.coords(g))) for g in lat.generators]
-    return _built(
-        CocycleFunction,
-        (den, tuple((_ambient(kcols, p), c) for p, c in rows)),
-        complex=unfolded,
-        cocycle=f.cocycle,
-        linear_scale=f.linear_scale,
-    )
+    kept = f._periods.get(lat)
+    if kept is None:
+        unfolded, mapping = unfold_with_shifts(f.complex, lat)
+        den, rows = _on_translates(f, mapping)
+        kcols = [tuple(map(int, f.complex.period.coords(g))) for g in lat.generators]
+        kept = f._periods[lat] = _built(
+            CocycleFunction,
+            (den, tuple((_ambient(kcols, p), c) for p, c in rows)),
+            complex=unfolded,
+            cocycle=f.cocycle,
+            linear_scale=f.linear_scale,
+        )
+    return kept
 
 
 def twist(f: CocycleFunction, t: TestFunction, tau: Fraction) -> CocycleFunction:

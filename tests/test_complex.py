@@ -18,6 +18,7 @@ from troptorus import (
     standard_lattice,
     unfold,
 )
+from troptorus import complexes
 from troptorus.complexes import (
     AdjacentPair,
     IncompatiblePeriodsError,
@@ -30,7 +31,7 @@ from troptorus.complexes import (
     unfold_with_shifts,
 )
 from troptorus.lattice import Lattice
-from troptorus.linalg import det, from_columns, vadd, vscale, vsub
+from troptorus.linalg import det, from_columns, mat_vec, vadd, vscale, vsub
 from tests.conftest import (
     canonical_cell,
     complex_to_json,
@@ -42,6 +43,7 @@ from tests.conftest import (
     pair_key,
     warn_slow_examples,
 )
+from tests.test_lattice import rational_lattices
 
 F = Fraction
 HALF = F(1, 2)
@@ -162,6 +164,95 @@ def test_refine_step_parent_relation(plane_setup):
         doubled = tuple(vscale(F(2), v) for v in cell.vertices)
         translated = tuple(sorted(vadd(v, lam) for v in parent.vertices))
         assert tuple(sorted(doubled)) == translated
+
+
+def test_colliding_cells_do_not_refine():
+    """Two copies of one cell refine into colliding children, and the one
+    sort of dyadic_refine_step finds them."""
+    s = Simplex(((F(0),), (F(1, 2),)))
+    c = PeriodicComplex(Lattice(((F(1),),)), (s, s))
+    with pytest.raises(ComplexError, match="produced colliding cells"):
+        dyadic_refine_step(c)
+
+
+def _sorted_images(c):
+    """Per cell, (images, coordinates) of its vertices in ambient order, from
+    ``_coords`` and the Fraction basis: the image of period coordinates w
+    at scale s is g L w, g the least integer making g L integral."""
+    n, (scale, coords) = c.dim, c._coords
+    g = c.period.frame.g
+    images, ordered = [], []
+    for w in coords:
+        verts = sorted(
+            (tuple(int(g * x) for x in mat_vec(c.period.matrix, v)), v)
+            for v in (w[k : k + n] for k in range(0, len(w), n))
+        )
+        images.append(tuple(x for a, _ in verts for x in a))
+        ordered.append(tuple(x for _, v in verts for x in v))
+    return tuple(images), tuple(ordered)
+
+
+@given(
+    lat=rational_lattices(),
+    level=st.integers(0, 2),
+    rnd=st.randoms(use_true_random=False),
+)
+@settings(max_examples=15, deadline=None)
+@warn_slow_examples(lambda lat, **_: lat.generators)
+def test_kept_vertex_order_is_the_sorted_images(lat, level, rnd):
+    """The ordered images barycentric_triangulation and dyadic_refine_step
+    seed are those computed from ``_coords``, the coordinates being the
+    complex's own.  A complex given with each cell's vertices shuffled
+    refines to the same coordinates and parents, and, given the J1 level,
+    the same level."""
+    gens, n = lat.generators, lat.dim
+    c = dyadic_refine(barycentric_triangulation(gens, lat), level)
+    assert "_ordered" in vars(c)
+    assert c._ordered == _sorted_images(c) and c._ordered[1] is c._coords[1]
+    scale, coords = c._coords
+    shuffled = tuple(
+        tuple(
+            x
+            for k in rnd.sample(range(0, len(w), n), len(w) // n)
+            for x in w[k : k + n]
+        )
+        for w in coords
+    )
+    given_j1 = _from_coords(lat, scale, shuffled, c.level, c._j1)
+    given_cells = PeriodicComplex(lat, tuple(
+        Simplex(tuple(
+            lat.from_coords(tuple(F(x, scale) for x in w[k : k + n]))
+            for k in range(0, len(w), n)
+        ))
+        for w in shuffled
+    ))
+    assert given_j1._ordered == given_cells._ordered == c._ordered
+    fine, parents = dyadic_refine_step(c)
+    assert fine._ordered == _sorted_images(fine)
+    for hand, j1 in ((given_j1, fine._j1), (given_cells, None)):
+        fine_h, parents_h = dyadic_refine_step(hand)
+        assert fine_h._coords == fine._coords and parents_h == parents
+        assert fine_h._j1 == j1 and fine_h._ordered == fine._ordered
+
+
+def test_refining_a_builder_chain_computes_no_vertex_images(monkeypatch):
+    """A chain from barycentric_triangulation refines from the kept vertex
+    order alone: no step computes a parent's images.  A complex of the
+    constructor computes its own once, and its children none."""
+    calls = []
+    real = complexes._ambient_cells
+    monkeypatch.setattr(
+        complexes, "_ambient_cells", lambda c: calls.append(c) or real(c)
+    )
+    skew_3d = ((F(1), F(0), F(1, 3)), (F(0), F(2), F(0)), (F(-1), F(1), F(1)))
+    for gens, top in ((((F(1),),), 4), (SKEWED, 3), (skew_3d, 2)):
+        lat = Lattice(gens)
+        c = barycentric_triangulation(gens, lat)
+        fine = dyadic_refine(c, top)
+        assert fine.size == c.size * 2 ** (lat.dim * top) and not calls
+    hand = PeriodicComplex(lat, c.cells)
+    assert dyadic_refine(hand, 2)._coords == dyadic_refine(c, 2)._coords
+    assert calls == [hand]
 
 
 def test_is_refinement_requires_equal_periods(line_setup):

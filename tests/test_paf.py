@@ -23,6 +23,7 @@ from troptorus import (
     tate_iterate,
     twist,
 )
+from troptorus import complexes, paf
 from troptorus import test_sup_abs as sup_abs
 from troptorus.complexes import (
     PeriodicComplex,
@@ -155,6 +156,27 @@ def test_unperturbed_function_fails_with_zero_slack(n, request):
     assert not cert.passed
     assert cert.witness_slack == 0
     assert cert.witness is not None
+
+
+def test_certificates_build_only_their_witness(monkeypatch):
+    """Certificates read the pair keys: a passing one builds no
+    AdjacentPair, a failing one builds its witness alone, and that pair is
+    the one adjacent_pairs hands out, equal to the pair built in full."""
+    built = []
+    real = complexes.AdjacentPair
+    monkeypatch.setattr(
+        complexes, "AdjacentPair", lambda **kw: built.append(kw) or real(**kw)
+    )
+    _, b, _, c = base_complex(2)
+    z = Cocycle(polarization=b, linear=(F(0), F(0)))
+    assert check_strongly_convex(build_model_function(c, z, F(1, 8))).passed
+    assert not built and len(adjacent_pairs(c)) == 3 * c.size // 2
+    cert = check_strongly_convex(build_model_function(c, z, F(0)))
+    assert not cert.passed and len(built) == 1
+    k = list(cert.slacks).index(cert.witness.key)
+    assert cert.witness is adjacent_pairs(c)[k] and len(built) == 1
+    assert cert.witness == tuple(adjacent_pairs(c))[k]
+    assert [p.key for p in adjacent_pairs(c)] == list(cert.slacks)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -302,13 +324,19 @@ def test_twist_needs_the_test_affine_on_each_cell():
         assert evaluate(g, u) - evaluate(f, u) == F(1, 1000) * evaluate_test(t, u)
 
 
-def test_twist_bound_holds_for_a_test_over_a_sublattice():
+def test_twist_bound_holds_for_a_test_over_a_sublattice(monkeypatch):
     """A test whose period is a proper sublattice of the function's is
     bounded over the faces of the function re-periodized to the test's
     period, where twist adds it.  The bound used to be taken over the
     function's own faces: hats 7 and 10 got 1/192 and 5/64, and the twist
     at 99/100 of either was not convex; hats 3, 4, 5, 6, 8 and 15 got
-    None, though their values jump across faces."""
+    None, though their values jump across faces.  The function keeps its
+    re-periodization, so the 16 bounds and twists unfold it once."""
+    unfolds = []
+    real = paf.unfold_with_shifts
+    monkeypatch.setattr(
+        paf, "unfold_with_shifts", lambda c, lat: unfolds.append(lat) or real(c, lat)
+    )
     lat = Lattice(SKEW_BASIS)
     b = Polarization(((F(2), F(1)), (F(1), F(2))))
     _, prime = superlattice(orthogonalize(lat, b), lat)
@@ -321,6 +349,8 @@ def test_twist_bound_holds_for_a_test_over_a_sublattice():
         bound = choose_twist_bound(f, t)
         assert bound in (F(5, 1664), F(1, 384))
         assert check_strongly_convex(twist(f, t, bound * F(99, 100))).passed
+    assert unfolds == [lat]
+    assert change_period(f, lat) is change_period(f, lat) is f._periods[lat]
 
 
 def test_change_period_preserves_values(line_model):
