@@ -13,8 +13,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import permutations, product
-from operator import add, eq, mul, sub
+from itertools import chain, permutations, product
+from operator import add, eq, itemgetter, mul, sub
 
 from .lattice import Lattice, box_translates, covolume
 from .linalg import (
@@ -190,18 +190,28 @@ class PeriodicComplex:
         return den // e, cells
 
     @cached_property
+    def _images(self) -> tuple[tuple, ...]:
+        """Per cell, the flat integer images a = t v of its vertices v, in
+        ``_coords`` vertex order, t = g scale (see :func:`_ambient`): what
+        every reader of vertex images reads.  ``barycentric_triangulation``
+        and ``dyadic_refine_step``, whose ``_coords`` are in ambient order,
+        seed it as ``_ordered[0]``; any other complex computes it once."""
+        return _ambient_cells(self)
+
+    @cached_property
     def _ordered(self) -> tuple[tuple, tuple]:
-        """(images, coords): per cell, the flat integer images a = t v of
-        its vertices v (see :func:`_ambient_cells`) and their flat period
-        coordinates as in ``_coords``, both with the vertices in ambient
-        order.  ``barycentric_triangulation`` and ``dyadic_refine_step``
-        seed it, their ``coords`` being ``_coords``'s own; for any other
-        complex, one sort per cell.  :func:`dyadic_refine_step` and
-        :func:`unfold_with_shifts` read it."""
+        """(images, coords): per cell, the flat images of ``_images`` and
+        the flat period coordinates of ``_coords``, both with the vertices
+        in ambient order.  ``barycentric_triangulation`` and
+        ``dyadic_refine_step`` seed it, their ``coords`` being
+        ``_coords``'s own; for any other complex, one sort per cell.
+        :func:`dyadic_refine_step` and :func:`unfold_with_shifts` read it."""
         n = self.dim
         images, coords = [], []
-        for cell, amb in zip(self._coords[1], _ambient_cells(self)[1]):
-            verts = sorted(zip(amb, (cell[k : k + n] for k in range(0, len(cell), n))))
+        for amb, cell in zip(self._images, self._coords[1]):
+            verts = sorted(
+                (amb[k : k + n], cell[k : k + n]) for k in range(0, len(cell), n)
+            )
             images.append(tuple(x for a, _ in verts for x in a))
             coords.append(tuple(x for _, w in verts for x in w))
         return tuple(images), tuple(coords)
@@ -238,20 +248,30 @@ class PeriodicComplex:
         scale, coords = self._coords
         g, rows = self.period.frame.g, self.period.frame.basis
         inv = self.period.frame.inv
-        t, images = _ambient_cells(self)
-        steps: dict[tuple, tuple] = {}  # k -> the ambient image of scale * k
+        t, images = g * scale, self._images
+        steps: dict[tuple, tuple] = {}  # w -> step(w)
+
+        def step(w):
+            """(k, n copies of the image of scale * k), k the floor of the
+            period coordinates w / scale of a vertex."""
+            hit = steps.get(w)
+            if hit is None:
+                k = tuple(x // scale for x in w)
+                hit = steps[w] = k, _ambient(rows, tuple(scale * x for x in k)) * n
+            return hit
+
         buckets: dict[tuple, list] = {}
         for i, (cell, amb) in enumerate(zip(coords, images)):
-            verts = sorted((a, cell[k * n : k * n + n], k) for k, a in enumerate(amb))
-            for drop in range(len(verts)):
-                face = [v for v in verts if v[2] != drop]
-                k = tuple(x // scale for x in face[0][1])
-                step = steps.get(k)
-                if step is None:
-                    step = steps[k] = _ambient(rows, tuple(scale * x for x in k))
-                key = tuple(x for a, _, _ in face for x in map(sub, a, step))
-                buckets.setdefault(key, []).append((i, k, drop, step))
-        # facet edges -> a normal of either sign and its N
+            verts = sorted((amb[d : d + n], d) for d in range(0, len(amb), n))
+            ranked = tuple(chain.from_iterable(map(itemgetter(0), verts)))
+            # a facet's first vertex is the cell's first, or its second
+            # when the first is dropped
+            firsts = [step(cell[d : d + n]) for _, d in verts[:2]]
+            for p, (_, drop) in enumerate(verts):
+                k, shift = firsts[p == 0]
+                key = tuple(map(sub, ranked[: p * n] + ranked[p * n + n :], shift))
+                buckets.setdefault(key, []).append((i, drop, k, shift))
+        # flat facet edges -> a normal of either sign and its N
         normals: dict[tuple, tuple] = {}
         shifts: dict[tuple, tuple] = {}  # k -> (the period vector -k, its text)
         faces, coords, keys = [], [], []
@@ -261,15 +281,17 @@ class PeriodicComplex:
                 raise ComplexError(
                     f"facet orbit shared by {len(entries)} cells; tiling broken"
                 )
-            (i, ki, drop, step), (j, kj, _, _) = entries
-            face = [key[m : m + n] for m in range(0, len(key), n)]
-            edges = tuple(tuple(map(sub, a, face[0])) for a in face[1:])
+            # the first cell copy is the first in cell and vertex order
+            entries.sort(key=itemgetter(0, 1))
+            (i, drop, ki, shift), (j, _, kj, _) = entries
+            edges = tuple(map(sub, key[n:], key[:n] * (n - 1)))
             normal = normals.get(edges)
             if normal is None:
-                nu = null_vector(edges, n)
+                nu = null_vector(list(zip(*[iter(edges)] * n)), n)
                 normal = normals[edges] = nu, _ambient(inv, nu)
-            (nu, pn), opp = normal, map(sub, images[i][drop], step)
-            side = sum(x * (y - z) for x, y, z in zip(nu, opp, face[0]))
+            nu, pn = normal
+            opp = map(sub, images[i][drop : drop + n], shift)
+            side = sum(map(mul, nu, map(sub, opp, key)))
             if side == 0:
                 raise ComplexError("degenerate face/opposite configuration")
             if side < 0:
@@ -279,7 +301,7 @@ class PeriodicComplex:
                     v = tuple(Fraction(-x, g) for x in _ambient(rows, k))
                     shifts[k] = v, ",".join(map(str, v))
             (si, text_i), (sj, text_j) = shifts[ki], shifts[kj]
-            faces.append((si, sj, face, nu))
+            faces.append((si, sj, key, nu))
             coords.append((i, j, pn, tuple(map(sub, kj, ki))))
             keys.append(f"cell{i}[{text_i}]|cell{j}[{text_j}]")
 
@@ -290,7 +312,9 @@ class PeriodicComplex:
                 j=j,
                 shift_i=si,
                 shift_j=sj,
-                face=tuple(tuple(Fraction(x, t) for x in a) for a in face),
+                face=tuple(
+                    tuple(Fraction(x, t) for x in a) for a in zip(*[iter(face)] * n)
+                ),
                 normal=tuple(map(Fraction, nu)),
                 key=keys[m],
             )
@@ -302,12 +326,13 @@ def _from_coords(
     period, scale, coords, level, j1=None, images=None
 ) -> PeriodicComplex:
     """The complex with these ``_coords``, as an ``EmpiricalMeasure`` is
-    (lattice, scale, coords); cells on access.  With the ``images`` of
-    ``_ordered``, each cell's vertices in ambient order, that is kept."""
+    (lattice, scale, coords); cells on access.  Given the ``images`` of
+    coords already in ambient order, they are kept as ``_images`` and,
+    with coords, as ``_ordered``."""
     c = object.__new__(PeriodicComplex)
     c.__dict__.update(period=period, level=level, _coords=(scale, coords), _j1=j1)
     if images is not None:
-        c.__dict__["_ordered"] = images, coords
+        c.__dict__.update(_images=images, _ordered=(images, coords))
     return c
 
 
@@ -322,11 +347,12 @@ def _vertex_images(period: Lattice, scale: int, coords) -> tuple[int, list, dict
     return period.frame.g * scale, cells, images
 
 
-def _ambient_cells(c: PeriodicComplex) -> tuple[int, list]:
-    """(t, cells): ``cells[i]`` lists the images a = t v of the vertices
-    v of ``c.cells[i]``, as :func:`_vertex_images` gives them."""
-    t, cells, images = _vertex_images(c.period, *c._coords)
-    return t, [tuple(map(images.get, cell)) for cell in cells]
+def _ambient_cells(c: PeriodicComplex) -> tuple[tuple, ...]:
+    """Per cell of c, the flat images of its vertices, as
+    :func:`_vertex_images` gives them, one per distinct vertex: what
+    ``PeriodicComplex._images`` computes, its one caller."""
+    _, cells, images = _vertex_images(c.period, *c._coords)
+    return tuple(tuple(chain.from_iterable(map(images.get, cell))) for cell in cells)
 
 
 def _rational_view(period: Lattice, scale: int, coords, make) -> LazyTuple:

@@ -107,9 +107,10 @@ def torsion_grid(lat: Lattice, m: int) -> EmpiricalMeasure:
     """The m^n points k / m of (1/m) * lattice modulo the lattice."""
     if m < 1:
         raise ExperimentError("grid order must be >= 1")
-    return EmpiricalMeasure(
-        lattice=lat, scale=m, coords=tuple(product(range(m), repeat=lat.dim))
-    )
+    coords = tuple(product(range(m), repeat=lat.dim))
+    e = EmpiricalMeasure(lattice=lat, scale=m, coords=coords)
+    e.__dict__["_distinct"] = coords, (1,) * len(coords)
+    return e
 
 
 def _discrepancy_against(

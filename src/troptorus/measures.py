@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -19,7 +20,6 @@ from .complexes import (
     PeriodicComplex,
     Simplex,
     _ambient,
-    _ambient_cells,
     _from_coords,
     _rational_view,
     lazy_field,
@@ -129,7 +129,8 @@ class PolytopalMeasure:
     def _masses(self) -> tuple[Fraction, ...]:
         """d * vol(s) per atom (s, d)."""
         c, dens = self._cells
-        return tuple(map(mul, dens, _volumes(*_ambient_cells(c))))
+        t = c.period.frame.g * c._coords[0]
+        return tuple(map(mul, dens, _volumes(t, c.dim, c._images)))
 
     @cached_property
     def _mass_classes(self) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
@@ -145,6 +146,14 @@ class PolytopalMeasure:
         that ``equidist.discrepancy`` keeps."""
         return {}
 
+    @cached_property
+    def _located(self) -> dict[int, tuple]:
+        """id(c) -> (c, this measure on the cells of c): the measures that
+        branch 2 of :func:`integrate` builds, each cell of a test complex c
+        taking the density of the atom that holds it; c is held so that
+        its id is not reused."""
+        return {}
+
 
 def _measure(lat: Lattice, c: PeriodicComplex, densities) -> PolytopalMeasure:
     """The measure whose atoms are the cells of c, c.period = lat."""
@@ -153,17 +162,20 @@ def _measure(lat: Lattice, c: PeriodicComplex, densities) -> PolytopalMeasure:
     return mu
 
 
-def _volumes(t: int, cells):
-    """Lazily, the k-volume of each cell from the integer images a = t v of
-    its vertices v (see complexes._ambient_cells), one volume per shape
-    (the edges from the first vertex); raises as simplex_k_volume does."""
-    shapes: dict[tuple, Fraction] = {}  # edges -> volume
-    for a0, *rest in cells:
-        edges = tuple(tuple(map(sub, a, a0)) for a in rest)
-        if edges not in shapes:
-            s = Simplex(((0,) * len(a0),) + edges)
-            shapes[edges] = simplex_k_volume(s) / t ** len(edges)
-        yield shapes[edges]
+def _volumes(t: int, n: int, cells):
+    """Lazily, the k-volume of each cell from the flat integer images
+    a = t v of its vertices v in R^n (as ``PeriodicComplex._images``), one
+    volume per shape (the flat edges from the first vertex); raises as
+    simplex_k_volume does."""
+    shapes: dict[tuple, Fraction] = {}  # flat edges -> volume
+    for a in cells:
+        edges = tuple(map(sub, a[n:], a[:n] * (len(a) // n - 1)))
+        vol = shapes.get(edges)
+        if vol is None:
+            rows = tuple(zip(*[iter(edges)] * n))
+            s = Simplex(((0,) * n,) + rows)
+            vol = shapes[edges] = simplex_k_volume(s) / t ** len(rows)
+        yield vol
 
 
 @dataclass(frozen=True)
@@ -187,6 +199,14 @@ class EmpiricalMeasure:
     def points(self) -> LazyTuple:
         """The points as rational vectors."""
         return _rational_view(self.lattice, self.scale, self.coords, itemgetter(0))
+
+    @cached_property
+    def _distinct(self) -> tuple[tuple, tuple]:
+        """(coords, counts): the distinct points of ``coords`` in
+        first-seen order, and how many times each occurs;
+        ``equidist.torsion_grid``, whose points are distinct, seeds it."""
+        counts = Counter(self.coords)
+        return tuple(counts), tuple(counts.values())
 
 
 def empirical(lat: Lattice, points) -> EmpiricalMeasure:
@@ -234,7 +254,8 @@ def integrate(t: TestFunction, mu: PolytopalMeasure) -> Fraction:
 
     One side's decomposition must refine the other's: either every atom
     is inside a single cell of t, or every cell of t is inside a single
-    atom, up to the period; both are decided by containment indexes.
+    atom, up to the period; both are decided by containment indexes, and
+    the measure that the second case moves onto t's cells is kept on mu.
     An affine integrand over a simplex integrates to volume times the
     barycenter value.  For t's integer form (P.x + C) / den at period
     coordinates x on the cells summed over (its own, or ``paf._restrict``
@@ -259,12 +280,16 @@ def integrate(t: TestFunction, mu: PolytopalMeasure) -> Fraction:
         elif mu.dim != c.dim:
             raise NoCommonRefinementError("flat atoms hold no test cell")
         else:
-            find = atoms._index.find_cell_containing_simplex
-            scale, coords = c._coords
-            hits = [find(list(zip(*[iter(w)] * c.dim)), scale) for w in coords]
-            if None in hits:
-                raise NoCommonRefinementError("test cell not inside one atom")
-            mu = _measure(c.period, c, [dens[i] for i, _ in hits])
+            hit = mu._located.get(id(c))
+            if hit is None:
+                find = atoms._index.find_cell_containing_simplex
+                scale, coords = c._coords
+                hits = [find(list(zip(*[iter(w)] * c.dim)), scale) for w in coords]
+                if None in hits:
+                    raise NoCommonRefinementError("test cell not inside one atom")
+                located = _measure(c.period, c, [dens[i] for i, _ in hits])
+                hit = mu._located[id(c)] = c, located
+            mu = hit[1]
     n = c.dim
     den, rows = form
     scale, coords = c._coords
@@ -295,8 +320,8 @@ def integrate_empirical(t: TestFunction, e: EmpiricalMeasure) -> Fraction:
 def empirical_averages(
     tests: tuple[TestFunction, ...], e: EmpiricalMeasure
 ) -> tuple[Fraction, ...]:
-    """Averages of several tests on one complex, locating each point once
-    by its integer period coordinates in the complex's period."""
+    """Averages of several tests on one complex, locating each distinct
+    point once by its integer period coordinates in the complex's period."""
     if not tests:
         return ()
     base = tests[0].complex
@@ -310,12 +335,14 @@ def empirical_averages(
     if e.lattice != base.period:
         e = empirical(base.period, e.points)
     d = e.scale
-    for w in e.coords:
+    for w, cnt in zip(*e._distinct):
         key = index.find_cell_containing_simplex((w,), d)
         if key is None:
             p = base.period.from_coords(tuple(Fraction(x, d) for x in w))
             raise MeasureError(f"point {p} not covered by the test complex")
-        counts[key] = counts.get(key, 0) + 1
+        if cnt > 1:
+            w = [cnt * x for x in w]
+        counts[key] = counts.get(key, 0) + cnt
         acc = coord_sums.get(key)
         coord_sums[key] = w if acc is None else list(map(add, acc, w))
     # in each test's integer form (P.x + C) / den, the cnt points w / d of
@@ -342,8 +369,8 @@ def empirical_averages(
 
 
 def _atom_images(mu: PolytopalMeasure, a: IntegralAffineMap):
-    """(s, cells, image): the integer vertex images of the atoms (see
-    complexes._ambient_cells), and the map taking those of one atom to
+    """(s, cells, image): the flat integer vertex images of the atoms (see
+    ``PeriodicComplex._images``), and the map taking those of one atom to
     the target period coordinates, times s, of its vertices mapped by a."""
     # x -> a.target.coords(a.apply(x)) as the integer rows g * [L^-1 M | L^-1 b]
     g, rows = integer_matrix(mat_mul(
@@ -351,11 +378,13 @@ def _atom_images(mu: PolytopalMeasure, a: IntegralAffineMap):
         tuple(row + (b,) for row, b in zip(a.matrix, a.offset)),
     ))
     # the atom vertices a / t over their least common denominator t / e
-    t, cells = _ambient_cells(mu._cells[0])
-    e = math.gcd(t, *(x for cell in cells for v in cell for x in v))
+    c = mu._cells[0]
+    n, t, cells = c.dim, c.period.frame.g * c._coords[0], c._images
+    e = math.gcd(t, *chain.from_iterable(cells))
     den = t // e
     return g * den, cells, lambda cell: [
-        [sum(map(mul, row, v)) // e + row[-1] * den for row in rows] for v in cell
+        [sum(map(mul, row, v)) // e + row[-1] * den for row in rows]
+        for v in zip(*[iter(cell)] * n)
     ]
 
 
@@ -376,9 +405,9 @@ def pushforward(mu, a: IntegralAffineMap):
         verts = sorted((_ambient(lat.frame.basis, w), w) for w in image(cell))
         k = [scale * (x // scale) for x in verts[0][1]]
         coords.append(tuple(x - y for _, w in verts for x, y in zip(w, k)))
-        images.append(tuple(v for v, _ in verts))
+        images.append(tuple(x for v, _ in verts for x in v))
     densities = []
-    for w, vol in zip(mu._masses, _volumes(lat.frame.g * scale, images)):
+    for w, vol in zip(mu._masses, _volumes(lat.frame.g * scale, lat.dim, images)):
         if not vol:
             raise NonInjectiveAtomError(
                 "map collapses an atom; use monte_carlo_pushforward"
@@ -425,8 +454,8 @@ def monte_carlo_pushforward(
     for idx, (cell, cnt) in enumerate(zip(cells, counts)):
         if not cnt:
             continue
-        k = len(cell) - 1
         images = image(cell)
+        k = len(images) - 1
         # with cuts c_1 <= ... <= c_k the weights are the gaps c_1 - 0,
         # c_2 - c_1, ..., top - c_k; summed by parts, coordinate m is
         # top * images[k][m] + sum_i c_i * (images[i-1][m] - images[i][m])
@@ -438,11 +467,12 @@ def monte_carlo_pushforward(
         # all the atom's cuts in one draw, k per sample, in stream order
         bits = random.Random(f"{seed}:{idx}").getrandbits
         draws = [bits(32) for _ in range(cnt * k)]
-        for j in range(cnt):
-            cuts = sorted(draws[j * k : j * k + k])
-            coords.append(tuple(
-                (b + sum(map(mul, cuts, col))) % modulus for b, col in axes
-            ))
+        cuts = [sorted(draws[j * k : j * k + k]) for j in range(cnt)]
+        # one target axis at a time over all the atom's samples
+        columns = [
+            [(b + sum(map(mul, s, col))) % modulus for s in cuts] for b, col in axes
+        ]
+        coords.extend(zip(*columns))
     return EmpiricalMeasure(lattice=a.target, scale=modulus, coords=tuple(coords))
 
 
@@ -534,7 +564,8 @@ def mass_near(mu, center: Vec, delta: Fraction) -> Fraction:
     elif mu.dim != n:
         raise MeasureError("box masses need full-dimensional atoms")
     else:
-        unit, cells = _ambient_cells(mu._cells[0])
+        c = mu._cells[0]
+        unit, cells = g * c._coords[0], c._images
     # the center and delta as c / t and d / t, t a multiple of unit, and
     # the period-coordinate bounding box of the box, at scale q * t
     t = math.lcm(unit, delta.denominator, *(x.denominator for x in center))
@@ -574,7 +605,9 @@ def mass_near(mu, center: Vec, delta: Fraction) -> Fraction:
     total = Fraction(0)
     r = t // unit
     for cell, (atom, dens) in zip(cells, mu.atoms):
-        ws = [[r * sum(map(mul, row, a)) for row in inv] for a in cell]
+        ws = [
+            [r * sum(map(mul, row, a)) for row in inv] for a in zip(*[iter(cell)] * n)
+        ]
         box = [min(col) for col in zip(*ws)], [max(col) for col in zip(*ws)]
         for k in box_translates(*box, lo, hi, qt):
             lam = lat.from_coords(k)

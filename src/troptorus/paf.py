@@ -658,8 +658,8 @@ _by_value = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
 class _Gap:
     """h = f - q - s*ell on the cells of f, in integers.
 
-    A vertex v is its ambient integer image a = t*v, t = g*scale, of
-    :func:`~troptorus.complexes._ambient`.  With D the least common
+    A vertex v is its ambient integer image a = t*v, t = g*scale, as the
+    complex keeps it in ``_images``.  With D the least common
     denominator of the pieces and of s*ell, and gram = R/r for an integer
     matrix R, every piece (m, c) is the integer (M, C) = D*(m, c), and
     H(a) = 2 t^2 D r h(a/t) = 2 t r (M.a + t C) - Q(a) is an integer,
@@ -669,10 +669,9 @@ class _Gap:
     def __init__(self, f: CocycleFunction):
         c = f.complex
         self.n = c.dim
-        scale, self.coords = c._coords
+        self.images = c._images
         frame = c.period.frame
-        self.rows = frame.basis
-        self.t = t = frame.g * scale
+        self.t = t = frame.g * c._coords[0]
         self.r, self.gram = integer_matrix(f.cocycle.polarization.gram)
         e, (lin,) = integer_matrix([vscale(f.linear_scale, f.cocycle.linear)])
         # f's form (P.x + C) / den is m = (qL^-1)^T P / (q den), c = C / den
@@ -776,8 +775,8 @@ def sup_distance_to_quadratic(f: CocycleFunction) -> Fraction:
     least = 0  # the least H over the vertices: -least / den is the max of -h
     seen = set()
     n = gap.n
-    for w, piece in zip(gap.coords, gap.pieces):
-        verts = [_ambient(gap.rows, w[k : k + n]) for k in range(0, len(w), n)]
+    for cell, piece in zip(gap.images, gap.pieces):
+        verts = list(zip(*[iter(cell)] * n))
         maxima.append(gap.cell_max(verts, piece))
         for a in verts:
             if a not in seen:

@@ -11,7 +11,7 @@ import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
-from .complexes import LazyTuple, PeriodicComplex, _vertex_images
+from .complexes import LazyTuple, PeriodicComplex
 from .linalg import Mat, TroptorusError, Vec
 
 _RATIONAL = re.compile(r"^(-?\d+)/(\d+)$")
@@ -88,14 +88,18 @@ def _join(parts: list, nl: str, brackets: str = "[]") -> str:
 def _complex_text(c: PeriodicComplex, nl: str) -> str:
     """The text of {"cells": [{"vertices": ...}], "level", "period":
     {"generators"}} for c, written from the integer images a = t v of its
-    vertices: one "p/q" per distinct integer, one block per vertex."""
-    t, cells, images = _vertex_images(c.period, *c._coords)
+    vertices, as the complex keeps them in ``_images``: one "p/q" per
+    distinct integer, one block per distinct image."""
+    n, t = c.dim, c.period.frame.g * c._coords[0]
+    images = c._images
+    distinct = {a for w in images for a in zip(*[iter(w)] * n)}
+    nums = {x for a in distinct for x in a}
+    rats = {x: f'"{x // g}/{t // g}"' for x in nums for g in (math.gcd(x, t),)}
     i1, i3 = nl + "  ", nl + "      "
     head, tail = f'{{{i3}"vertices": ', nl + "    }"
-    nums = {x for a in images.values() for x in a}
-    rats = {x: f'"{x // g}/{t // g}"' for x in nums for g in (math.gcd(x, t),)}
-    verts = {w: _join([rats[x] for x in a], i3 + "  ") for w, a in images.items()}
-    texts = [head + _join([verts[w] for w in ws], i3) + tail for ws in cells]
+    verts = {a: _join(list(map(rats.get, a)), i3 + "  ") for a in distinct}
+    cells = (zip(*[iter(w)] * n) for w in images)
+    texts = [head + _join(list(map(verts.get, vs)), i3) + tail for vs in cells]
     period = _text({"generators": c.period.generators}, i1)
     parts = [f'"cells": {_join(texts, i1)}', f'"level": {_text(c.level, i1)}']
     return _join(parts + [f'"period": {period}'], nl, "{}")

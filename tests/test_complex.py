@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -233,6 +234,80 @@ def test_kept_vertex_order_is_the_sorted_images(lat, level, rnd):
         fine_h, parents_h = dyadic_refine_step(hand)
         assert fine_h._coords == fine._coords and parents_h == parents
         assert fine_h._j1 == j1 and fine_h._ordered == fine._ordered
+
+
+def _images_from_fractions(c):
+    """Per cell, the flat images of its vertices in ``_coords`` order, from
+    ``_coords`` and the Fraction basis: the vertex with period coordinates
+    w at scale s is L w / s, and its image at t = g s is g L w."""
+    n, (scale, coords) = c.dim, c._coords
+    g = c.period.frame.g
+    images = []
+    for w in coords:
+        vs = (w[k : k + n] for k in range(0, len(w), n))
+        a = [g * x for v in vs for x in mat_vec(c.period.matrix, v)]
+        assert all(x.denominator == 1 for x in a)
+        images.append(tuple(map(int, a)))
+    return tuple(images)
+
+
+@given(lat=rational_lattices(), level=st.integers(0, 2))
+@settings(max_examples=15, deadline=None)
+@warn_slow_examples(lambda lat, **_: lat.generators)
+def test_kept_images_are_the_images_of_the_coordinates(lat, level):
+    """``_images`` is g L w per vertex of each cell, in ``_coords`` order,
+    for a complex of barycentric_triangulation, one refined from it, and
+    the first unfolded over 2L and given to the constructor.  The builders keep
+    their sort keys, ``_ordered[0]``, as it; reading it changes no hash."""
+    c = barycentric_triangulation(lat.generators, lat)
+    fine = dyadic_refine(c, level)
+    unfolded = unfold(c, Lattice(tuple(vscale(F(2), g) for g in lat.generators)))
+    hand = PeriodicComplex(lat, c.cells)
+    before = hash(hand)
+    for built in (c, fine):
+        assert "_images" in vars(built) and built._images is built._ordered[0]
+    for x in (c, fine, unfolded, hand):
+        assert x._images == _images_from_fractions(x)
+    assert hash(hand) == before and hand == c
+
+
+def test_cli_runs_compute_no_builder_images(monkeypatch, tmp_path):
+    """certify, tate and triangulate on problems/n2.json read the images
+    the builders keep: no complex of barycentric_triangulation or
+    dyadic_refine_step reaches _ambient_cells or _vertex_images, the
+    only functions that compute vertex images."""
+    from troptorus.cli import main
+
+    problem = str(Path(__file__).resolve().parent.parent / "problems" / "n2.json")
+    built, seen = [], []
+    real = complexes._from_coords, complexes._ambient_cells, complexes._vertex_images
+
+    def from_coords(*args, **kwargs):
+        c = real[0](*args, **kwargs)
+        if c._j1 is not None:
+            built.append(c)
+        return c
+
+    monkeypatch.setattr(complexes, "_from_coords", from_coords)
+    monkeypatch.setattr(
+        complexes, "_ambient_cells",
+        lambda c: seen.append(c._coords[1]) or real[1](c),
+    )
+    monkeypatch.setattr(
+        complexes, "_vertex_images",
+        lambda p, s, coords: seen.append(coords) or real[2](p, s, coords),
+    )
+    out = str(tmp_path / "out.json")
+    for args in (
+        ["certify", "--epsilon", "auto"],
+        ["tate", "--iterations", "2"],
+        ["triangulate", "--level", "4"],
+    ):
+        assert main(args + ["--problem", problem, "--out", out]) == 0
+    assert len(built) >= 5
+    # a call reads a builder's cells if its first cell is one of them
+    kept = {id(w) for c in built for w in c._coords[1]}
+    assert not [w for w in seen if id(w[0]) in kept]
 
 
 def test_refining_a_builder_chain_computes_no_vertex_images(monkeypatch):
@@ -560,6 +635,18 @@ def test_integer_adjacency_on_a_skewed_basis(level):
     c = dyadic_refine(barycentric_triangulation(SKEWED, lat), level)
     assert adjacent_pairs(c) == fraction_adjacent_pairs(c)
     assert len(adjacent_pairs(c)) == 3 * len(c.cells) // 2
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_a_cell_adjacent_to_its_own_translate(order):
+    """One cell [0, 1] over Z, its vertices in either order: both facets
+    are in one orbit, and the pair's first cell copy is the one whose
+    dropped vertex comes first in the cell's own order, as the Fraction
+    hashing finds it."""
+    c = PeriodicComplex(
+        standard_lattice(1), (Simplex(tuple((F(x),) for x in order)),)
+    )
+    assert adjacent_pairs(c) == fraction_adjacent_pairs(c)
 
 
 def test_adjacency_names_a_broken_tiling():

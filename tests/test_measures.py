@@ -27,7 +27,12 @@ from troptorus import (
     pushforward,
     simplex_k_volume,
 )
-from troptorus.complexes import barycentric_triangulation, simplex_volume, unfold
+from troptorus.complexes import (
+    _ContainmentIndex,
+    barycentric_triangulation,
+    simplex_volume,
+    unfold,
+)
 from troptorus.equidist import (
     difference_map,
     product_lattice,
@@ -968,3 +973,52 @@ def test_refinement_branches_build_no_atoms_or_cells():
         assert mu.dim == 2 and "atoms" not in vars(mu)
     for t in (t0, t1):
         assert "cells" not in vars(t.complex)
+
+
+def _count_locations(monkeypatch):
+    """The list that gets one entry per find_cell_containing_simplex call."""
+    calls = []
+    real = _ContainmentIndex.find_cell_containing_simplex
+    monkeypatch.setattr(
+        _ContainmentIndex,
+        "find_cell_containing_simplex",
+        lambda self, *args: calls.append(args) or real(self, *args),
+    )
+    return calls
+
+
+def test_branch_2_locates_the_test_cells_once_per_measure(monkeypatch):
+    """The 16 level-1 hats of barycentric_triangulation on the skewed
+    basis against level-0 Haar: each hat's first atom is in no test cell
+    (16 calls, branch 1), and branch 2 locates the 32 test cells in the
+    atoms once for all the hats, not once per hat (512 calls).  Every
+    value equals the dense oracle."""
+    lat = Lattice(_SKEWED)
+    c0 = barycentric_triangulation(lat.generators, lat)
+    mu0 = haar(lat, c0)
+    hats = hat_test_functions(dyadic_refine(c0, 1))
+    calls = _count_locations(monkeypatch)
+    values = [integrate(t, mu0) for t in hats]
+    assert len(hats) == 16 and len(calls) == 48
+    monkeypatch.undo()
+    assert values == [dense_integrate(t, mu0) for t in hats]
+
+
+def test_repeated_points_are_located_once(monkeypatch):
+    """20 copies each of 3 points: the averages are the dense oracle's,
+    from 3 point locations.  A torsion grid, whose points are distinct,
+    comes with its distinct points kept, each counted once."""
+    lat, c, _ = _sparse_case("skewed", 0)
+    tests = hat_test_functions(c)
+    pts = [c.cells[i].barycenter() for i in (0, 3, 5)] * 20
+    e = empirical(lat, pts)
+    assert e._distinct == (e.coords[:3], (20, 20, 20))
+    calls = _count_locations(monkeypatch)
+    averages = empirical_averages(tests, e)
+    assert len(calls) == 3
+    monkeypatch.undo()
+    assert averages == dense_averages(tests, e)
+    grid = torsion_grid(lat, 3)
+    kept = vars(grid)["_distinct"]
+    del grid.__dict__["_distinct"]
+    assert kept == grid._distinct == (grid.coords, (1,) * 9)

@@ -28,7 +28,6 @@ from troptorus import test_sup_abs as sup_abs
 from troptorus.complexes import (
     PeriodicComplex,
     Simplex,
-    _ambient,
     adjacent_pairs,
     barycentric_triangulation,
     dyadic_refine,
@@ -610,10 +609,10 @@ def test_sup_distance_per_shape_matches_the_clamping_oracle():
         gram = f.cocycle.polarization.gram
         lin = vscale(f.linear_scale, f.cocycle.linear)
         n = f.complex.dim
-        for cell, w, piece, (m, c), t0 in zip(
-            f.complex.cells, gap.coords, gap.pieces, f.pieces, targets
+        for cell, a, piece, (m, c), t0 in zip(
+            f.complex.cells, gap.images, gap.pieces, f.pieces, targets
         ):
-            verts = [_ambient(gap.rows, w[k : k + n]) for k in range(0, len(w), n)]
+            verts = [a[k : k + n] for k in range(0, len(a), n)]
             want = max_affine_minus_quadratic(cell.vertices, m, c, gram, lin)
             num, den = gap.cell_max(verts, piece)
             assert den > 0 and F(num, den) == want
