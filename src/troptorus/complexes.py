@@ -217,33 +217,41 @@ class PeriodicComplex:
         return tuple(images), tuple(coords)
 
     @cached_property
+    def _frames(self) -> tuple[tuple, ...]:
+        """Per cell, (w_0, det, adj) for the flat integer period coordinates
+        w of its vertices in ``_coords``, w_0 the first vertex: det and adj
+        are the determinant and adjugate of the matrix whose columns are
+        the edges w_k - w_0, one ``det_adj`` per cell shape; det is 0 for a
+        flat cell.  The containment index and the interpolants of
+        ``paf`` read it."""
+        n = self.dim
+        shapes: dict[tuple, tuple] = {}  # edge matrix -> det_adj
+        frames = []
+        for w in self._coords[1]:
+            w0 = w[:n]
+            edges = tuple(
+                zip(*(map(sub, w[k : k + n], w0) for k in range(n, len(w), n)))
+            )
+            shape = shapes.get(edges)
+            if shape is None:
+                shape = shapes[edges] = det_adj(edges)
+            frames.append((w0, *shape))
+        return tuple(frames)
+
+    @cached_property
     def _index(self) -> _ContainmentIndex:
         """The containment index of the cells."""
         return _ContainmentIndex(self)
 
     @cached_property
-    def _pairs(self) -> LazyTuple:
-        """The adjacent cell pairs, each built on access; see
-        :func:`adjacent_pairs`."""
-        return self._adjacency[0]
-
-    @cached_property
-    def _pair_coords(self) -> tuple[tuple, ...]:
-        """Per pair of ``_pairs``, (i, j, N, dk) in period coordinates: the
-        inner normal nu as the integer covector N = q L^-1 nu, q of the
-        period's frame, so that nu.m = N.P / q for m = L^-T P; and the
-        integer coordinates dk of shift_i - shift_j."""
-        return self._adjacency[1]
-
-    @cached_property
-    def _pair_keys(self) -> tuple[str, ...]:
-        """Per pair of ``_pairs``, its certificate key, built without it."""
-        return self._adjacency[2]
-
-    @cached_property
     def _adjacency(self) -> tuple[LazyTuple, tuple, tuple]:
-        """(``_pairs``, ``_pair_coords``, ``_pair_keys``), built in one
-        integer pass; a pair's Fractions are made when it is read."""
+        """(pairs, coords, keys), built in one integer pass.  ``pairs`` is
+        what :func:`adjacent_pairs` gives, a pair's Fractions made when it
+        is read.  Per pair, ``coords`` holds (i, j, N, dk) in period
+        coordinates: the inner normal nu as the integer covector
+        N = q L^-1 nu, q of the period's frame, so that nu.m = N.P / q for
+        m = L^-T P; and the integer coordinates dk of shift_i - shift_j.
+        ``keys`` holds its certificate key, built without the pair."""
         n = self.dim
         scale, coords = self._coords
         g, rows = self.period.frame.g, self.period.frame.basis
@@ -501,20 +509,14 @@ class _ContainmentIndex:
         scale, coords = c._coords
         self.period, self.scale = c.period, scale
         entries = []
-        shapes: dict[tuple, tuple] = {}  # edges as matrix rows -> det_adj
-        for i, w in enumerate(coords):
-            base = [w[k : k + n] for k in range(0, len(w), n)]
-            edges = tuple(zip(*(map(sub, v, base[0]) for v in base[1:])))
-            if edges not in shapes:
-                shapes[edges] = det_adj(edges)
-            det_i, adj = shapes[edges]
+        for i, (w, (w0, det_i, adj)) in enumerate(zip(coords, c._frames)):
             if det_i == 0:
                 continue  # a flat cell holds no point that others miss
             lo0, hi0 = _coord_box(w, n)
             for k in box_translates(lo0, hi0, (0,) * n, (scale,) * n, scale):
                 sh = [scale * x for x in k]
                 entries.append((
-                    tuple(map(add, base[0], sh)),
+                    tuple(map(add, w0, sh)),
                     adj,
                     det_i,
                     tuple(map(add, lo0, sh)),
@@ -674,13 +676,12 @@ def adjacent_pairs(c: PeriodicComplex) -> LazyTuple:
 
     In integer period coordinates, ordered by ambient image as in
     :func:`dyadic_refine_step`, with one normal per facet shape.  Kept on
-    the complex as ``_pairs``, a :class:`LazyTuple` that builds a pair's
-    Fraction face, normal and shifts when it is read, and as
-    ``_pair_keys``, the certificate key of each pair,
-    ``cell<i>[<shift_i>]|cell<j>[<shift_j>]``, the shift entries
-    comma-separated as ``str`` gives them.
+    the complex in ``_adjacency``: a :class:`LazyTuple` that builds a
+    pair's Fraction face, normal and shifts when it is read, and the
+    certificate key of each pair, ``cell<i>[<shift_i>]|cell<j>[<shift_j>]``,
+    the shift entries comma-separated as ``str`` gives them.
     """
-    return c._pairs
+    return c._adjacency[0]
 
 
 def check_tiling(c: PeriodicComplex) -> None:

@@ -194,6 +194,11 @@ class EmpiricalMeasure:
             raise MeasureError(f"empirical scale {self.scale} is not positive")
         if set(map(len, self.coords)) != {self.lattice.dim}:
             raise DimensionMismatchError("empirical coordinates of the wrong length")
+        if (
+            min(chain.from_iterable(self.coords)) < 0
+            or max(chain.from_iterable(self.coords)) >= self.scale
+        ):
+            raise MeasureError(f"empirical coordinates outside [0, {self.scale})")
 
     @cached_property
     def points(self) -> LazyTuple:

@@ -275,39 +275,19 @@ class ConvexityCertificate:
     witness_slack: Optional[Fraction]
 
 
-def _cell_frames(c: PeriodicComplex) -> tuple[int, list]:
-    """(scale, frames): per cell of c, (w_0, det, adj) for the integer
-    period coordinates w_k = scale * x_k of its vertices (``c._coords``),
-    where det and adj are the determinant and adjugate of the matrix whose
-    columns are the edges w_k - w_0, computed once per cell shape."""
-    n = c.dim
-    scale, coords = c._coords
-    shapes: dict[tuple, tuple] = {}
-    frames = []
-    for w in coords:
-        w0 = w[:n]
-        edges = tuple(
-            tuple(map(sub, w[k : k + n], w0)) for k in range(n, len(w), n)
-        )
-        shape = shapes.get(edges)
-        if shape is None:
-            shape = shapes[edges] = det_adj(tuple(zip(*edges)))
-            if shape[0] == 0:
-                raise SingularMatrixError("flat cell")
-        frames.append((w0, *shape))
-    return scale, frames
-
-
 def _interpolate_piece(scale: int, frame, values) -> tuple[tuple, int, int]:
     """(P, C, den): the unique affine function with (P.x + C) / den =
     values[k] at the period coordinates x_k = w_k / scale of the vertices
-    of a cell with frame (w_0, det, adj) of :func:`_cell_frames`.
+    of a cell with frame (w_0, det, adj) of ``PeriodicComplex._frames``;
+    SingularMatrixError if the cell is flat.
 
     With the values y_k = Y_k / d over one denominator d and
     N = sum_k (Y_k - Y_0) adj[k-1], the gradient is scale N / (det d) and
     the constant y_0 - (scale N / (det d)).x_0 = (Y_0 det - N.w_0) / (det d).
     """
     w0, det, adj = frame
+    if det == 0:
+        raise SingularMatrixError("flat cell")
     d = math.lcm(*(y.denominator for y in values))
     y0, *ys = (y.numerator * (d // y.denominator) for y in values)
     nums = [0] * len(w0)
@@ -386,12 +366,11 @@ def _model_parts(c: PeriodicComplex, z: Cocycle) -> tuple[tuple, tuple]:
                 )
             vals.append(v)
         values.append(vals)
-    _, frames = _cell_frames(c)
     return tuple(
         _on_one_denominator(
             [
                 _interpolate_piece(scale, frame, [v[part] for v in vals])
-                for vals, frame in zip(values, frames)
+                for vals, frame in zip(values, c._frames)
             ],
             d,
         )
@@ -433,16 +412,16 @@ def face_slacks(
     :func:`_period_cocycle`, the gradients on the two cell copies differ
     from the stored ones by G shift (cocycle law), which adds
     n*G(shift_i - shift_j); without one, the function is periodic.  In
-    the period terms of ``c._pair_coords``, a gradient m = L^-T P / den'
-    gives n*m = N.P / (q den') and n*G(L dk) = N.B dk / q, so
-    den = q den' r and the numerator is r N.(P_i - P_j) + den' N.R dk,
-    with R dk once per distinct dk.
+    the period terms (i, j, N, dk) that ``c._adjacency`` keeps per pair, a
+    gradient m = L^-T P / den' gives n*m = N.P / (q den') and
+    n*G(L dk) = N.B dk / q, so den = q den' r and the numerator is
+    r N.(P_i - P_j) + den' N.R dk, with R dk once per distinct dk.
     """
     d, rows = form
     R, r = gram if gram is not None else (None, 1)
     terms: dict[tuple, list] = {}  # dk -> den' R dk
     nums = []
-    for i, j, pn, dk in c._pair_coords:
+    for i, j, pn, dk in c._adjacency[1]:
         s = r * sum(map(mul, pn, map(sub, rows[i][0], rows[j][0])))
         if R is not None and any(dk):
             w = terms.get(dk)
@@ -455,8 +434,9 @@ def face_slacks(
 
 def check_strongly_convex(f: CocycleFunction) -> ConvexityCertificate:
     """Exact slack n*(m_delta - m_sigma) per face orbit; pass iff all > 0.
-    Keyed by ``_pair_keys``: a passing certificate builds no
-    :class:`AdjacentPair`, a failing one only its witness."""
+    Keyed by the pairs' ``keys`` in ``c._adjacency``: a passing
+    certificate builds no :class:`AdjacentPair`, a failing one only its
+    witness."""
     c = f.complex
     pairs = adjacent_pairs(c)
     gram = _period_cocycle(c, f.cocycle, f.linear_scale)[:2]
@@ -464,7 +444,7 @@ def check_strongly_convex(f: CocycleFunction) -> ConvexityCertificate:
     bad = next((k for k, s in enumerate(nums) if s <= 0), None)
     return ConvexityCertificate(
         passed=bad is None,
-        slacks={key: Fraction(s, den) for key, s in zip(c._pair_keys, nums)},
+        slacks={key: Fraction(s, den) for key, s in zip(c._adjacency[2], nums)},
         min_slack=Fraction(min(nums), den) if nums else None,
         witness=None if bad is None else pairs[bad],
         witness_slack=None if bad is None else Fraction(nums[bad], den),
@@ -530,9 +510,9 @@ def interpolate_test(
     Keys are vertices reduced mod the period; values extend periodically.
     """
     orbits, keys = _orbit_keys(c)
-    scale, frames = _cell_frames(c)
+    scale = c._coords[0]
     pieces = []
-    for ks, frame in zip(keys, frames):
+    for ks, frame in zip(keys, c._frames):
         vals = []
         for k in ks:
             if orbits[k] not in vertex_values:
@@ -571,8 +551,8 @@ def hat_test_functions(c: PeriodicComplex) -> tuple[TestFunction, ...]:
     """
     orbits, keys = _orbit_keys(c)
     pieces = [[None] * c.size for _ in orbits]
-    scale, frames = _cell_frames(c)
-    for i, (ks, frame) in enumerate(zip(keys, frames)):
+    scale = c._coords[0]
+    for i, (ks, frame) in enumerate(zip(keys, c._frames)):
         for o in set(ks):
             pieces[o][i] = _interpolate_piece(
                 scale, frame, [int(k == o) for k in ks]
@@ -658,69 +638,63 @@ _by_value = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
 class _Gap:
     """h = f - q - s*ell on the cells of f, in integers.
 
-    A vertex v is its ambient integer image a = t*v, t = g*scale, as the
-    complex keeps it in ``_images``.  With D the least common
-    denominator of the pieces and of s*ell, and gram = R/r for an integer
-    matrix R, every piece (m, c) is the integer (M, C) = D*(m, c), and
-    H(a) = 2 t^2 D r h(a/t) = 2 t r (M.a + t C) - Q(a) is an integer,
-    where Q(a) = D a.Ra + 2 t r L.a and L = D*s*ell.
+    A vertex is its integer period coordinates w = t x (``_coords``), t
+    the complex's scale.  With (R, r, l, e) of :func:`_period_cocycle` and
+    D the least common multiple of e and the denominator of f's form, every
+    row (P, C) of the form is the integer piece (M, C') = D (P, C) / den,
+    and H(w) = 2 t^2 D r h(w/t) = 2 t r (M.w + t C') - Q(w) is an integer,
+    where Q(w) = D w.Rw + 2 t r L.w and L = D l / e.
     """
 
     def __init__(self, f: CocycleFunction):
         c = f.complex
         self.n = c.dim
-        self.images = c._images
-        frame = c.period.frame
-        self.t = t = frame.g * c._coords[0]
-        self.r, self.gram = integer_matrix(f.cocycle.polarization.gram)
-        e, (lin,) = integer_matrix([vscale(f.linear_scale, f.cocycle.linear)])
-        # f's form (P.x + C) / den is m = (qL^-1)^T P / (q den), c = C / den
+        t, self.cells = c._coords
+        self.t = t
+        self.gram, self.r, lin, e = _period_cocycle(c, f.cocycle, f.linear_scale)
         den, rows = f._form
-        self.d = d = math.lcm(frame.q * den, e)
-        a, cols = d // (frame.q * den), tuple(zip(*frame.inv))
-        self.pieces = [
-            (tuple(a * x for x in _ambient(cols, p)), a * frame.q * c0)
-            for p, c0 in rows
-        ]
+        self.d = d = math.lcm(den, e)
+        u = d // den
+        self.pieces = [(tuple(u * x for x in p), u * c0) for p, c0 in rows]
         self.lin = tuple(d // e * x for x in lin)
-        self.den = 2 * t * t * self.d * self.r  # h = H / den
-        self.quad: dict[tuple, tuple] = {}  # a -> (R a, Q(a))
-        # cell shape, the edges e_k = a_k - a_0 -> (det, adjugate) of
+        self.den = 2 * t * t * d * self.r  # h = H / den
+        self.quad: dict[tuple, tuple] = {}  # w -> (R w, Q(w))
+        # cell shape, the edges e_k = w_k - w_0 -> (det, adjugate) of
         # G' = [e_k.R e_l], with det >= 0
         self.shapes: dict[tuple, tuple] = {}
 
-    def _quad(self, a: tuple) -> tuple:
-        q = self.quad.get(a)
+    def _quad(self, w: tuple) -> tuple:
+        q = self.quad.get(w)
         if q is None:
-            ra = [sum(map(mul, row, a)) for row in self.gram]
-            q = self.quad[a] = (
-                ra,
-                self.d * sum(map(mul, a, ra))
-                + 2 * self.t * self.r * sum(map(mul, self.lin, a)),
+            rw = [sum(map(mul, row, w)) for row in self.gram]
+            q = self.quad[w] = (
+                rw,
+                self.d * sum(map(mul, w, rw))
+                + 2 * self.t * self.r * sum(map(mul, self.lin, w)),
             )
         return q
 
-    def value(self, a: tuple, piece) -> int:
-        """H(a) for the integer piece (M, C)."""
+    def value(self, w: tuple, piece) -> int:
+        """H(w) for the integer piece (M, C')."""
         m, c = piece
         t = self.t
-        h = 2 * t * self.r * (sum(map(mul, m, a)) + t * c)
-        return h - self._quad(a)[1]
+        h = 2 * t * self.r * (sum(map(mul, m, w)) + t * c)
+        return h - self._quad(w)[1]
 
     def interior_max(self, verts, piece) -> Optional[tuple[int, int]]:
-        """max of h over the simplex with ambient images verts, as
+        """max of h over the simplex with the vertices verts, as
         (num, den) with den > 0, in closed form when the critical point t*
         of h in simplex coordinates lies in the simplex; None when it does
         not (or the simplex is flat).
 
-        With edges e_k = a_k - a_0, G' = [e_k.R e_l], the integer
-        gradient g = r t (M - L) - D R a_0 and p_k = e_k.g, the point is
+        With edges e_k = w_k - w_0, G' = [e_k.R e_l], the integer
+        gradient g = r t (M - L) - D R w_0 and p_k = e_k.g, the point is
         t* = y / (det(G') D) with y = adj(G') p, and the max,
-        h(a_0) + (the gradient in t).t*/2, is
-        (H(a_0) D det(G') + p.y) / (den D det(G')).
+        h(w_0) + (the gradient in t).t*/2, is
+        (H(w_0) D det(G') + p.y) / (den D det(G')).
         """
-        a0 = verts[0]
-        edges = tuple(tuple(map(sub, a, a0)) for a in verts[1:])
+        w0 = verts[0]
+        edges = tuple(tuple(map(sub, w, w0)) for w in verts[1:])
         shape = self.shapes.get(edges)
         if shape is None:
             re = [[sum(map(mul, row, e)) for row in self.gram] for e in edges]
@@ -731,20 +705,20 @@ class _Gap:
         if det_s == 0:
             return None
         m, _ = piece
-        ra0, _ = self._quad(a0)
+        rw0, _ = self._quad(w0)
         rt, d = self.r * self.t, self.d
-        grad = [rt * (x - y) - d * z for x, y, z in zip(m, self.lin, ra0)]
+        grad = [rt * (x - y) - d * z for x, y, z in zip(m, self.lin, rw0)]
         p = [sum(map(mul, e, grad)) for e in edges]
         y = [sum(map(mul, row, p)) for row in adj]
         if min(y, default=0) < 0 or sum(y) > det_s * d:
             return None
         return (
-            self.value(a0, piece) * d * det_s + sum(map(mul, p, y)),
+            self.value(w0, piece) * d * det_s + sum(map(mul, p, y)),
             self.den * d * det_s,
         )
 
     def cell_max(self, verts, piece) -> tuple[int, int]:
-        """Exact max of h over the simplex with ambient images verts, as
+        """Exact max of h over the simplex with the vertices verts, as
         the (num, den) of :meth:`interior_max`.
 
         h is concave: when its critical point is not in the simplex, the
@@ -775,13 +749,13 @@ def sup_distance_to_quadratic(f: CocycleFunction) -> Fraction:
     least = 0  # the least H over the vertices: -least / den is the max of -h
     seen = set()
     n = gap.n
-    for cell, piece in zip(gap.images, gap.pieces):
+    for cell, piece in zip(gap.cells, gap.pieces):
         verts = list(zip(*[iter(cell)] * n))
         maxima.append(gap.cell_max(verts, piece))
-        for a in verts:
-            if a not in seen:
-                seen.add(a)
-                h = gap.value(a, piece)
+        for w in verts:
+            if w not in seen:
+                seen.add(w)
+                h = gap.value(w, piece)
                 if h < least:
                     least = h
     return Fraction(*max(maxima + [(-least, gap.den)], key=_by_value))

@@ -478,12 +478,22 @@ def fraction_refine_step(c):
     """The halving (cell + sum k_j b_j) / 2, k in {0,1}^n, of every cell
     in Fractions, each child in canonical form, with (parent index, lam)
     such that 2 * child = parent + lam: the oracle of the integer
-    complexes.dyadic_refine_step."""
+    complexes.dyadic_refine_step.  Each step sum k_j b_j, and each halved
+    vertex per (vertex, step), is computed once."""
+    steps = [
+        c.period.from_coords(tuple(map(Fraction, k)))
+        for k in product((0, 1), repeat=c.dim)
+    ]
+    halves = {}  # (vertex, step) -> (vertex + step) / 2
     children = {}
     for i, cell in enumerate(c.cells):
-        for k in product((0, 1), repeat=c.dim):
-            step = c.period.from_coords(tuple(map(Fraction, k)))
-            half = tuple(vscale(Fraction(1, 2), vadd(v, step)) for v in cell.vertices)
+        for step in steps:
+            half = []
+            for v in cell.vertices:
+                h = halves.get((v, step))
+                if h is None:
+                    h = halves[v, step] = vscale(Fraction(1, 2), vadd(v, step))
+                half.append(h)
             canon, shift = canonical_cell(half, c.period)
             children[canon.vertices] = (canon, i, vsub(step, vscale(Fraction(2), shift)))
     keys = sorted(children)

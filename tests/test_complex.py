@@ -407,11 +407,11 @@ def test_derived_state_is_outside_equality_hash_and_repr(plane_setup):
     assert before == (hash(fresh_lat), repr(fresh_lat))
     fresh = barycentric_triangulation(lat.generators, fresh_lat)
     before += hash(fresh), repr(fresh)
-    assert not {"_index", "_pairs"} & set(vars(fresh))
+    assert not {"_index", "_adjacency"} & set(vars(fresh))
     seeded = vars(fresh)["_coords"]
     fresh._index, adjacent_pairs(fresh)
     assert fresh._coords is seeded
-    assert {"_index", "_pairs"} <= set(vars(fresh))
+    assert {"_index", "_adjacency"} <= set(vars(fresh))
     assert fresh_lat == lat and fresh == c
     assert before == (hash(fresh_lat), repr(fresh_lat), hash(fresh), repr(fresh))
     assert before == (hash(lat), repr(lat), hash(c), repr(c))

@@ -867,6 +867,20 @@ def test_malformed_empirical_coordinates_are_rejected(plane_setup):
             EmpiricalMeasure(lat, scale, ((0, 0),))
 
 
+def test_empirical_coordinates_outside_the_scale_are_rejected():
+    """A coordinate outside [0, scale) raises MeasureError: mass_near
+    assumes reduced points, and gave the point 5/4 (coordinate 5 at scale
+    4) no mass in the box of radius 1/8 around its reduction 1/4."""
+    lat = standard_lattice(1)
+    for bad in (((5,),), ((0,), (4,)), ((-1,),)):
+        with pytest.raises(MeasureError):
+            EmpiricalMeasure(lat, 4, bad)
+    reduced = EmpiricalMeasure(lat, 4, ((1,),))
+    assert reduced == empirical(lat, [(F(5, 4),)])
+    assert mass_near(reduced, (F(1, 4),), F(1, 8)) == 1
+    assert EmpiricalMeasure(lat, 4, ((0,), (3,))).coords == ((0,), (3,))
+
+
 @st.composite
 def pushforward_setups(draw):
     """A measure over a rational basis of R^n, n <= 3, and an integral

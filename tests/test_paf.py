@@ -59,7 +59,6 @@ from troptorus.paf import TestFunction as PiecewiseTest
 from troptorus.paf import (
     CocycleFunction,
     _Gap,
-    _cell_frames,
     _epsilon_lines,
     _fraction_piece,
     _interpolate_piece,
@@ -610,7 +609,7 @@ def test_sup_distance_per_shape_matches_the_clamping_oracle():
         lin = vscale(f.linear_scale, f.cocycle.linear)
         n = f.complex.dim
         for cell, a, piece, (m, c), t0 in zip(
-            f.complex.cells, gap.images, gap.pieces, f.pieces, targets
+            f.complex.cells, gap.cells, gap.pieces, f.pieces, targets
         ):
             verts = [a[k : k + n] for k in range(0, len(a), n)]
             want = max_affine_minus_quadratic(cell.vertices, m, c, gram, lin)
@@ -648,6 +647,55 @@ def test_sup_distance_of_model_iterates_matches_fractions(gram):
     for i in range(2):
         fi = tate_iterate(f, i)
         assert sup_distance_to_quadratic(fi) == fraction_sup_distance(fi)
+
+
+def test_sup_distance_reads_no_vertex_images():
+    """The sup-distance runs on the period coordinates: over a complex of
+    the constructor, or one a change of period unfolded, it leaves the
+    vertex images uncomputed, and both give the sup of the builder's
+    function, since f - q - s*ell is periodic."""
+    _, b, _, c = base_complex(2, ((F(2), F(1)), (F(1), F(2))))
+    z = Cocycle(polarization=b, linear=(F(1, 3), F(2, 3)))
+    _, f, _ = auto_epsilon(c, z)
+    f = tate_iterate(f, 1)
+    want = sup_distance_to_quadratic(f)
+    hand = CocycleFunction(
+        complex=PeriodicComplex(f.complex.period, tuple(f.complex.cells)),
+        pieces=f.pieces,
+        cocycle=z,
+        linear_scale=f.linear_scale,
+    )
+    gens = f.complex.period.generators
+    unfolded = change_period(f, Lattice((vscale(F(2), gens[0]),) + gens[1:]))
+    for g in (hand, unfolded):
+        assert "_images" not in vars(g.complex)
+        assert sup_distance_to_quadratic(g) == want
+        assert "_images" not in vars(g.complex)
+
+
+def test_cell_frames_are_made_once_per_shape(monkeypatch):
+    """The hats and then the containment index of a fresh complex read its
+    one set of cell frames: one det_adj per distinct cell shape, the edges
+    from the first vertex in period coordinates.  A flat cell has no
+    interpolant."""
+    lat = Lattice(SKEW_BASIS)
+    c = standard_test_complex(lat, Polarization(((F(2), F(1)), (F(1), F(2)))), 1)
+    shapes = {
+        tuple(c.period.coords(vsub(v, s.vertices[0])) for v in s.vertices[1:])
+        for s in c.cells
+    }
+    calls = []
+    for module in (complexes, paf):
+        real = module.det_adj
+        monkeypatch.setattr(
+            module, "det_adj", lambda m, real=real: calls.append(m) or real(m)
+        )
+    hat_test_functions(c)
+    c._index
+    assert len(calls) == len(shapes) > 1
+    flat = PeriodicComplex(Lattice(((F(1),),)), (Simplex(((F(0),), (F(0),))),))
+    with pytest.raises(SingularMatrixError, match="flat cell"):
+        interpolate_test(flat, {(F(0),): F(1)})
 
 
 def halving_auto_epsilon(c, z, max_halvings=20):
@@ -809,7 +857,7 @@ def test_integer_interpolation_matches_solve(f):
     the Fraction solve of rows [v | 1]."""
     c = f.complex
     n = c.dim
-    scale, frames = _cell_frames(c)
+    scale, frames = c._coords[0], c._frames
     for cell, frame, (m, c0) in zip(c.cells, frames, f.pieces):
         values = [dot(m, v) + c0 for v in cell.vertices]
         rows = tuple(v + (F(1),) for v in cell.vertices)
