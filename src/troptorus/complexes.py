@@ -13,7 +13,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, permutations, product
+from itertools import accumulate, chain, combinations, permutations, product
 from operator import add, eq, itemgetter, mul, sub
 
 from .lattice import Lattice, box_translates, covolume
@@ -21,9 +21,9 @@ from .linalg import (
     DimensionMismatchError,
     TroptorusError,
     Vec,
+    _echelon,
     det,
     det_adj,
-    dot,
     null_vector,
     rank,
     vadd,
@@ -119,9 +119,6 @@ class Simplex:
     def edge_matrix(self):
         v0 = self.vertices[0]
         return tuple(vsub(v, v0) for v in self.vertices[1:])
-
-    def is_nondegenerate(self) -> bool:
-        return rank(self.edge_matrix()) == self.dim
 
     def barycenter(self) -> Vec:
         s = zero_vec(self.ambient_dim)
@@ -653,17 +650,6 @@ class AdjacentPair:
     key: str
 
 
-def _inner_normal(face: tuple[Vec, ...], opposite: Vec) -> Vec:
-    """The primitive integer normal of a facet, toward the opposite vertex."""
-    w0 = face[0]
-    edges = tuple(vsub(w, w0) for w in face[1:])
-    nu = tuple(map(Fraction, null_vector(edges, len(w0))))
-    s = dot(nu, vsub(opposite, w0))
-    if s == 0:
-        raise ComplexError("degenerate face/opposite configuration")
-    return nu if s > 0 else vscale(Fraction(-1), nu)
-
-
 def adjacent_pairs(c: PeriodicComplex) -> LazyTuple:
     """All codim-1 adjacent cell pairs, one per period orbit.
 
@@ -684,12 +670,64 @@ def adjacent_pairs(c: PeriodicComplex) -> LazyTuple:
     return c._adjacency[0]
 
 
+def _clip(verts, a, beta) -> list:
+    """Pieces of conv(verts) inside a.x <= beta w, for integers a, beta and
+    integer homogeneous vertices (x, w), w > 0, standing for the points x / w.
+
+    The kept part is the hull of the grid points (r, 0) = kept vertex r and
+    (r, c) = the crossing g_U V - g_V U from kept vertex V = r toward cut-off
+    vertex U = c, g = a.x - beta w: no Fraction is made.  It has one
+    staircase piece per monotone path from (0, 0) to (p - 1, q) (De Loera,
+    Rambau, Santos, *Triangulations*, 2010).  A piece with a repeated
+    vertex is dropped; any other flat piece has zero :func:`_volume`.
+    """
+    g = [sum(map(mul, a, v)) - beta * v[-1] for v in verts]
+    if max(g) <= 0:
+        return [verts]
+    if min(g) >= 0:
+        return []
+    out = [(u, y) for u, y in zip(verts, g) if y > 0]
+    grid = [[v] + [_crossing(v, x, u, y) if x else v for u, y in out]
+            for v, x in zip(verts, g) if x <= 0]
+    # a path steps along a column at each step in c: after k steps, at
+    # (k - c_k, c_k), c_k counting the column steps among them
+    steps = range(len(verts) - 1)
+    cols = combinations(steps, len(out))
+    paths = (accumulate((k in c for k in steps), initial=0) for c in cols)
+    pieces = (tuple(grid[k - c][c] for k, c in enumerate(p)) for p in paths)
+    return [p for p in pieces if len(set(p)) == len(p)]
+
+
+def _crossing(v, x, u, y) -> tuple:
+    """y v - x u, on the least scale."""
+    p = [y * s - x * z for s, z in zip(v, u)]
+    e = math.gcd(*p)
+    return tuple(s // e for s in p)
+
+
+def _volume(piece) -> Fraction:
+    """k! times the volume of a k-simplex in R^k with homogeneous vertices
+    (x, w): |det [x w]| / prod w, det the last Bareiss pivot; 0 if flat."""
+    if len(piece) != len(piece[0]):
+        raise DimensionMismatchError("a volume needs an n-simplex in R^n")
+    _, pivots, _, p = _echelon(piece, len(piece))
+    full = len(pivots) == len(piece)
+    return Fraction(abs(p) if full else 0, math.prod(v[-1] for v in piece))
+
+
+def _lifted(a, n: int, shift=None) -> tuple:
+    """(x + shift, 1) per vertex image x in a flat ``_images`` tuple a."""
+    shift = shift or (0,) * n
+    return tuple((*map(add, a[k : k + n], shift), 1) for k in range(0, len(a), n))
+
+
 def check_tiling(c: PeriodicComplex) -> None:
-    total = sum((simplex_volume(cell) for cell in c.cells), Fraction(0))
-    if total != covolume(c.period):
-        raise ComplexError(
-            f"cells cover volume {total}, period covolume {covolume(c.period)}"
-        )
+    """The cell volumes, from the vertex images, sum to the covolume."""
+    n, t = c.dim, c.period.frame.g * c._coords[0]
+    total = sum(_volume(_lifted(a, n)) for a in c._images) / math.factorial(n) / t**n
+    cov = covolume(c.period)
+    if total != cov:
+        raise ComplexError(f"cells cover volume {total}, period covolume {cov}")
 
 
 def check_common_faces(c: PeriodicComplex) -> None:
@@ -697,44 +735,42 @@ def check_common_faces(c: PeriodicComplex) -> None:
 
     Two cells, or a cell and a translate whose period-coordinate box
     meets its own, must have disjoint interiors, and their shared
-    vertices must span a face.
+    vertices must span a face.  On the vertex images, the first cell is
+    clipped by the inner facet half-spaces of the second, whose normals
+    are ``null_vector`` of the integer facet edges.
     """
-    from .measures import _clip_simplex
-
-    n = c.dim
+    n, rows, images = c.dim, c.period.frame.basis, c._images
     scale, coords = c._coords
     boxes = [_coord_box(w, n) for w in coords]
-    for i, a in enumerate(c.cells):
-        for j in range(i, len(c.cells)):
+    facets = []  # per cell and facet, (nu, beta): nu.x <= beta inside
+    for cell in images:
+        if not _volume(_lifted(cell, n)):
+            raise ComplexError("degenerate face/opposite configuration")
+        verts = list(zip(*[iter(cell)] * n))
+        facets.append([])
+        for k, w in enumerate(verts):
+            f0, *face = verts[:k] + verts[k + 1 :]
+            nu = null_vector([tuple(map(sub, v, f0)) for v in face], n)
+            side = sum(map(mul, nu, map(sub, w, f0)))
+            nu = [-x if side > 0 else x for x in nu]
+            facets[-1].append((nu, sum(map(mul, nu, f0))))
+    for i, a in enumerate(images):
+        mine = _lifted(a, n)
+        for j in range(i, len(images)):
             for k in box_translates(*boxes[j], *boxes[i], scale):
                 if j == i and not any(k):
                     continue
-                b = c.cells[j].translate(c.period.from_coords(k))
-                shared = set(a.vertices) & set(b.vertices)
-                # interiors must be disjoint: clip a by b's facet
-                # half-spaces and demand the leftover volume vanish
-                pieces = [a.vertices]
-                for k, w in enumerate(b.vertices):
-                    face = b.vertices[:k] + b.vertices[k + 1 :]
-                    normal = _inner_normal(face, w)
-                    beta = -dot(normal, face[0])
-                    neg = vscale(Fraction(-1), normal)
-                    pieces = [
-                        q
-                        for p in pieces
-                        for q in _clip_simplex(p, neg, beta)
-                    ]
-                overlap = sum(
-                    (simplex_volume(Simplex(p)) for p in pieces
-                     if Simplex(p).is_nondegenerate()),
-                    Fraction(0),
-                )
-                if overlap != 0:
+                shift = _ambient(rows, tuple(scale * x for x in k))
+                pieces = [mine]
+                for nu, beta in facets[j]:
+                    beta += sum(map(mul, nu, shift))
+                    pieces = [q for p in pieces for q in _clip(p, nu, beta)]
+                if any(map(_volume, pieces)):
                     raise ComplexError("overlapping cell interiors")
-                if shared:
-                    sub = Simplex(tuple(sorted(shared)))
-                    if not sub.is_nondegenerate():
-                        raise ComplexError("shared vertices not a face")
+                shared = list(set(mine) & set(_lifted(images[j], n, shift)))
+                edges = [tuple(map(sub, v, shared[0])) for v in shared[1:]]
+                if rank(edges) != len(edges):
+                    raise ComplexError("shared vertices not a face")
 
 
 def unfold(c: PeriodicComplex, lat: Lattice) -> PeriodicComplex:

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain
 from operator import add, itemgetter, mul, sub
 
 from .complexes import (
@@ -20,8 +20,12 @@ from .complexes import (
     PeriodicComplex,
     Simplex,
     _ambient,
+    _clip,
+    _coord_box,
     _from_coords,
+    _lifted,
     _rational_view,
+    _volume,
     lazy_field,
     simplex_volume,
     unfold,
@@ -38,8 +42,6 @@ from .linalg import (
     mat_mul,
     mat_vec,
     vadd,
-    vsub,
-    vscale,
     zero_vec,
 )
 from .paf import TestFunction, _restrict
@@ -237,11 +239,7 @@ class IntegralAffineMap:
             raise MeasureError("map shape does not match the target")
         if any(len(r) != self.source.dim for r in self.matrix):
             raise MeasureError("map shape does not match the source")
-        for g in self.source.generators:
-            if not self.target.contains(mat_vec(self.matrix, g)):
-                raise MeasureError(
-                    "linear part does not map the source lattice into the target"
-                )
+        _check_sends(self, self.source, "source")
 
     def apply(self, p: Vec) -> Vec:
         return vadd(mat_vec(self.matrix, p), self.offset)
@@ -393,6 +391,15 @@ def _atom_images(mu: PolytopalMeasure, a: IntegralAffineMap):
     ]
 
 
+def _check_sends(a: IntegralAffineMap, lat: Lattice, name: str) -> None:
+    """Raise unless the linear part of a maps each generator of lat into
+    a.target: a map's source when made, a pushforward's other lattice."""
+    if not all(a.target.contains(mat_vec(a.matrix, g)) for g in lat.generators):
+        raise MeasureError(
+            f"linear part does not map the {name} lattice into the target"
+        )
+
+
 def pushforward(mu, a: IntegralAffineMap):
     """Exact pushforward; same kind in, same kind out.
 
@@ -400,6 +407,8 @@ def pushforward(mu, a: IntegralAffineMap):
     complex builders do; its image has volume 0 exactly when a collapses
     it, and the atoms are checked in order.
     """
+    if mu.lattice != a.source:
+        _check_sends(a, mu.lattice, "measure's")
     if isinstance(mu, EmpiricalMeasure):
         return empirical(a.target, tuple(a.apply(p) for p in mu.points))
     lat = a.target
@@ -440,6 +449,8 @@ def monte_carlo_pushforward(
     """
     if samples <= 0:
         raise MeasureError("samples must be positive")
+    if mu.lattice != a.source:
+        _check_sends(a, mu.lattice, "measure's")
     masses = mu._masses
     total = sum(masses, Fraction(0))
     quotas = [m / total * samples for m in masses]
@@ -481,59 +492,6 @@ def monte_carlo_pushforward(
     return EmpiricalMeasure(lattice=a.target, scale=modulus, coords=tuple(coords))
 
 
-def _clip_simplex(verts: tuple[Vec, ...], a: Vec, beta: Fraction):
-    """Pieces of conv(verts) inside the half-space a.x <= beta.
-
-    With p kept vertices and q cut off, the kept part is the convex hull
-    of the grid points (r, 0) = kept vertex r and (r, c) = the crossing
-    from kept vertex r toward cut-off vertex c.  It is a product of
-    simplices up to a projective map, and its staircase triangulation
-    has one piece per monotone path from (0, 0) to (p - 1, q)
-    (De Loera, Rambau, Santos, *Triangulations*, 2010).  Any dimension;
-    degenerate zero-volume pieces are dropped by the caller.
-    """
-    g = [dot(a, v) - beta for v in verts]
-    if all(x <= 0 for x in g):
-        return [verts]
-    if not any(x < 0 for x in g):
-        return []
-    out = [(w, y) for w, y in zip(verts, g) if y > 0]
-    grid = [
-        [v] + [
-            vadd(v, vscale(x / (x - y), vsub(w, v))) if x else v
-            for w, y in out
-        ]
-        for v, x in zip(verts, g)
-        if x <= 0
-    ]
-    steps = len(verts) - 1
-    pieces = []
-    for cols in combinations(range(steps), len(out)):
-        r = c = 0
-        piece = [grid[0][0]]
-        for k in range(steps):
-            if k in cols:
-                c += 1
-            else:
-                r += 1
-            piece.append(grid[r][c])
-        pieces.append(tuple(piece))
-    return pieces
-
-
-def _box_clip_volume(s: Simplex, center: Vec, delta: Fraction) -> Fraction:
-    n = s.ambient_dim
-    pieces = [s.vertices]
-    for k in range(n):
-        e = tuple(Fraction(1 if i == k else 0) for i in range(n))
-        for a, beta in (
-            (e, center[k] + delta),
-            (vscale(Fraction(-1), e), delta - center[k]),
-        ):
-            pieces = [q for p in pieces for q in _clip_simplex(p, a, beta)]
-    return sum((simplex_volume(Simplex(p)) for p in pieces), Fraction(0))
-
-
 def _wrap_guard(lat: Lattice, delta: Fraction) -> None:
     """Raise unless delta <= shortest / 4, shortest being the sup-norm of
     a shortest nonzero period vector.  Only vectors within 4 delta
@@ -553,7 +511,9 @@ def mass_near(mu, center: Vec, delta: Fraction) -> Fraction:
     period-coordinate bounding box meets the box's, so any rational
     period basis is handled.  Points share one set of translates, that of
     the box holding every reduced point, and are tested in integers.
-    """
+    Atom translates are clipped by the box on their integer vertex images
+    at one scale t (``complexes._clip``): the sum of density times
+    ``_volume`` over n! t^n."""
     delta = Fraction(delta)
     if delta <= 0:
         raise MeasureError("delta must be positive")
@@ -607,14 +567,17 @@ def mass_near(mu, center: Vec, delta: Fraction) -> Fraction:
                     hits += 1
                     break
         return Fraction(hits, len(mu.coords))
+    # at scale t, L k is step g L k; c is taken off to center the box at 0
+    r, step = t // unit, t // g
+    sides = [tuple(s * (i == m) for i in range(n)) for s in (1, -1) for m in range(n)]
     total = Fraction(0)
-    r = t // unit
-    for cell, (atom, dens) in zip(cells, mu.atoms):
-        ws = [
-            [r * sum(map(mul, row, a)) for row in inv] for a in zip(*[iter(cell)] * n)
-        ]
-        box = [min(col) for col in zip(*ws)], [max(col) for col in zip(*ws)]
-        for k in box_translates(*box, lo, hi, qt):
-            lam = lat.from_coords(k)
-            total += dens * _box_clip_volume(atom.translate(lam), center, delta)
-    return total
+    for cell, dens in zip(cells, mu._cells[1]):
+        a = [r * x for x in cell]
+        ws = [_ambient(inv, a[k : k + n]) for k in range(0, len(a), n)]
+        for k in box_translates(*_coord_box(sum(ws, ()), n), lo, hi, qt):
+            shift = [step * x - y for x, y in zip(_ambient(rows, k), c)]
+            pieces = [_lifted(a, n, shift)]
+            for side in sides:
+                pieces = [q for p in pieces for q in _clip(p, side, d)]
+            total += dens * sum(map(_volume, pieces))
+    return total / (math.factorial(n) * t**n)

@@ -4,7 +4,7 @@ import math
 import time
 import warnings
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -38,6 +38,7 @@ from troptorus.complexes import (
     ComplexError,
     Simplex,
     dyadic_refine_step,
+    simplex_volume,
     unfold_with_shifts,
 )
 from troptorus.lattice import covolume, reduce_mod
@@ -47,6 +48,7 @@ from troptorus.linalg import (
     dot,
     from_columns,
     mat_vec,
+    null_vector,
     vadd,
     vscale,
     vsub,
@@ -595,6 +597,69 @@ def fraction_tate_step(f):
         cocycle=z,
         linear_scale=f.linear_scale / 2,
     )
+
+
+def inner_normal(face, opposite):
+    """The primitive integer normal of a facet, toward the opposite vertex,
+    in Fractions: the normal oracle of fraction_adjacent_pairs."""
+    w0 = face[0]
+    edges = tuple(vsub(w, w0) for w in face[1:])
+    nu = tuple(map(Fraction, null_vector(edges, len(w0))))
+    s = dot(nu, vsub(opposite, w0))
+    if s == 0:
+        raise ComplexError("degenerate face/opposite configuration")
+    return nu if s > 0 else vscale(Fraction(-1), nu)
+
+
+def fraction_clip_simplex(verts, a, beta):
+    """Pieces of conv(verts) inside the half-space a.x <= beta, the
+    crossings made as Fraction points, flat pieces kept: the staircase
+    triangulation of the kept part (De Loera, Rambau, Santos,
+    *Triangulations*, 2010), the oracle of complexes._clip."""
+    g = [dot(a, v) - beta for v in verts]
+    if all(x <= 0 for x in g):
+        return [verts]
+    if not any(x < 0 for x in g):
+        return []
+    out = [(w, y) for w, y in zip(verts, g) if y > 0]
+    grid = [
+        [v] + [
+            vadd(v, vscale(x / (x - y), vsub(w, v))) if x else v
+            for w, y in out
+        ]
+        for v, x in zip(verts, g)
+        if x <= 0
+    ]
+    steps = len(verts) - 1
+    pieces = []
+    for cols in combinations(range(steps), len(out)):
+        r = c = 0
+        piece = [grid[0][0]]
+        for k in range(steps):
+            if k in cols:
+                c += 1
+            else:
+                r += 1
+            piece.append(grid[r][c])
+        pieces.append(tuple(piece))
+    return pieces
+
+
+def fraction_box_clip_volume(s, center, delta):
+    """The volume of the n-simplex s inside the closed sup-norm box of
+    radius delta around center, by fraction_clip_simplex against the 2n
+    Fraction half-spaces of the box: the oracle of the Haar branch of
+    measures.mass_near."""
+    n = s.ambient_dim
+    pieces = [s.vertices]
+    for k in range(n):
+        e = tuple(Fraction(1 if i == k else 0) for i in range(n))
+        for a, beta in (
+            (e, center[k] + delta),
+            (vscale(Fraction(-1), e), delta - center[k]),
+        ):
+            pieces = [q for p in pieces for q in fraction_clip_simplex(p, a, beta)]
+    return sum((simplex_volume(Simplex(p)) for p in pieces), Fraction(0))
 
 
 def base_complex(n, gram=None):

@@ -25,20 +25,29 @@ from troptorus.complexes import (
     IncompatiblePeriodsError,
     PeriodicComplex,
     _from_coords,
-    _inner_normal,
     _is_refinement_search,
     barycentric_triangulation,
     dyadic_refine_step,
     unfold_with_shifts,
 )
 from troptorus.lattice import Lattice
-from troptorus.linalg import det, from_columns, mat_vec, vadd, vscale, vsub
+from troptorus.linalg import (
+    DimensionMismatchError,
+    det,
+    from_columns,
+    mat_vec,
+    vadd,
+    vscale,
+    vsub,
+)
 from tests.conftest import (
+    base_complex,
     canonical_cell,
     complex_to_json,
     fraction_barycentric,
     fraction_refine_step,
     fraction_unfold_with_shifts,
+    inner_normal,
     json_dumps,
     make_complex,
     pair_key,
@@ -130,6 +139,48 @@ def test_overlap_far_along_a_skewed_basis_detected():
     check_tiling(c)
     with pytest.raises(ComplexError):
         check_common_faces(c)
+
+
+def test_a_flat_cell_passes_the_tiling_but_not_the_face_check():
+    """The two triangles of the unit square and the flat cell on their
+    diagonal: the volumes still sum to the covolume, but a facet of the
+    flat cell has its opposite vertex on its own line."""
+    c = make_complex(
+        standard_lattice(2),
+        [
+            Simplex(((F(0), F(0)), (F(1), F(0)), (F(1), F(1)))),
+            Simplex(((F(0), F(0)), (F(0), F(1)), (F(1), F(1)))),
+            Simplex(((F(0), F(0)), (F(1, 2), F(1, 2)), (F(1), F(1)))),
+        ],
+    )
+    check_tiling(c)
+    with pytest.raises(ComplexError, match="degenerate face/opposite"):
+        check_common_faces(c)
+
+
+def test_cells_of_the_wrong_dimension_are_rejected():
+    """Two segments in R^2: read as 2 x 2 determinants, their vertex
+    images would give 1/2 each, the covolume in sum; both checks raise."""
+    c = PeriodicComplex(
+        period=standard_lattice(2),
+        cells=(
+            Simplex(((F(1), F(0)), (F(0), F(1)))),
+            Simplex(((F(1), F(0)), (F(1), F(1)))),
+        ),
+    )
+    for check in (check_tiling, check_common_faces):
+        with pytest.raises(DimensionMismatchError):
+            check(c)
+
+
+def test_tiling_and_face_checks_build_no_cells():
+    """Both checks read the kept vertex images of a builder complex, made
+    by barycentric_triangulation or dyadic_refine_step: its cells are
+    never made."""
+    for c in (base_complex(3)[3], dyadic_refine_step(base_complex(2)[3])[0]):
+        check_tiling(c)
+        check_common_faces(c)
+        assert "cells" not in vars(c)
 
 
 def test_canonical_cell_reduces_first_vertex():
@@ -592,7 +643,7 @@ def fraction_adjacent_pairs(c):
         (i, si, opp_i), (j, sj, _) = entries
         pairs.append(AdjacentPair(
             i=i, j=j, shift_i=si, shift_j=sj, face=key,
-            normal=_inner_normal(key, opp_i), key=pair_key(i, si, j, sj),
+            normal=inner_normal(key, opp_i), key=pair_key(i, si, j, sj),
         ))
     return tuple(pairs)
 

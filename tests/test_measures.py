@@ -29,6 +29,8 @@ from troptorus import (
 )
 from troptorus.complexes import (
     _ContainmentIndex,
+    _clip,
+    _volume,
     barycentric_triangulation,
     simplex_volume,
     unfold,
@@ -54,7 +56,7 @@ from troptorus.linalg import (
 )
 from troptorus import measures
 from troptorus import test_sup_abs as sup_abs
-from troptorus.measures import EmpiricalMeasure, _clip_simplex, _wrap_guard
+from troptorus.measures import EmpiricalMeasure, _wrap_guard
 from troptorus.paf import TestFunction as PiecewiseTest
 from troptorus.paf import interpolate_test, locate_cell, vertex_orbits
 from tests.conftest import (
@@ -63,6 +65,7 @@ from tests.conftest import (
     dense_averages,
     dense_integrate,
     dense_sup_abs,
+    fraction_box_clip_volume,
     fraction_pushforward,
     fraction_solve,
     gram_k_volume,
@@ -218,6 +221,16 @@ def test_mass_near_haar_box_4d():
     assert mass_near(haar(lat, c), (F(0),) * 4, delta) == (2 * delta) ** 4
 
 
+def test_haar_box_mass_builds_no_atoms_or_cells():
+    """The Haar branch of mass_near clips the kept integer vertex images:
+    the measure builds no atoms and its complex no cells."""
+    lat, _, _, c = base_complex(2)
+    mu = haar(lat, c)
+    delta = F(1, 8)
+    assert mass_near(mu, (F(1, 3), F(-2, 5)), delta) == (2 * delta) ** 2
+    assert "atoms" not in vars(mu) and "cells" not in vars(mu._cells[0])
+
+
 def _section_fraction(h):
     """The share of a d-simplex's volume where an affine function with
     the vertex values h is <= 0: (-1)^d times the divided difference of
@@ -267,7 +280,17 @@ def test_clip_simplex_matches_the_closed_form_section_volume(case):
     verts, a, beta = case
     d = len(verts) - 1
     s = Simplex(verts)
-    pieces = _clip_simplex(verts, a, beta)
+    # the kernel's integer form: the vertices (v, 1), and a.x <= p / q as
+    # q a.x <= p; its pieces are read back as Fraction points
+    q = beta.denominator
+    pieces = [
+        tuple(tuple(F(x, v[-1]) for x in v[:-1]) for v in p)
+        for p in _clip(
+            tuple((*map(int, v), 1) for v in verts),
+            tuple(q * int(x) for x in a),
+            beta.numerator,
+        )
+    ]
     volume = sum(simplex_volume(Simplex(p)) for p in pieces)
     assert volume == simplex_volume(s) * _section_fraction(
         [dot(a, v) - beta for v in verts]
@@ -314,6 +337,24 @@ def test_pushforward_of_points(line_setup):
         matrix=((F(2),),), offset=(F(0),), source=lat, target=lat
     )
     assert pushforward(e, a).points == ((F(1, 2),), (F(1, 2),))
+
+
+def test_pushforward_rejects_a_lattice_the_map_does_not_send_into_the_target(
+    line_setup,
+):
+    """x -> x on 2Z maps into 2Z, but Haar and points on R/Z are not
+    measures on R/2Z: every pushforward path raises."""
+    lat, _, _, c = line_setup
+    even = Lattice(((F(2),),))
+    a = IntegralAffineMap(matrix=((F(1),),), offset=(F(0),), source=even, target=even)
+    mu = haar(lat, c)
+    for push in (
+        lambda: pushforward(mu, a),
+        lambda: monte_carlo_pushforward(mu, a, samples=4, seed=0),
+        lambda: pushforward(empirical(lat, [(F(1, 4),)]), a),
+    ):
+        with pytest.raises(MeasureError, match="lattice"):
+            push()
 
 
 def test_monte_carlo_is_seed_deterministic(plane_setup):
@@ -725,6 +766,7 @@ def test_point_form_matches_the_fraction_definitions(lat, data):
 
 @given(lat=rational_lattices(), seed=st.integers(0, 2 ** 16), data=st.data())
 @settings(max_examples=25, deadline=None)
+@warn_slow_examples(lambda lat, **_: lat.generators)
 def test_box_counts_match_the_every_shift_oracle(lat, seed, data):
     """mass_near of 50-200 points against the every-shift count, at delta
     and delta / 3, with centers outside [0, 1)^n and on a corner of the
@@ -756,6 +798,91 @@ def test_box_counts_match_the_every_shift_oracle(lat, seed, data):
         corner = vadd(pts[-1], tuple(d * x for x in signs))
         for center in (far, translate(corner)):
             assert mass_near(e, center, d) == _oracle_mass_near(e, center, d)
+
+
+def _oracle_box_mass(mu, center, delta):
+    """The sum of density times fraction_box_clip_volume over every atom
+    translate by L k that can meet the box: a point p of both has
+    coords(p) - k in the atom's coordinate range and coords(p) in that of
+    the box corners, which bounds each k_m."""
+    lat = mu.lattice
+    corners = [
+        lat.coords(vadd(center, tuple(delta * x for x in signs)))
+        for signs in product((-1, 1), repeat=lat.dim)
+    ]
+    total = F(0)
+    for s, dens in mu.atoms:
+        vs = [lat.coords(v) for v in s.vertices]
+        ranges = [
+            range(
+                math.ceil(min(p[m] for p in corners) - max(v[m] for v in vs)),
+                math.floor(max(p[m] for p in corners) - min(v[m] for v in vs)) + 1,
+            )
+            for m in range(lat.dim)
+        ]
+        for k in product(*ranges):
+            lam = lat.from_coords(tuple(map(F, k)))
+            total += dens * fraction_box_clip_volume(s.translate(lam), center, delta)
+    return total
+
+
+@st.composite
+def box_mass_cases(draw):
+    """A rational basis of R^n, n <= 3, skewed ones among them; Haar on
+    its level-0 J1 complex or 1-3 random full-dimensional atoms with
+    random densities; and a center whose first coordinate lies outside
+    [0, 1)."""
+    lat = draw(rational_lattices())
+    n = lat.dim
+    if draw(st.booleans()):
+        mu = haar(lat, barycentric_triangulation(lat.generators, lat))
+    else:
+        coord = st.fractions(min_value=-1, max_value=1, max_denominator=6)
+        atoms = []
+        for _ in range(draw(st.integers(1, 3))):
+            s = Simplex(tuple(draw(st.tuples(*[coord] * n)) for _ in range(n + 1)))
+            assume(det(s.edge_matrix()) != 0)
+            atoms.append((s, draw(st.fractions(min_value=F(1, 4), max_value=3))))
+        mu = PolytopalMeasure(lattice=lat, atoms=tuple(atoms))
+    unit = st.fractions(min_value=0, max_value=1, max_denominator=7)
+    center = draw(st.tuples(*[unit] * n))
+    far = draw(st.sampled_from((-3, -2, 1, 2)))
+    return mu, (center[0] + far,) + center[1:]
+
+
+@given(case=box_mass_cases(), data=st.data())
+@settings(max_examples=40, deadline=None)
+@warn_slow_examples(lambda case, **_: case[0].lattice.generators)
+def test_box_masses_match_the_fraction_clip_oracle(case, data):
+    """mass_near on the integer clipping kernel against the Fraction clip
+    of every atom translate, at delta and delta / 3; and the kernel's
+    pieces on both sides of a hyperplane, one often through a vertex, sum
+    to the atom's volume, on vertices of unequal scales."""
+    mu, center = case
+    delta = _dyadic_delta(mu.lattice)
+    for d in (delta, delta / 3):
+        assert mass_near(mu, center, d) == _oracle_box_mass(mu, center, d)
+    s = data.draw(st.sampled_from(mu.atoms))[0]
+    n = s.dim
+    a = data.draw(st.tuples(*[st.integers(-3, 3)] * n).filter(any))
+    values = [dot(a, v) for v in s.vertices]
+    lo, hi = min(values), max(values)
+    beta = data.draw(
+        st.sampled_from(values)
+        | st.fractions(0, 1, max_denominator=6).map(lambda x: lo + x * (hi - lo))
+    )
+    verts = []
+    for v in s.vertices:
+        w = math.lcm(*(x.denominator for x in v))
+        verts.append((*(int(x * w) for x in v), w))
+    q, p = beta.denominator, beta.numerator
+    cuts = [
+        _clip(tuple(verts), tuple(sign * q * x for x in a), sign * p)
+        for sign in (1, -1)
+    ]
+    whole = _volume(tuple(verts))
+    assert whole == math.factorial(n) * simplex_volume(s)
+    assert sum(_volume(piece) for side in cuts for piece in side) == whole
 
 
 @given(n=st.integers(1, 4), data=st.data())
