@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import random
+import struct
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -129,8 +130,13 @@ class PolytopalMeasure:
 
     @cached_property
     def _masses(self) -> tuple[Fraction, ...]:
-        """d * vol(s) per atom (s, d)."""
+        """d * vol(s) per atom (s, d).  The cells of a complex with a J1
+        level are congruent under signed permutations of the period
+        coordinates, so each has the volume covol(period) / size."""
         c, dens = self._cells
+        if c._j1 is not None:
+            vol = covolume(c.period) / c.size
+            return tuple(d * vol for d in dens)
         t = c.period.frame.g * c._coords[0]
         return tuple(map(mul, dens, _volumes(t, c.dim, c._images)))
 
@@ -442,26 +448,31 @@ def monte_carlo_pushforward(
     bit for bit regardless of evaluation order.  A sample of a k-simplex
     takes k sorted 32-bit cuts of [0, 1) as its barycentric weights.
 
-    In integers: the map followed by the target's period coordinates is
-    affine, and a sample is the combination of its atom's mapped integer
-    vertices with the cut gaps as weights, reduced by ``%``, which gives
-    the output's period coordinates.
+    In integers: with the masses x_i / D on one denominator and X their
+    sum, atom i gets divmod(samples x_i, X), and the remainders order the
+    extra samples.  An atom's cuts come from one ``getrandbits`` call,
+    split into 32-bit words from the least significant: the values, in
+    order, of as many ``getrandbits(32)`` calls.  The map followed by the
+    target's period coordinates is affine, so a sample is the combination
+    of its atom's mapped integer vertices with the cut gaps as weights,
+    reduced by ``%``, which gives the output's period coordinates; each
+    target axis is built over all the atom's samples from k columns, the
+    i-th smallest cut of each sample.
     """
     if samples <= 0:
         raise MeasureError("samples must be positive")
     if mu.lattice != a.source:
         _check_sends(a, mu.lattice, "measure's")
     masses = mu._masses
-    total = sum(masses, Fraction(0))
-    quotas = [m / total * samples for m in masses]
-    counts = [math.floor(q) for q in quotas]
-    remainders = sorted(
-        range(len(quotas)),
-        key=lambda i: (quotas[i] - counts[i], i),
-        reverse=True,
-    )
-    short = samples - sum(counts)
-    for i in remainders[:short]:
+    den = math.lcm(*(m.denominator for m in masses))
+    xs = [m.numerator * (den // m.denominator) for m in masses]
+    total = sum(xs)
+    if not total:
+        raise MeasureError("measure has zero mass; nothing to sample")
+    counts, rems = zip(*(divmod(samples * x, total) for x in xs))
+    counts = list(counts)
+    order = sorted(range(len(rems)), key=lambda i: (rems[i], i), reverse=True)
+    for i in order[: samples - sum(counts)]:
         counts[i] += 1
     scale, cells, image = _atom_images(mu, a)
     top = 1 << 32
@@ -476,20 +487,31 @@ def monte_carlo_pushforward(
         # c_2 - c_1, ..., top - c_k; summed by parts, coordinate m is
         # top * images[k][m] + sum_i c_i * (images[i-1][m] - images[i][m])
         pairs = list(zip(images, images[1:]))
-        axes = [
-            (top * images[k][m], [u[m] - w[m] for u, w in pairs])
-            for m in range(a.target.dim)
-        ]
-        # all the atom's cuts in one draw, k per sample, in stream order
-        bits = random.Random(f"{seed}:{idx}").getrandbits
-        draws = [bits(32) for _ in range(cnt * k)]
-        cuts = [sorted(draws[j * k : j * k + k]) for j in range(cnt)]
-        # one target axis at a time over all the atom's samples
+        words = cnt * k
+        bits = random.Random(f"{seed}:{idx}").getrandbits(32 * words)
+        draws = struct.unpack(f"<{words}I", bits.to_bytes(4 * words, "little"))
+        ranks = list(zip(*map(sorted, zip(*[iter(draws)] * k))))
         columns = [
-            [(b + sum(map(mul, s, col))) % modulus for s in cuts] for b, col in axes
+            [x % modulus for x in _axis(
+                top * images[k][m], [u[m] - w[m] for u, w in pairs], ranks, cnt
+            )]
+            for m in range(a.target.dim)
         ]
         coords.extend(zip(*columns))
     return EmpiricalMeasure(lattice=a.target, scale=modulus, coords=tuple(coords))
+
+
+def _axis(base: int, steps, columns, size: int) -> list:
+    """base + sum_i steps[i] * columns[i][j] for j < size: one list pass
+    per nonzero step."""
+    terms = [(s, column) for s, column in zip(steps, columns) if s]
+    if not terms:
+        return [base] * size
+    (s, column), *rest = terms
+    col = [base + s * y for y in column]
+    for s, column in rest:
+        col = [x + s * y for x, y in zip(col, column)]
+    return col
 
 
 def _wrap_guard(lat: Lattice, delta: Fraction) -> None:
@@ -510,8 +532,11 @@ def mass_near(mu, center: Vec, delta: Fraction) -> Fraction:
     The period translates tried for an atom are those whose
     period-coordinate bounding box meets the box's, so any rational
     period basis is handled.  Points share one set of translates, that of
-    the box holding every reduced point, and are tested in integers.
-    Atom translates are clipped by the box on their integer vertex images
+    the box holding every reduced point, and are tested in integers, per
+    translate one axis at a time; the hits of the translates add up, as no
+    point has two translates within delta of the center: the wrap guard
+    keeps every nonzero period vector at sup-norm 4 delta or more.  Atom
+    translates are clipped by the box on their integer vertex images
     at one scale t (``complexes._clip``): the sum of density times
     ``_volume`` over n! t^n."""
     delta = Fraction(delta)
@@ -552,20 +577,26 @@ def mass_near(mu, center: Vec, delta: Fraction) -> Fraction:
             tuple(map(sub, _ambient(rows, [b * y for y in k]), c))
             for k in box_translates((0,) * n, (qt - f,) * n, lo, hi, qt)
         ]
-        # a point can hit only if each of its period coordinates has a
-        # translate inside [lo, hi]
+        # a point can hit only if each of its period coordinates f w has
+        # a translate inside [lo, hi]: with L = lo mod qt and H = L + hi
+        # - lo, L <= f w <= H or f w <= H - qt, as bounds on w
         ws = mu.coords
         for m, (l, h) in enumerate(zip(lo, hi)):
             if h - l < qt:
-                ws = [w for w in ws if (f * w[m] - l) % qt <= h - l]
-        arows = [[a * x for x in row] for row in rows]
+                low = l % qt
+                high = low + h - l
+                a0, a1, a2 = -(-low // f), high // f, (high - qt) // f
+                ws = [w for w in ws if a0 <= w[m] <= a1 or w[m] <= a2]
+        # the survivors' images g L a w, one list per axis
+        cols = list(zip(*ws))
+        axes = [_axis(0, [a * x for x in row], cols, len(ws)) for row in rows]
         hits = 0
-        for w in ws:
-            p = _ambient(arows, w)
-            for o in offsets:
-                if all(abs(x + y) <= d for x, y in zip(p, o)):
-                    hits += 1
-                    break
+        for o in offsets:
+            keep = range(len(ws))
+            for p, y in zip(axes, o):
+                low, high = -d - y, d - y
+                keep = [i for i in keep if low <= p[i] <= high]
+            hits += len(keep)
         return Fraction(hits, len(mu.coords))
     # at scale t, L k is step g L k; c is taken off to center the box at 0
     r, step = t // unit, t // g

@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import types
 from fractions import Fraction
 from itertools import product
 
@@ -28,6 +29,7 @@ from troptorus import (
     simplex_k_volume,
 )
 from troptorus.complexes import (
+    PeriodicComplex,
     _ContainmentIndex,
     _clip,
     _volume,
@@ -382,6 +384,101 @@ def test_monte_carlo_rejects_bad_sample_count(line_setup):
     )
     with pytest.raises(MeasureError):
         monte_carlo_pushforward(mu, ident, samples=0, seed=0)
+
+
+def _identity_map(lat):
+    n = lat.dim
+    one = tuple(tuple(F(int(i == j)) for j in range(n)) for i in range(n))
+    return IntegralAffineMap(matrix=one, offset=(F(0),) * n, source=lat, target=lat)
+
+
+def test_monte_carlo_rejects_a_measure_of_zero_mass():
+    """A flat 2-simplex in R^2 is a valid atom of mass 0; sampling the
+    measure raises MeasureError, not ZeroDivisionError."""
+    lat = standard_lattice(2)
+    flat = Simplex(((F(0), F(0)), (F(1, 2), F(1, 2)), (F(1), F(1))))
+    mu = PolytopalMeasure(lattice=lat, atoms=((flat, F(1)),))
+    assert mu._masses == (0,)
+    with pytest.raises(MeasureError, match="zero mass"):
+        monte_carlo_pushforward(mu, _identity_map(lat), samples=4, seed=0)
+
+
+def test_monte_carlo_draws_once_per_atom(plane_setup, monkeypatch):
+    """Each atom with samples takes all its cuts from one getrandbits
+    call, and the points are those of the Fraction path."""
+    lat, _, _, c = plane_setup
+    made = []
+
+    class Counting(random.Random):
+        def __init__(self, seed):
+            self.calls = 0
+            super().__init__(seed)
+            made.append(self)
+
+        def getrandbits(self, k):
+            self.calls += 1
+            return super().getrandbits(k)
+
+    monkeypatch.setattr(measures, "random", types.SimpleNamespace(Random=Counting))
+    mu = haar(lat, c)
+    samples = 3 * c.size + 1
+    e = monte_carlo_pushforward(mu, _identity_map(lat), samples, seed=5)
+    assert len(made) == c.size
+    assert [r.calls for r in made] == [1] * c.size
+    assert e.points == _oracle_pushforward(mu, _identity_map(lat), samples, 5)
+
+
+def test_monte_carlo_edge_cases_match_the_fraction_path():
+    """The integer sampler against the Fraction one for k = 1 (Haar on
+    R/Z under the identity), for flat atoms (k below the source
+    dimension, point atoms among them), and for Haar on the J1 complex
+    of a skewed basis under a shear with an offset."""
+    line = standard_lattice(1)
+    plane, space = standard_lattice(2), standard_lattice(3)
+    skew = Lattice(_SKEWED)
+    unipotent = ((F(1), F(1)), (F(0), F(1)))
+    shear = mat_mul(mat_mul(skew.matrix, unipotent), inverse(skew.matrix))
+
+    def points(*rows):
+        return tuple(tuple(map(F, row)) for row in rows)
+
+    segments = PolytopalMeasure(lattice=plane, atoms=(
+        (Simplex(points((0, 0), (F(1, 2), 0))), F(1)),
+        (Simplex(points((F(1, 4), F(1, 4)), (F(1, 4), 1))), F(2)),
+        (Simplex(points((0, 0), (F(3, 5), F(4, 5)))), F(1, 3)),
+    ))
+    half, third, fifth = F(1, 2), F(1, 3), F(1, 5)
+    triangles = PolytopalMeasure(lattice=space, atoms=(
+        (Simplex(points((0, 0, 0), (half, 0, 0), (0, third, 0))), F(1)),
+        (Simplex(points((fifth, 0, half), (1, 0, half), (fifth, 1, half))), F(3)),
+    ))
+    atoms = PolytopalMeasure(lattice=plane, atoms=(
+        (Simplex(points((third, half))), F(1)),
+        (Simplex(points((fifth, 0))), F(2)),
+    ))
+    cases = [
+        (
+            haar(line, barycentric_triangulation(line.generators, line)),
+            _identity_map(line),
+        ),
+        (atoms, _identity_map(plane)),
+        (segments, IntegralAffineMap(
+            matrix=points((1, 1), (0, 2)), offset=(third, F(0)),
+            source=plane, target=plane,
+        )),
+        (triangles, IntegralAffineMap(
+            matrix=points((1, 0, 0), (0, 1, 1)), offset=(F(0), F(1, 7)),
+            source=space, target=plane,
+        )),
+        (
+            haar(skew, barycentric_triangulation(skew.generators, skew)),
+            IntegralAffineMap(matrix=shear, offset=(fifth, F(0)), source=skew, target=skew),
+        ),
+    ]
+    for mu, amap in cases:
+        for samples, seed in ((1, 0), (7, 3), (40, 11)):
+            e = monte_carlo_pushforward(mu, amap, samples, seed)
+            assert e.points == _oracle_pushforward(mu, amap, samples, seed)
 
 
 def test_irrational_edge_volume_raises():
@@ -900,14 +997,17 @@ def test_n_volume_matches_the_gram_path(n, data):
 
 
 def test_masses_are_built_once_per_measure(plane_setup, monkeypatch):
-    lat, _, _, c = plane_setup
+    """On a complex with no recorded J1 level, one volume per cell shape,
+    once per measure."""
+    lat, _, _, j1 = plane_setup
+    c = PeriodicComplex(j1.period, j1.cells)
     calls = []
     real = measures.simplex_k_volume
     monkeypatch.setattr(
         measures, "simplex_k_volume", lambda s: calls.append(s) or real(s)
     )
     mu = haar(lat, c)
-    hats = hat_test_functions(c)
+    hats = hat_test_functions(j1)
     for t in hats:
         integrate(t, mu)
     ident = IntegralAffineMap(
@@ -925,6 +1025,31 @@ def test_masses_are_built_once_per_measure(plane_setup, monkeypatch):
     assert len(calls) == len(shapes) < len(mu.atoms)
     integrate(hats[0], haar(lat, c))  # a new measure builds its own
     assert len(calls) == 2 * len(shapes)
+
+
+def test_j1_haar_masses_take_no_volume(monkeypatch):
+    """Haar masses on a complex with a J1 level call no volume function
+    and equal the determinant path, at levels 0 and 1 of a skewed basis
+    and at level 0 of Z^3."""
+    calls = []
+    real = measures.simplex_k_volume
+    monkeypatch.setattr(
+        measures, "simplex_k_volume", lambda s: calls.append(s) or real(s)
+    )
+    skew, space = Lattice(_SKEWED), standard_lattice(3)
+    skew_c = barycentric_triangulation(skew.generators, skew)
+    for lat, c in (
+        (skew, skew_c),
+        (skew, dyadic_refine(skew_c, 1)),
+        (space, barycentric_triangulation(space.generators, space)),
+    ):
+        mu = haar(lat, c)
+        assert c._j1 is not None
+        assert mu._masses == tuple(
+            simplex_volume(s) / covolume(lat) for s in c.cells
+        )
+        assert calls == []
+        assert sum(mu._masses) == 1
 
 
 def test_integrate_reads_only_integer_state():
